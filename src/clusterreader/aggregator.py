@@ -1,11 +1,12 @@
-"""Pooling mention scores into value scores, with optional weights and null.
+"""Pooling slot attention into value scores, with optional weights and null.
 
 A value is usually mentioned many times across a cluster; these functions
-combine the per-mention attention masses into one score per (value, slot):
-hard max, plain sum, weighted sum (weights from discourse topicality or from
-publication-date information content), or a per-document variant where the
-attention softmax is document-local. Attention mass left on non-mention
-tokens becomes the score of the null value.
+pool the S x n attention matrix (one row per slot) into an S x K value score
+matrix with one segment-pool op. Column k pools the first tokens of one
+value's mentions: hard max, plain sum, weighted sum (weights from discourse
+topicality or from publication-date information content), or a sum over a
+per-document attention softmax. The null column pools the attention mass
+left on non-mention tokens.
 """
 
 from __future__ import annotations
@@ -43,62 +44,40 @@ class AggregationConfig:
             raise AggregationError("weighted_sum needs a topic or date weight source")
 
 
-def group_mention_scores(a_s: C.Tensor, groups: dict) -> dict:
-    """Gather attention at mention indices, one 1-D tensor per value."""
-    return {v: C.take(a_s, ks) for v, ks in groups.items() if ks}
+def aggregate_max(a: C.Tensor, segments, null_col: int | None = None) -> C.Tensor:
+    """S x K value scores: each value's best single mention per slot.
+
+    segments[k] lists the token indices of column k; the null column, if
+    any, still sums its (non-mention) tokens.
+    """
+    take_max = [k != null_col for k in range(len(segments))]
+    return C.segment_pool(a, segments, take_max=take_max)
 
 
-def aggregate_max(grouped: dict) -> dict:
-    """Best single mention per value."""
-    return {v: C.tmax(t) for v, t in grouped.items()}
+def aggregate_sum(a: C.Tensor, segments, weights=None) -> C.Tensor:
+    """S x K value scores: all of a column's tokens accumulated, optionally
+    scaled by fixed per-token weights."""
+    if weights is not None:
+        weights = np.asarray(weights, dtype=np.float64)
+        if np.any(weights < 0):
+            raise AggregationError("negative aggregation weight")
+        if weights.shape != (a.shape[-1],):
+            raise AggregationError(f"weights of shape {weights.shape} for {a.shape[-1]} tokens")
+    return C.segment_pool(a, segments, weights)
 
 
-def aggregate_sum(grouped: dict, weights: dict | None = None) -> dict:
-    """Accumulate all mentions per value, optionally scaled by fixed weights."""
-    out = {}
-    for v, t in grouped.items():
-        if weights is None:
-            out[v] = C.tsum(t)
-        else:
-            w = np.asarray(weights[v], dtype=np.float64)
-            if np.any(w < 0):
-                raise AggregationError(f"negative aggregation weight for value {v!r}")
-            if w.shape != t.data.shape:
-                raise AggregationError(f"weight count mismatch for value {v!r}")
-            out[v] = C.tsum(C.scale(t, w))
-    return out
-
-
-def per_document_attention(u_s: C.Tensor, doc_lengths) -> C.Tensor:
-    """Softmax each document's block of scores separately, then reconcatenate."""
-    if sum(doc_lengths) != u_s.shape[0]:
-        raise AggregationError("doc lengths do not cover the score vector")
+def per_document_attention(u: C.Tensor, doc_lengths) -> C.Tensor:
+    """Softmax each document's block of every slot's scores separately."""
+    if sum(doc_lengths) != u.shape[-1]:
+        raise AggregationError("doc lengths do not cover the score matrix")
     parts = []
     at = 0
     for length in doc_lengths:
         if length == 0:
             continue
-        block = C.take(u_s, np.arange(at, at + length))
-        parts.append(C.softmax(block))
+        parts.append(C.softmax(C.cols_slice(u, at, at + length)))
         at += length
-    return C.concat_vec(parts)
-
-
-def aggregate_per_document(grouped: dict) -> dict:
-    """Unit-weight sum; callers pair this with per_document_attention."""
-    return aggregate_sum(grouped, None)
-
-
-def null_score(a_s: C.Tensor, mention_tokens, token_weights=None) -> C.Tensor:
-    """Attention mass on tokens outside every mention span, optionally weighted."""
-    n = a_s.shape[0]
-    outside = np.array(sorted(set(range(n)) - set(mention_tokens)), dtype=np.intp)
-    if outside.size == 0:
-        return C.Tensor(0.0)
-    rest = C.take(a_s, outside)
-    if token_weights is not None:
-        rest = C.scale(rest, np.asarray(token_weights)[outside])
-    return C.tsum(rest)
+    return C.concat_cols(parts)
 
 
 # ---------------------------------------------------------------------------

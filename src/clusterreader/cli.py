@@ -19,7 +19,7 @@ from . import corpus as cp
 from . import model as M
 from . import synth as sy
 from . import training as T
-from .aggregator import NULL_VALUE, AggregationConfig, AggregationError
+from .aggregator import AggregationConfig, AggregationError
 from .evaluation import evaluate, instance_from_cluster, render_report
 
 EXIT_MISSING = 2
@@ -151,11 +151,10 @@ def cmd_predict(args) -> int:
     if decode is None and loss_mode == "mention_level":
         decode = "sum"
     bp = parse_bp(args.bp)
-    log(f"predict config: aggregation={config} bp={bp} mention_decode={decode} "
-        f"threads={args.threads}")
+    log(f"predict config: aggregation={config} bp={bp} mention_decode={decode}")
     clusters = cp.load_clusters(args.corpus)
     records = M.predict_clusters(model, clusters, config, bp_iterations=bp,
-                                 mention_decode=decode, threads=args.threads)
+                                 mention_decode=decode)
     records.sort(key=lambda r: r["cluster_id"])
     payload = [{"cluster_id": r["cluster_id"], "predictions": r["predictions"],
                 "rankings": {s: M.rank_values(v) for s, v in r["scores"].items()},
@@ -198,11 +197,7 @@ def cmd_bp_trace(args) -> int:
     index = M.ClusterIndex.build(cluster)
     if not index.groups:
         raise cp.CorpusError(f"cluster {cluster.cluster_id} has no mentions to trace")
-    scores = M.float_table(model.value_scores(index, config))
-    values = sorted(index.groups)
-    if any(NULL_VALUE in vals for vals in scores.values()):
-        values.append(NULL_VALUE)
-    graph = K.build_graph(scores, values, list(scores))
+    graph = M.constraint_graph(index, M.score_table(model, index, config))
     K.bp_trace(graph, args.iterations, args.out)
     log(f"wrote {args.iterations}-iteration belief trace for "
         f"{cluster.cluster_id} to {args.out}")
@@ -295,7 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="default: the aggregation the checkpoint was trained with")
     p.add_argument("--bp", default="0", help="constraint iterations: 0, 1, 2, ... or conv")
     p.add_argument("--mention-decode", choices=("none", "max", "sum"), default=None)
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("eval", help="score predictions against gold")

@@ -1,10 +1,10 @@
 """Dense float64 tensors with reverse-mode gradients, Adam, and checkpoints.
 
 This is deliberately small: just the operations the reader pipeline needs
-(1-D convolution, matrix products, softmax, sigmoid, dropout, gathers and
-reductions), recorded on a dynamic graph and differentiated by a single
-topological backward sweep. Everything is 64-bit so that finite-difference
-checks are tight.
+(1-D convolution, matrix products, softmax, sigmoid, dropout, gathers,
+reductions and segment pooling), recorded on a dynamic graph and
+differentiated by a single topological backward sweep. Everything is 64-bit
+so that finite-difference checks are tight.
 """
 
 from __future__ import annotations
@@ -208,19 +208,15 @@ def tsum(a: Tensor) -> Tensor:
     return _node(a.data.sum(), (a,), backward)
 
 
-def tmax(a: Tensor) -> Tensor:
-    """Maximum of a 1-D tensor; subgradient routed to the first argmax."""
+def axis_total(a: Tensor, axis: int) -> Tensor:
+    """Sum along one axis, broadcast back to a's shape: each entry gets its line's total."""
     a = _lift(a)
-    if a.data.ndim != 1 or a.data.size == 0:
-        raise ComputeError("tmax expects a non-empty 1-D tensor")
-    k = int(np.argmax(a.data))
+    out_data = np.broadcast_to(a.data.sum(axis=axis, keepdims=True), a.data.shape).copy()
 
     def backward(g):
-        ga = np.zeros_like(a.data)
-        ga[k] = float(g)
-        a.accumulate(ga)
+        a.accumulate(np.broadcast_to(g.sum(axis=axis, keepdims=True), a.data.shape))
 
-    return _node(a.data[k], (a,), backward)
+    return _node(out_data, (a,), backward)
 
 
 def softmax(a: Tensor) -> Tensor:
@@ -290,11 +286,11 @@ def cols_slice(a: Tensor, start: int, stop: int) -> Tensor:
 
 
 def take(a: Tensor, idx) -> Tensor:
-    """Select elements of a 1-D tensor at integer indices."""
+    """Select entries of a 1-D tensor, or rows of a 2-D one, at integer indices."""
     a = _lift(a)
     idx = np.asarray(idx, dtype=np.intp)
-    if a.data.ndim != 1:
-        raise ComputeError("take expects a 1-D tensor")
+    if a.data.ndim not in (1, 2):
+        raise ComputeError("take expects a 1-D or 2-D tensor")
     if idx.size and (idx.min() < 0 or idx.max() >= a.data.shape[0]):
         raise ComputeError("take index out of range")
 
@@ -325,29 +321,58 @@ def take_pairs(a: Tensor, rows, cols) -> Tensor:
     return _node(a.data[rows, cols], (a,), backward)
 
 
+def segment_pool(a: Tensor, segments, weights=None, take_max=None) -> Tensor:
+    """Pool index groups along the last axis: out[..., k] from a[..., segments[k]].
+
+    Entry k is the sum of group k's entries, each times weights[index] when
+    weights are given, or their maximum where take_max[k] is set (subgradient
+    to the first maximum). Every row sums its group as one 1-D array in the
+    given order, so out[s, k] equals a[s, segments[k]].sum() to the last bit.
+    """
+    a = _lift(a)
+    rows = a.data.reshape(-1, a.data.shape[-1])
+    segments = [np.asarray(seg, dtype=np.intp) for seg in segments]
+    bounds = np.cumsum([0] + [seg.size for seg in segments])
+    idx = np.concatenate(segments) if segments else np.zeros(0, dtype=np.intp)
+    if idx.size and (idx.min() < 0 or idx.max() >= rows.shape[1]):
+        raise ComputeError("segment_pool index out of range")
+    take_max = np.zeros(len(segments), dtype=bool) if take_max is None \
+        else np.asarray(take_max, dtype=bool)
+    if any(seg.size == 0 for seg, m in zip(segments, take_max) if m):
+        raise ComputeError("segment_pool max over an empty group")
+    w = np.ones(idx.size) if weights is None else _as_f64(weights)[idx]
+    gathered = np.take(rows, idx, axis=1) * w
+    out = np.empty((rows.shape[0], len(segments)))
+    picks = np.zeros(out.shape, dtype=np.intp)
+    for k, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+        for r, row in enumerate(gathered):
+            if take_max[k]:
+                j = lo + int(np.argmax(row[lo:hi]))
+                out[r, k], picks[r, k] = row[j], idx[j]
+            else:
+                out[r, k] = row[lo:hi].sum()
+    col = np.repeat(np.arange(len(segments)), np.diff(bounds))
+    summed = ~take_max[col]
+
+    def backward(g):
+        g = g.reshape(out.shape)
+        ga = np.zeros_like(rows)
+        np.add.at(ga.T, idx[summed], (g[:, col[summed]] * w[summed]).T)
+        r = np.arange(rows.shape[0])[:, None]
+        np.add.at(ga, (r, picks[:, take_max]), g[:, take_max])
+        a.accumulate(ga.reshape(a.data.shape))
+
+    return _node(out.reshape(a.data.shape[:-1] + (len(segments),)), (a,), backward)
+
+
 def stack(parts: list[Tensor]) -> Tensor:
-    """Stack scalar tensors into a 1-D tensor."""
+    """Stack equal-shape tensors along a new leading axis."""
     parts = [_lift(p) for p in parts]
-    out_data = np.array([float(p.data) for p in parts])
+    out_data = np.stack([p.data for p in parts])
 
     def backward(g):
         for i, p in enumerate(parts):
-            p.accumulate(np.asarray(g[i]))
-
-    return _node(out_data, tuple(parts), backward)
-
-
-def concat_vec(parts: list[Tensor]) -> Tensor:
-    """Concatenate 1-D tensors."""
-    parts = [_lift(p) for p in parts]
-    sizes = [p.data.shape[0] for p in parts]
-    out_data = np.concatenate([p.data for p in parts]) if parts else np.zeros(0)
-
-    def backward(g):
-        at = 0
-        for p, sz in zip(parts, sizes):
-            p.accumulate(g[at:at + sz])
-            at += sz
+            p.accumulate(g[i])
 
     return _node(out_data, tuple(parts), backward)
 

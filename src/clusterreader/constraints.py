@@ -94,22 +94,7 @@ def init_messages(graph: ConstraintGraph) -> MessageState:
                         from_col=np.full_like(local, 0.5), iteration=0)
 
 
-def exactly1_to_variable(incoming, target: int):
-    """Message an Exactly-1 factor sends to one neighbor.
-
-    incoming holds the true-mass of every neighbor's message, target's
-    included (it is ignored). Returns a normalized (true, false) pair.
-    """
-    mu = np.clip(np.asarray(incoming, dtype=np.float64), EPS, 1 - EPS)
-    if not 0 <= target < mu.size:
-        raise ConstraintError(f"target {target} outside factor of degree {mu.size}")
-    ratio = mu / (1 - mu)
-    s_i = ratio.sum() - ratio[target]
-    t = 1.0 / (1.0 + s_i)
-    return t, 1.0 - t
-
-
-def _exactly1_all(mu: np.ndarray, axis: int) -> np.ndarray:
+def exactly1_all(mu: np.ndarray, axis: int) -> np.ndarray:
     """True-mass of factor->variable messages for every target at once.
 
     mu is the V x S grid of incoming true masses; axis=0 treats each column
@@ -119,17 +104,6 @@ def _exactly1_all(mu: np.ndarray, axis: int) -> np.ndarray:
     ratio = mu / (1 - mu)
     total = ratio.sum(axis=axis, keepdims=True)
     return 1.0 / (1.0 + (total - ratio))
-
-
-def variable_to_factor(local: float, other_msg):
-    """Variable's message to one factor: local potential times the other factor's message."""
-    t_other, f_other = other_msg
-    t = local * t_other
-    f = (1 - local) * f_other
-    z = t + f
-    if z <= 0:
-        return 0.5, 0.5
-    return t / z, f / z
 
 
 def _combine(local: np.ndarray, other_t: np.ndarray) -> np.ndarray:
@@ -146,8 +120,8 @@ def bp_iterate(state: MessageState, graph: ConstraintGraph, damping: float = 0.0
     iteration counts use d=0 so each round is exactly one recurrence.
     """
     local = graph.local
-    from_row = _exactly1_all(state.to_row, axis=0)
-    from_col = _exactly1_all(state.to_col, axis=1)
+    from_row = exactly1_all(state.to_row, axis=0)
+    from_col = exactly1_all(state.to_col, axis=1)
     if graph.null_row is not None:
         from_col[graph.null_row, :] = 0.5
     to_row = _combine(local, from_col)
@@ -267,48 +241,39 @@ def brute_force_oracle(local: np.ndarray) -> np.ndarray:
 # differentiable variant (for training with constraints in the loop)
 
 
-def run_bp_tensor(phi: C.Tensor, n_values: int, n_slots: int,
-                  null_row: int | None, iterations: int) -> C.Tensor:
-    """Beliefs as a flat (V*S,) tensor with gradient support.
+def _one_minus(x: C.Tensor) -> C.Tensor:
+    return C.add(C.neg(x), 1.0)
 
-    Mirrors run_bp on the numpy path exactly, so it is only used when the
-    constraint layer participates in the loss.
+
+def run_bp_tensor(phi: C.Tensor, null_col: int | None, iterations: int) -> C.Tensor:
+    """Beliefs after undamped rounds, differentiable in the S x K score grid.
+
+    phi is the slot x value grid, the transpose of build_graph's layout: each
+    row is a slot's Exactly-1 factor and each column but null_col a value's.
+    The recurrence is bp_iterate's, so the result matches run_bp on the
+    transposed grid; it is only used when the constraint layer is in the loss.
     """
-    one = C.Tensor(1.0)
-    local = C.clamp(C.sigmoid(phi), EPS, 1 - EPS)
-    row_groups = [[v * n_slots + s for v in range(n_values)] for s in range(n_slots)]
-    col_groups = [[v * n_slots + s for s in range(n_slots)]
-                  for v in range(n_values) if v != null_row]
-    uniform_col = C.Tensor(np.full(n_slots, 0.5)) if null_row is not None else None
-
-    def factor_pass(msg: C.Tensor, groups, fill_uniform: bool) -> C.Tensor:
-        outs, order = [], []
-        for g in groups:
-            mu = C.clamp(C.take(msg, g), EPS, 1 - EPS)
-            ratio = C.div(mu, C.add(C.neg(mu), one))
-            s_i = C.add(C.neg(ratio), C.tsum(ratio))
-            outs.append(C.div(one, C.add(s_i, one)))
-            order.extend(g)
-        if fill_uniform and null_row is not None:
-            outs.append(uniform_col)
-            order.extend(null_row * n_slots + s for s in range(n_slots))
-        inv = np.argsort(np.asarray(order))
-        return C.take(C.concat_vec(outs), inv)
+    def exactly1(mu: C.Tensor, axis: int) -> C.Tensor:
+        mu = C.clamp(mu, EPS, 1 - EPS)
+        ratio = C.div(mu, _one_minus(mu))
+        return C.div(1.0, C.add(C.add(C.axis_total(ratio, axis), C.neg(ratio)), 1.0))
 
     def combine(other_t: C.Tensor) -> C.Tensor:
         t = C.mul(local, other_t)
-        f = C.mul(C.add(C.neg(local), one), C.add(C.neg(other_t), one))
+        f = C.mul(_one_minus(local), _one_minus(other_t))
         return C.clamp(C.div(t, C.add(t, f)), EPS, 1 - EPS)
 
-    to_row, to_col = local, local
-    from_row = C.Tensor(np.full(n_values * n_slots, 0.5))
-    from_col = C.Tensor(np.full(n_values * n_slots, 0.5))
+    local = C.clamp(C.sigmoid(phi), EPS, 1 - EPS)
+    keep = np.ones(phi.shape)
+    if null_col is not None:
+        keep[:, null_col] = 0.0
+    to_slot, to_value = local, local
+    from_slot = from_value = C.Tensor(np.full(phi.shape, 0.5))
     for _ in range(iterations):
-        from_row = factor_pass(to_row, row_groups, fill_uniform=False)
-        from_col = factor_pass(to_col, col_groups, fill_uniform=True)
-        to_row = combine(from_col)
-        to_col = combine(from_row)
-    t = C.mul(C.mul(local, from_row), from_col)
-    f = C.mul(C.mul(C.add(C.neg(local), one), C.add(C.neg(from_row), one)),
-              C.add(C.neg(from_col), one))
+        from_slot = exactly1(to_slot, axis=1)
+        from_value = C.add(C.scale(exactly1(to_value, axis=0), keep), 0.5 * (1 - keep))
+        to_slot = combine(from_value)
+        to_value = combine(from_slot)
+    t = C.mul(C.mul(local, from_slot), from_value)
+    f = C.mul(C.mul(_one_minus(local), _one_minus(from_slot)), _one_minus(from_value))
     return C.div(t, C.add(t, f))

@@ -215,21 +215,6 @@ def save_clusters(path, clusters):
             fh.write(json.dumps(cluster_to_record(c)) + "\n")
 
 
-def dedup_documents(cluster: Cluster) -> Cluster:
-    """Drop documents whose token sequence repeats an earlier document."""
-    seen = set()
-    kept = []
-    for doc in cluster.documents:
-        key = tuple(doc.flat_tokens())
-        if key in seen:
-            continue
-        seen.add(key)
-        kept.append(doc)
-    if len(kept) == len(cluster.documents):
-        return cluster
-    return replace(cluster, documents=tuple(kept))
-
-
 def split_dev(train_clusters, extra_dev_clusters: int = 0):
     """Move every fifth document of each training cluster into a dev twin.
 

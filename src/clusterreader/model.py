@@ -1,14 +1,17 @@
 """The assembled reader: embeddings -> CNN -> slot attention -> aggregation.
 
-Ties the component modules together around a per-cluster token index, and
-exposes the two things the rest of the package needs: differentiable value
-scores for training, and decoded predictions (optionally sharpened by the
-constraint layer) for inference.
+Ties the component modules together around a per-cluster token index. One
+dense matrix flows from attention to the loss: the scorer gives an S x n
+attention matrix (one row per scoring slot), the aggregator pools it into an
+S x K value score matrix, and training reads each slot's gold mass from that.
+Its K columns are the cluster's mentioned values plus the null value, sorted
+as strings (ClusterIndex.columns). For inference the matrix becomes the
+prediction record's {slot: {value: float}} table once per cluster
+(score_table), optionally sharpened by the constraint layer.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,6 +56,16 @@ class ClusterIndex:
     def n_tokens(self) -> int:
         return len(self.flat_tokens)
 
+    def columns(self, null_enabled: bool) -> list:
+        """Score-matrix column labels: mentioned values plus null, sorted as strings."""
+        return sorted(list(self.groups) + ([NULL_VALUE] if null_enabled else []))
+
+    def segments(self, columns) -> list:
+        """Tokens each column pools: a value's mention first tokens, or for
+        null every token outside all mention spans."""
+        outside = sorted(set(range(self.n_tokens)) - self.mention_token_set)
+        return [outside if v == NULL_VALUE else self.groups[v] for v in columns]
+
 
 @dataclass
 class ReaderModel:
@@ -76,48 +89,35 @@ class ReaderModel:
         return E.encode(embedded, index.doc_lengths, self.enc,
                         training=training, keep_prob=keep_prob, rng=rng)
 
-    def token_scores(self, R: C.Tensor) -> dict:
-        return {s: S.score_tokens(R, p) for s, p in self.pi.items()}
+    def token_scores(self, R: C.Tensor, slots) -> C.Tensor:
+        return S.score_tokens(R, [self.pi[s] for s in slots])
 
     def value_scores(self, index: ClusterIndex, config: agg.AggregationConfig,
                      training: bool = False, keep_prob: float = 1.0, rng=None,
-                     gold_for_fit: dict | None = None) -> dict:
-        """Differentiable {slot: {value_id or NULL_VALUE: scalar tensor}}."""
+                     gold_for_fit: dict | None = None) -> C.Tensor:
+        """Differentiable S x K scores: scoring slots by index.columns(null_enabled)."""
         R = self.representations(index, training=training, keep_prob=keep_prob, rng=rng)
-        scores = self.token_scores(R)
-        token_weights = None
+        U = self.token_scores(R, self.scoring_slots())
+        if config.mode == "per_document_softmax_sum":
+            A = agg.per_document_attention(U, index.doc_lengths)
+        else:
+            A = S.attend(U)
+        columns = index.columns(config.null_enabled)
+        segments = index.segments(columns)
+        if config.mode == "max":
+            null_col = columns.index(NULL_VALUE) if config.null_enabled else None
+            return agg.aggregate_max(A, segments, null_col)
+        weights = None
         if config.mode == "weighted_sum":
-            token_weights = agg.weights_for(index.cluster, config.weight_source, gold_for_fit)
-        table = {}
-        for slot in self.scoring_slots():
-            u = scores[slot]
-            if config.mode == "per_document_softmax_sum":
-                a = agg.per_document_attention(u, index.doc_lengths)
-            else:
-                a = S.attend(u)
-            grouped = agg.group_mention_scores(a, index.groups)
-            if config.mode == "max":
-                vals = agg.aggregate_max(grouped)
-            elif config.mode == "weighted_sum":
-                weights = {v: token_weights[index.groups[v]] for v in grouped}
-                vals = agg.aggregate_sum(grouped, weights)
-            else:
-                vals = agg.aggregate_sum(grouped)
-            if config.null_enabled:
-                vals[NULL_VALUE] = agg.null_score(a, index.mention_token_set, token_weights)
-            table[slot] = vals
-        return table
+            weights = agg.weights_for(index.cluster, config.weight_source, gold_for_fit)
+        return agg.aggregate_sum(A, segments, weights)
 
     def mention_slot_logits(self, index: ClusterIndex, training: bool = False,
-                            keep_prob: float = 1.0, rng=None) -> list:
-        """Per mention: raw slot scores at its first token (mention-level mode)."""
+                            keep_prob: float = 1.0, rng=None) -> C.Tensor:
+        """m x |pi| raw slot scores at each mention's first token (mention-level mode)."""
         R = self.representations(index, training=training, keep_prob=keep_prob, rng=rng)
-        scores = self.token_scores(R)
-        slot_order = list(self.pi)
-        out = []
-        for _, _, k in index.mention_rows:
-            out.append(C.stack([C.tsum(C.take(scores[s], [k])) for s in slot_order]))
-        return out
+        U = self.token_scores(R, list(self.pi))
+        return C.take(C.transpose(U), [k for _, _, k in index.mention_rows])
 
 
 def init_model(vocab_tokens, hp, rng: np.random.Generator,
@@ -132,8 +132,24 @@ def init_model(vocab_tokens, hp, rng: np.random.Generator,
     return ReaderModel(table=table, enc=enc, pi=pi)
 
 
-def float_table(table: dict) -> dict:
-    return {slot: {v: t.item() for v, t in vals.items()} for slot, vals in table.items()}
+def score_table(model: ReaderModel, index: ClusterIndex,
+                config: agg.AggregationConfig) -> dict:
+    """Value scores as the prediction record's {slot: {value: float}}, values
+    in first-mention order and the null value last."""
+    scores = model.value_scores(index, config).data
+    col = {v: k for k, v in enumerate(index.columns(config.null_enabled))}
+    keys = list(index.groups) + ([NULL_VALUE] if config.null_enabled else [])
+    return {slot: {v: float(scores[i, col[v]]) for v in keys}
+            for i, slot in enumerate(model.scoring_slots())}
+
+
+def constraint_graph(index: ClusterIndex, table: dict) -> K.ConstraintGraph:
+    """Exactly-1 grid over a score table: mentioned values sorted, then null
+    if any slot scores it."""
+    values = sorted(index.groups)
+    if any(NULL_VALUE in vals for vals in table.values()):
+        values.append(NULL_VALUE)
+    return K.build_graph(table, values, list(table))
 
 
 def rank_values(scores: dict) -> list:
@@ -150,9 +166,8 @@ def _mention_mode_tables(model: ReaderModel, index: ClusterIndex, decode: str) -
     no mention fall to NULL); 'max'/'sum' pool the per-mention slot
     probabilities over each value's mentions with no NULL candidate.
     """
-    logits = model.mention_slot_logits(index)
+    probs = C.softmax(model.mention_slot_logits(index)).data
     slot_order = list(model.pi)
-    probs = [C.softmax(t).data for t in logits]
     slots = model.scoring_slots()
     table: dict = {s: {} for s in slots}
     if decode == "none":
@@ -190,12 +205,9 @@ def predict_cluster(model: ReaderModel, cluster: cp.Cluster,
         scores = _mention_mode_tables(model, index, mention_decode)
         scores = {s: (vals if vals else {NULL_VALUE: 0.0}) for s, vals in scores.items()}
     else:
-        scores = float_table(model.value_scores(index, config))
+        scores = score_table(model, index, config)
     if bp_iterations != 0:
-        values = sorted(v for v in index.groups)
-        if any(NULL_VALUE in vals for vals in scores.values()):
-            values.append(NULL_VALUE)
-        graph = K.build_graph(scores, values, list(scores))
+        graph = constraint_graph(index, scores)
         beliefs = K.run_bp(graph, bp_iterations)
         decode_table = K.beliefs_as_table(graph, beliefs)
     else:
@@ -206,16 +218,9 @@ def predict_cluster(model: ReaderModel, cluster: cp.Cluster,
 
 
 def predict_clusters(model: ReaderModel, clusters, config: agg.AggregationConfig,
-                     bp_iterations=0, mention_decode: str | None = None,
-                     threads: int = 1) -> list:
-    """Decode many clusters, optionally fanning out across worker threads."""
-    def run(cluster):
-        return predict_cluster(model, cluster, config, bp_iterations, mention_decode)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(run, clusters))
-    return [run(c) for c in clusters]
+                     bp_iterations=0, mention_decode: str | None = None) -> list:
+    return [predict_cluster(model, c, config, bp_iterations, mention_decode)
+            for c in clusters]
 
 
 def predictions_map(records: list) -> dict:

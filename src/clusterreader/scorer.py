@@ -2,9 +2,10 @@
 
 Each slot has a trainable embedding; its dot products with every token row
 give scores that a softmax turns into an attention distribution over the
-whole cluster. A mention's score is simply the attention mass at its first
-token, and mass on non-mention tokens is what the aggregator later reads as
-evidence for the null value.
+whole cluster. All slots are scored at once: row s of the S x n score and
+attention matrices belongs to slot s. A mention's score is the attention
+mass at its first token, and mass on non-mention tokens is what the
+aggregator later reads as evidence for the null value.
 """
 
 from __future__ import annotations
@@ -30,27 +31,17 @@ def slot_params(pi: dict[str, C.Tensor]) -> dict[str, C.Tensor]:
     return {f"slot.{s}": t for s, t in pi.items()}
 
 
-def score_tokens(R: C.Tensor, pi_s: C.Tensor) -> C.Tensor:
-    """u^s = R pi_s: one raw score per token."""
-    if R.shape[1] != pi_s.shape[0]:
-        raise C.ComputeError(f"representation dim {R.shape[1]} != slot dim {pi_s.shape[0]}")
-    return C.matmul(R, pi_s)
+def score_tokens(R: C.Tensor, pis: list) -> C.Tensor:
+    """S x n raw scores; row s is u^s = R pi_s."""
+    for pi_s in pis:
+        if R.shape[1] != pi_s.shape[0]:
+            raise C.ComputeError(f"representation dim {R.shape[1]} != slot dim {pi_s.shape[0]}")
+    return C.stack([C.matmul(R, pi_s) for pi_s in pis])
 
 
-def attend(u_s: C.Tensor) -> C.Tensor:
-    """Attention over all cluster tokens, mentions and plain words alike."""
-    return C.softmax(u_s)
-
-
-def mention_score(a_s: C.Tensor, k: int) -> C.Tensor:
-    """Attention mass at a mention's first-token index."""
-    if not 0 <= k < a_s.shape[0]:
-        raise C.ComputeError(f"mention index {k} outside attention of length {a_s.shape[0]}")
-    return C.take(a_s, [k])
-
-
-def attention_table(R: C.Tensor, pi: dict[str, C.Tensor]) -> dict[str, C.Tensor]:
-    return {s: attend(score_tokens(R, p)) for s, p in pi.items()}
+def attend(U: C.Tensor) -> C.Tensor:
+    """Each slot's attention over all cluster tokens, mentions and plain words alike."""
+    return C.softmax(U)
 
 
 def write_attention_csv(path, tokens, attention: dict[str, np.ndarray]):

@@ -53,7 +53,6 @@ class Hyperparams:
     width2: int = 5
     d1: int = 10
     r: int = 10
-    max_pooling: bool = False
     embed_dim: int = 200
     aggregation: AggregationConfig = field(default_factory=AggregationConfig)
     loss_mode: str = "value_level"
@@ -63,9 +62,6 @@ class Hyperparams:
     patience: int = 10
 
     def __post_init__(self):
-        if self.max_pooling:
-            raise TrainingError("max pooling is not part of this architecture; "
-                                "the encoder keeps per-token outputs")
         if self.loss_mode not in LOSS_MODES:
             raise TrainingError(f"unknown loss mode {self.loss_mode!r}")
 
@@ -74,7 +70,7 @@ _FIELD_TYPES = {
     "lr": float, "l2": float, "keep_prob": float,
     "width1": int, "width2": int, "d1": int, "r": int, "embed_dim": int,
     "bp_train_iters": int, "seed": int, "max_epochs": int, "patience": int,
-    "max_pooling": bool, "loss_mode": str,
+    "loss_mode": str,
 }
 _AGG_KEYS = {"mode": str, "weight_source": str, "null_enabled": bool}
 
@@ -109,37 +105,33 @@ def _coerce(raw, target):
 # losses
 
 
-def value_loss(table: dict, gold: dict, use_softmax: bool = False):
+def value_loss(scores: C.Tensor, slots, columns, gold: dict, use_softmax: bool = False):
     """Mean negative log gold mass over evaluable slots.
 
-    table: {slot: {value_id or NULL_VALUE: scalar tensor}}. Empty gold sets
-    target the null mass. Slots whose gold values have no score (never
-    mentioned) are skipped and reported. use_softmax renormalizes each
-    slot's scores first, for aggregation modes whose masses are not already
-    a distribution.
+    scores: the S x K value score matrix, rows labelled by slots and columns
+    by columns (values and NULL_VALUE). Empty gold sets target the null mass.
+    Slots whose gold values have no column (never mentioned) are skipped and
+    reported. use_softmax renormalizes each slot's row first, for
+    aggregation modes whose masses are not already a distribution.
     """
-    losses = []
-    skipped = []
-    for slot, scores in table.items():
-        targets = [v for v in gold.get(slot, ()) if v in scores]
-        if not gold.get(slot, ()):
-            targets = [NULL_VALUE] if NULL_VALUE in scores else []
+    col = {v: k for k, v in enumerate(columns)}
+    rows, cols, segments, skipped = [], [], [], []
+    for i, slot in enumerate(slots):
+        wanted = gold.get(slot, ()) or (NULL_VALUE,)
+        targets = [col[v] for v in wanted if v in col]
         if not targets:
             skipped.append(slot)
             continue
-        if use_softmax:
-            keys = sorted(scores)
-            dist = C.softmax(C.stack([scores[k] for k in keys]))
-            mass = C.tsum(C.take(dist, [keys.index(t) for t in targets]))
-        else:
-            mass = scores[targets[0]]
-            for t in targets[1:]:
-                mass = C.add(mass, scores[t])
-        losses.append(C.neg(C.log(C.clamp(mass, MASS_FLOOR, 1e12))))
-    if not losses:
+        segments.append(range(len(cols), len(cols) + len(targets)))
+        rows += [i] * len(targets)
+        cols += targets
+    if not segments:
         return None, skipped
-    inv = 1.0 / len(losses)
-    return C.scale(C.tsum(C.stack(losses)), inv), skipped
+    if use_softmax:
+        scores = C.softmax(scores)
+    mass = C.segment_pool(C.take_pairs(scores, rows, cols), segments)
+    losses = C.neg(C.log(C.clamp(mass, MASS_FLOOR, 1e12)))
+    return C.scale(C.tsum(losses), 1.0 / len(segments)), skipped
 
 
 def mention_labels(index: ClusterIndex, gold: dict, slots=cp.EVAL_SLOTS) -> list:
@@ -160,40 +152,17 @@ def mention_labels(index: ClusterIndex, gold: dict, slots=cp.EVAL_SLOTS) -> list
     return out
 
 
-def mention_loss(logits: list, index: ClusterIndex, gold: dict, slot_order: list):
-    """Mean cross-entropy of per-mention softmax over slots (incl. null)."""
+def mention_loss(logits: C.Tensor, index: ClusterIndex, gold: dict, slot_order: list):
+    """Mean cross-entropy of a softmax over slots (incl. null), one row per
+    training instance; logits holds one row per mention."""
     instances = mention_labels(index, gold)
     if not instances:
         return None
-    losses = []
-    for i, label in instances:
-        dist = C.softmax(logits[i])
-        losses.append(C.neg(C.log(C.clamp(C.take(dist, [slot_order.index(label)]),
-                                          MASS_FLOOR, 1.0))))
-    inv = 1.0 / len(losses)
-    return C.scale(C.tsum(C.concat_vec(losses)), inv)
-
-
-def _bp_sharpened_table(table: dict, bp_iters: int) -> dict:
-    """Run the differentiable constraint layer over the score grid."""
-    slots = list(table)
-    values = sorted({v for vals in table.values() for v in vals if v != NULL_VALUE})
-    has_null = any(NULL_VALUE in vals for vals in table.values())
-    if has_null:
-        values.append(NULL_VALUE)
-    missing = C.Tensor(-20.0)
-    flat = []
-    for v in values:
-        for s in slots:
-            flat.append(table[s].get(v, missing))
-    phi = C.stack(flat)
-    beliefs = run_bp_tensor(phi, len(values), len(slots),
-                            values.index(NULL_VALUE) if has_null else None, bp_iters)
-    out: dict = {s: {} for s in slots}
-    for i, v in enumerate(values):
-        for j, s in enumerate(slots):
-            out[s][v] = C.tsum(C.take(beliefs, [i * len(slots) + j]))
-    return out
+    dist = C.softmax(C.take(logits, [i for i, _ in instances]))
+    label_prob = C.take_pairs(dist, range(len(instances)),
+                              [slot_order.index(s) for _, s in instances])
+    losses = C.neg(C.log(C.clamp(label_prob, MASS_FLOOR, 1.0)))
+    return C.scale(C.tsum(losses), 1.0 / len(instances))
 
 
 # ---------------------------------------------------------------------------
@@ -219,12 +188,14 @@ def cluster_loss(model: ReaderModel, cluster: cp.Cluster, hp: Hyperparams,
         logits = model.mention_slot_logits(index, training=training,
                                            keep_prob=hp.keep_prob, rng=rng)
         return mention_loss(logits, index, cluster.gold, list(model.pi))
-    table = model.value_scores(index, hp.aggregation, training=training,
-                               keep_prob=hp.keep_prob, rng=rng,
-                               gold_for_fit=cluster.gold)
+    scores = model.value_scores(index, hp.aggregation, training=training,
+                                keep_prob=hp.keep_prob, rng=rng,
+                                gold_for_fit=cluster.gold)
+    columns = index.columns(hp.aggregation.null_enabled)
     if hp.bp_train_iters > 0:
-        table = _bp_sharpened_table(table, hp.bp_train_iters)
-    loss, _ = value_loss(table, cluster.gold,
+        null_col = columns.index(NULL_VALUE) if NULL_VALUE in columns else None
+        scores = run_bp_tensor(scores, null_col, hp.bp_train_iters)
+    loss, _ = value_loss(scores, model.scoring_slots(), columns, cluster.gold,
                          use_softmax=(hp.aggregation.mode == "max"
                                       or hp.bp_train_iters > 0))
     return loss

@@ -56,6 +56,13 @@ def test_unknown_setting_exits_3(pipeline, tmp_path):
     assert code == 3
 
 
+def test_max_pooling_setting_exits_3(pipeline, tmp_path, capsys):
+    code = cli.run(["train", "--corpus", pipeline["train"],
+                    "--checkpoint", str(tmp_path / "m.json"), "--set", "max_pooling=true"])
+    assert code == 3
+    assert "unknown hyperparameter 'max_pooling'" in capsys.readouterr().err
+
+
 def test_malformed_set_exits_3(pipeline, tmp_path):
     code = cli.run(["train", "--corpus", pipeline["train"],
                     "--checkpoint", str(tmp_path / "m.json"), "--set", "lr:0.5"])

@@ -123,12 +123,45 @@ def test_softmax_shift_invariance():
     assert_allclose(C.softmax(C.Tensor(x)).data, C.softmax(C.Tensor(x + 123.0)).data, atol=1e-12)
 
 
-def test_tmax_grad_routes_to_argmax():
-    a = C.Tensor([0.3, 2.0, -1.0], requires_grad=True)
-    out = C.tmax(a)
-    C.backward(out)
-    assert_allclose(a.grad, [0.0, 1.0, 0.0])
-    assert out.item() == 2.0
+def test_segment_pool_max_grad_routes_to_argmax():
+    a = C.Tensor([[0.3, 2.0, -1.0, 2.0]], requires_grad=True)
+    out = C.segment_pool(a, [[0, 1, 2, 3]], take_max=[True])
+    C.backward(C.tsum(out))
+    assert_allclose(a.grad, [[0.0, 1.0, 0.0, 0.0]])  # first of the tied maxima
+    assert out.data.tolist() == [[2.0]]
+
+
+def test_segment_pool_sum_and_weighted_grads():
+    rng = np.random.default_rng(15)
+    a = C.Tensor(rng.normal(size=(3, 7)), requires_grad=True)
+    segments = [[4, 0], [], [6, 2, 5]]
+    weights = rng.uniform(0.0, 2.0, size=7)
+    g = rng.normal(size=(3, 3))
+    check_grads(lambda: C.tsum(C.scale(C.segment_pool(a, segments), g)), [a])
+    a.zero_grad()
+    check_grads(lambda: C.tsum(C.scale(C.segment_pool(a, segments, weights), g)), [a])
+    out = C.segment_pool(a, segments, weights).data
+    for k, seg in enumerate(segments):
+        assert np.array_equal(out[:, k], [(a.data[s, seg] * weights[seg]).sum()
+                                          for s in range(3)])
+
+
+def test_segment_pool_rejects_bad_groups():
+    a = C.Tensor(np.zeros((2, 3)))
+    with pytest.raises(C.ComputeError):
+        C.segment_pool(a, [[3]])
+    with pytest.raises(C.ComputeError):
+        C.segment_pool(a, [[]], take_max=[True])
+
+
+def test_axis_total_grad():
+    rng = np.random.default_rng(16)
+    a = C.Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    w = rng.normal(size=(3, 4))
+    for axis in (0, 1):
+        a.zero_grad()
+        check_grads(lambda: C.tsum(C.scale(C.axis_total(a, axis), w)), [a])
+    assert_allclose(C.axis_total(a, 1).data[:, 2], a.data.sum(axis=1))
 
 
 def test_clamp_grad_pass_through_inside():
@@ -146,6 +179,13 @@ def test_take_and_take_pairs_grads():
     check_grads(lambda: C.tsum(C.take(a, idx)), [a])
     m = C.Tensor(rng.normal(size=(4, 5)), requires_grad=True)
     check_grads(lambda: C.tsum(C.take_pairs(m, [0, 2, 2], [1, 3, 3])), [m])
+
+
+def test_take_rows_grad():
+    rng = np.random.default_rng(18)
+    m = C.Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+    w = rng.normal(size=(5, 3))
+    check_grads(lambda: C.tsum(C.scale(C.take(m, [2, 0, 2, 3, 1]), w)), [m])
 
 
 def test_take_out_of_range():
@@ -179,6 +219,10 @@ def test_stack_grad():
     out = C.tsum(C.mul(C.stack(xs), C.stack(xs)))
     C.backward(out)
     assert_allclose([float(x.grad) for x in xs], [1.0, -2.0])
+    rng = np.random.default_rng(17)
+    rows = [C.Tensor(rng.normal(size=4), requires_grad=True) for _ in range(3)]
+    w = rng.normal(size=(3, 4))
+    check_grads(lambda: C.tsum(C.scale(C.stack(rows), w)), rows)
 
 
 def test_transpose_grad():

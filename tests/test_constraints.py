@@ -72,28 +72,36 @@ def test_init_messages():
     assert_allclose(st.from_col, 0.5)
 
 
+def column_message(mu, i):
+    """Message an Exactly-1 factor over the entries of mu sends to entry i."""
+    return K.exactly1_all(np.asarray(mu, dtype=np.float64)[:, None], axis=0)[i, 0]
+
+
 def test_exactly1_message_worked_example():
-    t, f = K.exactly1_to_variable([0.8, 0.3, 0.1], 0)
+    t = column_message([0.8, 0.3, 0.1], 0)
     # unnormalized (0.7*0.9, 0.3*0.9 + 0.1*0.7) = (0.63, 0.34)
-    assert_allclose([t, f], [0.63 / 0.97, 0.34 / 0.97], atol=1e-12)
-    assert_allclose([t, f], [0.6495, 0.3505], atol=1e-4)
+    assert_allclose([t, 1 - t], [0.63 / 0.97, 0.34 / 0.97], atol=1e-12)
+    assert_allclose([t, 1 - t], [0.6495, 0.3505], atol=1e-4)
 
 
 def test_exactly1_message_uniform_and_singleton():
-    t, f = K.exactly1_to_variable([0.5, 0.5, 0.5], 1)
-    assert_allclose([t, f], [1 / 3, 2 / 3], atol=1e-12)
-    assert K.exactly1_to_variable([0.7], 0) == (1.0, 0.0)
+    assert_allclose(column_message([0.5, 0.5, 0.5], 1), 1 / 3, atol=1e-12)
+    assert column_message([0.7], 0) == 1.0
 
 
 def test_exactly1_message_matches_enumeration():
+    # every row and column message of random grids
     rng = np.random.default_rng(70)
-    for _ in range(100):
-        k = int(rng.integers(1, 9))
-        mu = rng.uniform(0.01, 0.99, size=k)
-        i = int(rng.integers(k))
-        got = K.exactly1_to_variable(mu, i)
-        want = oracle_factor_message(mu, i) if k > 1 else (1.0, 0.0)
-        assert_allclose(got, want, atol=1e-10)
+    for _ in range(40):
+        V, S = (int(k) for k in rng.integers(1, 7, size=2))
+        mu = rng.uniform(0.01, 0.99, size=(V, S))
+        for axis in (0, 1):
+            got = K.exactly1_all(mu, axis=axis)
+            for i, j in itertools.product(range(V), range(S)):
+                line = mu[:, j] if axis == 0 else mu[i, :]
+                target = i if axis == 0 else j
+                want = oracle_factor_message(line, target) if line.size > 1 else (1.0, 0.0)
+                assert_allclose([got[i, j], 1 - got[i, j]], want, atol=1e-10)
 
 
 def test_true_mass_closed_form_identity():
@@ -108,11 +116,11 @@ def test_true_mass_closed_form_identity():
 
 
 def test_variable_to_factor():
-    other = K.exactly1_to_variable([0.8, 0.3, 0.1], 0)
-    assert_allclose(K.variable_to_factor(0.5, other), other, atol=1e-12)
-    assert_allclose(K.variable_to_factor(0.73, (0.5, 0.5)), (0.73, 0.27), atol=1e-12)
-    t, _ = K.variable_to_factor(1 - 1e-9, (0.4, 0.6))
-    assert t > 0.999999
+    # a variable's message to one factor: its local times the other factor's message
+    other = column_message([0.8, 0.3, 0.1], 0)
+    assert_allclose(K._combine(np.array(0.5), np.array(other)), other, atol=1e-12)
+    assert_allclose(K._combine(np.array(0.73), np.array(0.5)), 0.73, atol=1e-12)
+    assert K._combine(np.array(1 - 1e-9), np.array(0.4)) > 0.999999
 
 
 def test_bp_fixed_point_is_stable():
@@ -143,12 +151,10 @@ def test_single_row_factor_sharpens_dominant_value():
     local = np.array([0.8, 0.3, 0.1])
     weights = np.array([local[i] * np.prod(np.delete(1 - local, i)) for i in range(3)])
     exact = weights / weights.sum()  # (0.8811, 0.0944, 0.0245)
-    got = []
-    for i in range(3):
-        fr = K.exactly1_to_variable(local, i)
-        t = local[i] * fr[0]
-        f = (1 - local[i]) * fr[1]
-        got.append(t / (t + f))
+    fr = K.exactly1_all(local[:, None], axis=0)[:, 0]
+    t = local * fr
+    f = (1 - local) * (1 - fr)
+    got = t / (t + f)
     assert_allclose(got, exact, atol=1e-12)
     assert got[0] > local[0] and got[1] < local[1] and got[2] < local[2]
 
@@ -277,6 +283,7 @@ def test_bp_trace_csv(tmp_path):
 
 
 def test_tensor_bp_matches_numpy_path():
+    # the tensor BP runs on the slot x value grid, the transpose of build_graph's
     rng = np.random.default_rng(76)
     for null_row in (None, 2):
         for iters in (1, 2, 3):
@@ -286,27 +293,28 @@ def test_tensor_bp_matches_numpy_path():
                      for j in range(4)}
             g = K.build_graph(table, values, [f"s{j}" for j in range(4)])
             want = K.run_bp(g, iters)
-            phi = C.Tensor(np.log(local / (1 - local)).ravel(), requires_grad=True)
-            got = K.run_bp_tensor(phi, 3, 4, null_row, iters)
-            assert_allclose(got.data.reshape(3, 4), want, atol=1e-9)
+            phi = C.Tensor(np.log(local / (1 - local)).T, requires_grad=True)
+            got = K.run_bp_tensor(phi, null_row, iters)
+            assert_allclose(got.data.T, want, atol=1e-9)
 
 
 def test_tensor_bp_gradients_flow_and_check():
     rng = np.random.default_rng(77)
-    phi0 = rng.normal(size=6)
+    for null_col in (None, 1):
+        phi0 = rng.normal(size=(2, 3))
+        weights = rng.normal(size=(2, 3))
 
-    def build(phi_t):
-        return C.tsum(C.scale(K.run_bp_tensor(phi_t, 2, 3, None, 2), weights))
+        def build(phi_t):
+            return C.tsum(C.scale(K.run_bp_tensor(phi_t, null_col, 2), weights))
 
-    weights = rng.normal(size=6)
-    phi = C.Tensor(phi0.copy(), requires_grad=True)
-    loss = build(phi)
-    C.backward(loss)
-    assert phi.grad is not None
-    num = np.zeros(6)
-    for i in range(6):
-        up, dn = phi0.copy(), phi0.copy()
-        up[i] += 1e-6
-        dn[i] -= 1e-6
-        num[i] = (build(C.Tensor(up)).item() - build(C.Tensor(dn)).item()) / 2e-6
-    assert_allclose(phi.grad, num, atol=1e-5)
+        phi = C.Tensor(phi0.copy(), requires_grad=True)
+        C.backward(build(phi))
+        assert phi.grad is not None
+        num = np.zeros(phi0.size)
+        for i in range(phi0.size):
+            up, dn = phi0.copy().ravel(), phi0.copy().ravel()
+            up[i] += 1e-6
+            dn[i] -= 1e-6
+            num[i] = (build(C.Tensor(up.reshape(2, 3))).item()
+                      - build(C.Tensor(dn.reshape(2, 3))).item()) / 2e-6
+        assert_allclose(phi.grad.ravel(), num, atol=1e-5)

@@ -137,19 +137,6 @@ def test_split_dev_leaves_test_clusters_alone():
     assert len(train[0].documents) == 10 and dev == []
 
 
-def test_dedup_examples():
-    a = make_doc("a", 0, [["same", "text"]])
-    b = make_doc("b", 1, [["other"]])
-    a2 = make_doc("a2", 2, [["same", "text"]])
-    out = cp.dedup_documents(make_cluster([a, b, a2]))
-    assert [d.doc_id for d in out.documents] == ["a", "b"]
-    out2 = cp.dedup_documents(make_cluster([a, b]))
-    assert [d.doc_id for d in out2.documents] == ["a", "b"]
-    out3 = cp.dedup_documents(make_cluster([a, make_doc("a3", 1, [["same", "text"]]),
-                                            make_doc("a4", 2, [["same", "text"]])]))
-    assert [d.doc_id for d in out3.documents] == ["a"]
-
-
 def test_topicality_rule_flips_and_resets():
     # sentences: no flight / nontopical flight / no flight / topical flight
     sents = [["just", "words"], ["flight", "123"], ["more", "words"], ["flight", "990"]]

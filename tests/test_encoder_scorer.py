@@ -3,6 +3,7 @@
 import numpy as np
 from numpy.testing import assert_allclose
 
+from clusterreader import aggregator as agg
 from clusterreader import compute as C
 from clusterreader import encoder as E
 from clusterreader import scorer as S
@@ -120,18 +121,19 @@ def test_encode_deterministic_at_inference():
 def test_score_tokens_matches_naive_loop():
     rng = np.random.default_rng(49)
     R = C.Tensor(rng.normal(size=(9, 10)))
-    pi = C.Tensor(rng.normal(size=10))
-    u = S.score_tokens(R, pi).data
-    naive = np.array([float(np.dot(R.data[i], pi.data)) for i in range(9)])
+    pis = [C.Tensor(rng.normal(size=10)) for _ in range(3)]
+    u = S.score_tokens(R, pis).data
+    naive = np.array([[float(np.dot(R.data[i], p.data)) for i in range(9)] for p in pis])
+    assert u.shape == (3, 9)
     assert_allclose(u, naive, atol=1e-12)
 
 
 def test_score_tokens_zero_and_duplicate_rows():
     rng = np.random.default_rng(50)
     R = C.Tensor(rng.normal(size=(4, 6)))
-    assert_allclose(S.score_tokens(R, C.Tensor(np.zeros(6))).data, np.zeros(4))
+    assert_allclose(S.score_tokens(R, [C.Tensor(np.zeros(6))]).data, np.zeros((1, 4)))
     Rdup = C.Tensor(np.vstack([R.data, R.data[1]]))
-    u = S.score_tokens(Rdup, C.Tensor(rng.normal(size=6))).data
+    u = S.score_tokens(Rdup, [C.Tensor(rng.normal(size=6))]).data[0]
     assert_allclose(u[1], u[4])
 
 
@@ -167,10 +169,10 @@ def test_mention_score_is_attention_at_first_token():
     rng = np.random.default_rng(53)
     R = C.Tensor(rng.normal(size=(4, 5)))
     pi = C.Tensor(rng.normal(size=5))
-    a = S.attend(S.score_tokens(R, pi))
-    assert_allclose(float(S.mention_score(a, 2).data[0]), a.data[2])
-    uniform = S.attend(C.Tensor(np.zeros(4)))
-    assert_allclose(float(S.mention_score(uniform, 1).data[0]), 0.25)
+    a = S.attend(S.score_tokens(R, [pi]))
+    assert_allclose(agg.aggregate_sum(a, [[2]]).data, a.data[:, [2]])
+    uniform = S.attend(C.Tensor(np.zeros((1, 4))))
+    assert_allclose(agg.aggregate_sum(uniform, [[1]]).data, [[0.25]])
 
 
 def test_slot_embedding_setup_and_null_slot():
@@ -188,10 +190,10 @@ def test_attention_sums_to_one_per_slot():
     rng = np.random.default_rng(55)
     R = C.Tensor(rng.normal(size=(30, 10)))
     pi = S.init_slot_embeddings(["A", "B", "C"], 10, rng)
-    table = S.attention_table(R, pi)
-    for s, a in table.items():
-        assert abs(a.data.sum() - 1.0) < 1e-9
-        assert np.all(a.data >= 0)
+    a = S.attend(S.score_tokens(R, list(pi.values()))).data
+    assert a.shape == (3, 30)
+    assert_allclose(a.sum(axis=1), np.ones(3), atol=1e-9)
+    assert np.all(a >= 0)
 
 
 def test_write_attention_csv(tmp_path):

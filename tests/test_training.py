@@ -11,7 +11,7 @@ import clusterreader.corpus as cp
 import clusterreader.model as M
 import clusterreader.training as T
 from clusterreader.aggregator import NULL_VALUE, AggregationConfig
-from clusterreader.constraints import beliefs_as_table, build_graph, run_bp
+from clusterreader.constraints import beliefs_as_table, build_graph, run_bp, run_bp_tensor
 from clusterreader.scorer import NULL_SLOT
 
 
@@ -73,8 +73,11 @@ def tiny_hp(**kw):
     return T.Hyperparams(**base)
 
 
-def scalar_table(nested):
-    return {s: {v: C.Tensor(x) for v, x in vals.items()} for s, vals in nested.items()}
+def score_matrix(nested):
+    """value_loss's (scores, slots, columns) from {slot: {value: mass}}; absent pairs score 0."""
+    slots = list(nested)
+    columns = sorted({v for vals in nested.values() for v in vals})
+    return C.Tensor([[nested[s].get(v, 0.0) for v in columns] for s in slots]), slots, columns
 
 
 # ---------------------------------------------------------------------------
@@ -85,13 +88,14 @@ def test_hyperparam_defaults():
     hp = T.Hyperparams()
     assert (hp.lr, hp.l2, hp.keep_prob) == (0.003, 0.01, 0.8)
     assert (hp.width1, hp.width2, hp.d1, hp.r) == (10, 5, 10, 10)
-    assert hp.embed_dim == 200 and hp.max_pooling is False
+    assert hp.embed_dim == 200
     assert hp.loss_mode == "value_level" and hp.bp_train_iters == 0
 
 
 def test_max_pooling_rejected():
-    with pytest.raises(T.TrainingError):
-        T.Hyperparams(max_pooling=True)
+    # the encoder keeps per-token outputs; there is no pooling knob
+    with pytest.raises(T.TrainingError, match="unknown hyperparameter"):
+        T.hyperparams_from_dict({"max_pooling": "true"})
 
 
 def test_bad_loss_mode_rejected():
@@ -101,8 +105,7 @@ def test_bad_loss_mode_rejected():
 
 def test_hyperparams_from_dict_coercion():
     hp = T.hyperparams_from_dict({"lr": "0.01", "max_epochs": "5",
-                                  "mode": "max", "null_enabled": "true",
-                                  "max_pooling": "false"})
+                                  "mode": "max", "null_enabled": "true"})
     assert hp.lr == 0.01 and hp.max_epochs == 5
     assert hp.aggregation.mode == "max" and hp.aggregation.null_enabled
 
@@ -117,61 +120,61 @@ def test_hyperparams_from_dict_unknown_key():
 
 
 def test_value_loss_perfect_mass_is_zero():
-    table = scalar_table({"Fatalities": {"a": 1.0}})
-    loss, skipped = T.value_loss(table, {"Fatalities": ("a",)})
+    table = score_matrix({"Fatalities": {"a": 1.0}})
+    loss, skipped = T.value_loss(*table, {"Fatalities": ("a",)})
     assert skipped == []
     assert abs(loss.item()) < 1e-12
 
 
 def test_value_loss_half_mass_is_log2():
-    table = scalar_table({"Fatalities": {"a": 0.5, NULL_VALUE: 0.5}})
-    loss, _ = T.value_loss(table, {"Fatalities": ("a",)})
+    table = score_matrix({"Fatalities": {"a": 0.5, NULL_VALUE: 0.5}})
+    loss, _ = T.value_loss(*table, {"Fatalities": ("a",)})
     assert abs(loss.item() - math.log(2)) < 1e-12
 
 
 def test_value_loss_monotone_in_gold_mass():
-    lo, _ = T.value_loss(scalar_table({"Crew": {"a": 0.3}}), {"Crew": ("a",)})
-    hi, _ = T.value_loss(scalar_table({"Crew": {"a": 0.5}}), {"Crew": ("a",)})
+    lo, _ = T.value_loss(*score_matrix({"Crew": {"a": 0.3}}), {"Crew": ("a",)})
+    hi, _ = T.value_loss(*score_matrix({"Crew": {"a": 0.5}}), {"Crew": ("a",)})
     assert lo.item() > hi.item()
 
 
 def test_value_loss_empty_gold_targets_null():
-    table = scalar_table({"Crew": {"a": 0.1, NULL_VALUE: 0.9}})
-    loss, _ = T.value_loss(table, {"Crew": ()})
+    table = score_matrix({"Crew": {"a": 0.1, NULL_VALUE: 0.9}})
+    loss, _ = T.value_loss(*table, {"Crew": ()})
     assert abs(loss.item() + math.log(0.9)) < 1e-12
 
 
 def test_value_loss_multiple_gold_values_sum():
-    table = scalar_table({"Crash Site": {"a": 0.3, "b": 0.2, NULL_VALUE: 0.5}})
-    loss, _ = T.value_loss(table, {"Crash Site": ("a", "b")})
+    table = score_matrix({"Crash Site": {"a": 0.3, "b": 0.2, NULL_VALUE: 0.5}})
+    loss, _ = T.value_loss(*table, {"Crash Site": ("a", "b")})
     assert abs(loss.item() + math.log(0.5)) < 1e-12
 
 
 def test_value_loss_skips_unfindable_gold():
-    table = scalar_table({"Operator": {"a": 0.5},
+    table = score_matrix({"Operator": {"a": 0.5},
                           "Fatalities": {"a": 0.25}})
-    loss, skipped = T.value_loss(table, {"Operator": ("ghost",),
+    loss, skipped = T.value_loss(*table, {"Operator": ("ghost",),
                                          "Fatalities": ("a",)})
     assert skipped == ["Operator"]
     assert abs(loss.item() + math.log(0.25)) < 1e-12
 
 
 def test_value_loss_nothing_scorable():
-    loss, skipped = T.value_loss(scalar_table({"Crew": {"a": 0.5}}),
+    loss, skipped = T.value_loss(*score_matrix({"Crew": {"a": 0.5}}),
                                  {"Crew": ("ghost",)})
     assert loss is None and skipped == ["Crew"]
 
 
 def test_value_loss_mean_over_slots():
-    table = scalar_table({"Crew": {"a": 0.5}, "Operator": {"b": 0.25}})
-    loss, _ = T.value_loss(table, {"Crew": ("a",), "Operator": ("b",)})
+    table = score_matrix({"Crew": {"a": 0.5}, "Operator": {"b": 0.25}})
+    loss, _ = T.value_loss(*table, {"Crew": ("a",), "Operator": ("b",)})
     want = (math.log(2) + math.log(4)) / 2
     assert abs(loss.item() - want) < 1e-12
 
 
 def test_value_loss_softmax_mode():
-    table = scalar_table({"Crew": {"a": 2.0, NULL_VALUE: 0.0}})
-    loss, _ = T.value_loss(table, {"Crew": ("a",)}, use_softmax=True)
+    table = score_matrix({"Crew": {"a": 2.0, NULL_VALUE: 0.0}})
+    loss, _ = T.value_loss(*table, {"Crew": ("a",)}, use_softmax=True)
     want = -math.log(math.exp(2) / (math.exp(2) + 1))
     assert abs(loss.item() - want) < 1e-12
 
@@ -209,7 +212,7 @@ def test_mention_loss_uniform_is_log9():
     c = crash_cluster()
     index = M.ClusterIndex.build(c)
     slots = list(cp.EVAL_SLOTS) + [NULL_SLOT]
-    logits = [C.Tensor(np.zeros(9), requires_grad=True) for _ in index.mention_rows]
+    logits = C.Tensor(np.zeros((len(index.mention_rows), 9)), requires_grad=True)
     loss = T.mention_loss(logits, index, c.gold, slots)
     assert abs(loss.item() - math.log(9)) < 1e-12
 
@@ -219,11 +222,10 @@ def test_mention_loss_confident_correct_is_small():
     index = M.ClusterIndex.build(c)
     slots = list(cp.EVAL_SLOTS) + [NULL_SLOT]
     label_of = dict(T.mention_labels(index, c.gold))   # one label per mention here
-    logits = []
+    rows = np.zeros((len(index.mention_rows), 9))
     for i in range(len(index.mention_rows)):
-        row = np.zeros(9)
-        row[slots.index(label_of[i])] = 30.0
-        logits.append(C.Tensor(row, requires_grad=True))
+        rows[i, slots.index(label_of[i])] = 30.0
+    logits = C.Tensor(rows, requires_grad=True)
     loss = T.mention_loss(logits, index, c.gold, slots)
     assert loss.item() < 1e-9
 
@@ -253,11 +255,11 @@ def test_value_table_masses_partition_attention():
     c = crash_cluster()
     model = M.init_model([t for d in c.documents for t in d.flat_tokens()],
                          hp, np.random.default_rng(1))
-    table = model.value_scores(M.ClusterIndex.build(c), hp.aggregation)
-    for slot, vals in table.items():
-        total = sum(t.item() for t in vals.values())
-        assert abs(total - 1.0) < 1e-9, slot
-        assert set(vals) == {"fifty", "acme", "nine", NULL_VALUE}
+    index = M.ClusterIndex.build(c)
+    scores = model.value_scores(index, hp.aggregation)
+    assert index.columns(True) == sorted(["fifty", "acme", "nine", NULL_VALUE])
+    assert scores.shape == (len(model.scoring_slots()), 4)
+    assert np.abs(scores.data.sum(axis=1) - 1.0).max() < 1e-9
 
 
 def test_predict_cluster_covers_all_slots():
@@ -287,18 +289,52 @@ def test_mention_decode_modes():
 
 
 def test_bp_sharpened_table_matches_numpy_bp():
+    # the loss's belief grid keeps the score matrix layout, null sorted among values
     rng = np.random.default_rng(11)
     slots = ["Crew", "Operator"]
-    values = ["a", "b", NULL_VALUE]
-    table = {s: {v: C.Tensor(rng.uniform(-1, 1), requires_grad=True)
-                 for v in values} for s in slots}
-    sharpened = T._bp_sharpened_table(table, bp_iters=2)
+    columns = sorted(["a", "b", NULL_VALUE])
+    phi = rng.uniform(-1, 1, size=(2, 3))
+    sharpened = run_bp_tensor(C.Tensor(phi, requires_grad=True),
+                              columns.index(NULL_VALUE), 2)
 
-    graph = build_graph(M.float_table(table), values, slots)
+    table = {s: {v: phi[i, k] for k, v in enumerate(columns)} for i, s in enumerate(slots)}
+    graph = build_graph(table, ["a", "b", NULL_VALUE], slots)
     want = beliefs_as_table(graph, run_bp(graph, 2))
-    for s in slots:
-        for v in values:
-            assert abs(sharpened[s][v].item() - want[s][v]) < 1e-9
+    for i, s in enumerate(slots):
+        for k, v in enumerate(columns):
+            assert abs(sharpened.data[i, k] - want[s][v]) < 1e-9
+
+
+def graph_size(loss):
+    seen, todo = set(), [loss]
+    while todo:
+        node = todo.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            todo.extend(node._parents)
+    return len(seen)
+
+
+def test_value_step_graph_does_not_grow_with_values_or_mentions():
+    words = ["w%d" % i for i in range(12)]
+    few = [(2, 3, "fifty", "number")]
+    many = [(0, 1, "nine", "number"), (2, 3, "fifty", "number"), (4, 6, "acme", "airline"),
+            (7, 8, "fifty", "number"), (9, 10, "ten", "number"), (11, 12, "acme", "airline")]
+    gold = {s: () for s in cp.EVAL_SLOTS}
+    gold.update(Fatalities=("fifty",), Operator=("acme",), Passengers=("ten",))
+    sizes = {}
+    for name, mentions in (("few", few), ("many", many)):
+        docs = tuple(make_doc(f"d{i}", i, words, mentions) for i in range(2))
+        c = cp.Cluster(cluster_id=name, split="train", gold=gold,
+                       candidate_values=("fifty", "acme", "nine", "ten"), documents=docs)
+        cp.validate_cluster(c)
+        for mode in ("sum", "max"):
+            hp = tiny_hp(keep_prob=0.8, aggregation=AggregationConfig(mode=mode))
+            model = M.init_model(words, hp, np.random.default_rng(0))
+            loss = T.cluster_loss(model, c, hp, rng=np.random.default_rng(1))
+            sizes[name, mode] = graph_size(loss)
+    assert sizes["few", "sum"] == sizes["many", "sum"]
+    assert sizes["few", "max"] == sizes["many", "max"]
 
 
 # ---------------------------------------------------------------------------
