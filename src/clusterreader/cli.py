@@ -20,7 +20,7 @@ from . import model as M
 from . import synth as sy
 from . import training as T
 from .aggregator import AggregationConfig, AggregationError
-from .evaluation import evaluate, instance_from_cluster, render_report
+from .evaluation import evaluate, instance_from_cluster, load_predictions, render_report
 
 EXIT_MISSING = 2
 EXIT_INVALID = 3
@@ -168,14 +168,9 @@ def cmd_predict(args) -> int:
 
 def cmd_eval(args) -> int:
     clusters = cp.load_clusters(args.gold)
-    with open(args.pred) as fh:
-        records = json.load(fh)
+    predictions, rankings = load_predictions(args.pred)
     instances = [instance_from_cluster(c) for c in clusters]
-    predictions = {r["cluster_id"]: r["predictions"] for r in records}
-    rankings = None
-    if records and "rankings" in records[0]:
-        rankings = {r["cluster_id"]: r["rankings"] for r in records}
-    log(f"eval: {len(instances)} clusters, {len(records)} prediction records")
+    log(f"eval: {len(instances)} clusters, {len(predictions)} prediction records")
     report = evaluate(instances, predictions, rankings)
     print(render_report(report, label=args.label, per_slot=args.per_slot))
     if args.json:

@@ -588,6 +588,8 @@ def load_checkpoint(path) -> dict:
         if magic != CHECKPOINT_MAGIC:
             raise ComputeError(f"bad checkpoint magic {magic!r}, expected {CHECKPOINT_MAGIC!r}")
         body = json.load(fh)
+    if not isinstance(body, dict) or not isinstance(body.get("params"), dict):
+        raise ComputeError(f"{path}: checkpoint lacks params")
     params = {k: _as_f64(v["data"]).reshape(v["shape"]) for k, v in body["params"].items()}
     adam = AdamState.from_jsonable(body["adam"]) if body.get("adam") else None
     return {"params": params, "adam": adam, "seed": body.get("seed", 0), "extra": body.get("extra", {})}

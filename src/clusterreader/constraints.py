@@ -14,6 +14,14 @@ true mass. The factor-to-variable update has the closed form
 
 which equals prod_{j != i}(1 - mu_j) against sum_j mu_j prod_{l != i,j}
 (1 - mu_l) after normalization, but never under- or overflows.
+
+All four message directions live in one 4 x V x S float64 array, stacked as
+[to_row, to_col, from_col, from_row]: the variable-to-factor messages first,
+then the factor-to-variable messages each of them is combined from (to_row
+takes from_col, to_col takes from_row). A round is therefore a handful of
+numpy calls over whole slices of the stack: both factor families into the
+from half, one combine into the to half, damping and the finiteness check
+over all four at once. The per-direction names stay readable as views.
 """
 
 from __future__ import annotations
@@ -52,13 +60,37 @@ class ConstraintGraph:
 
 @dataclass
 class MessageState:
-    """True-mass of every message, V x S per direction."""
+    """True-mass of every message, one 4 x V x S stack in this order:
 
-    to_row: np.ndarray    # X[v,s] -> slot factor s
-    to_col: np.ndarray    # X[v,s] -> value factor v (null row unused)
-    from_row: np.ndarray
-    from_col: np.ndarray  # held at 0.5 on the null row (no factor there)
+    to_row:   X[v,s] -> slot factor s
+    to_col:   X[v,s] -> value factor v (null row unused)
+    from_col: value factor v -> X[v,s], held at 0.5 on the null row (no factor there)
+    from_row: slot factor s -> X[v,s]
+    """
+
+    msgs: np.ndarray
     iteration: int = 0
+
+    @property
+    def to_row(self) -> np.ndarray:
+        return _read_only(self.msgs[0])
+
+    @property
+    def to_col(self) -> np.ndarray:
+        return _read_only(self.msgs[1])
+
+    @property
+    def from_col(self) -> np.ndarray:
+        return _read_only(self.msgs[2])
+
+    @property
+    def from_row(self) -> np.ndarray:
+        return _read_only(self.msgs[3])
+
+
+def _read_only(view: np.ndarray) -> np.ndarray:
+    view.flags.writeable = False
+    return view
 
 
 def _sigmoid(x):
@@ -88,10 +120,23 @@ def build_graph(table: dict, values, slots) -> ConstraintGraph:
 
 
 def init_messages(graph: ConstraintGraph) -> MessageState:
-    local = graph.local
-    return MessageState(to_row=local.copy(), to_col=local.copy(),
-                        from_row=np.full_like(local, 0.5),
-                        from_col=np.full_like(local, 0.5), iteration=0)
+    msgs = np.empty((4,) + graph.shape)
+    msgs[:2] = graph.local
+    msgs[2:] = 0.5
+    return MessageState(msgs=msgs, iteration=0)
+
+
+def _odds(mu: np.ndarray) -> np.ndarray:
+    """mu / (1 - mu) after clipping mu into [EPS, 1 - EPS]."""
+    mu = np.minimum(np.maximum(mu, EPS), 1 - EPS)
+    return mu / (1 - mu)
+
+
+def _exactly1(ratio: np.ndarray, axis: int, out=None) -> np.ndarray:
+    """1 / (1 + S_i) for every target of one factor family, from the odds."""
+    rest = np.subtract(np.add.reduce(ratio, axis=axis, keepdims=True), ratio, out=out)
+    np.add(rest, 1.0, out=rest)
+    return np.divide(1.0, rest, out=rest)
 
 
 def exactly1_all(mu: np.ndarray, axis: int) -> np.ndarray:
@@ -100,16 +145,15 @@ def exactly1_all(mu: np.ndarray, axis: int) -> np.ndarray:
     mu is the V x S grid of incoming true masses; axis=0 treats each column
     (slot factor across values) as a factor, axis=1 each row.
     """
-    mu = np.clip(mu, EPS, 1 - EPS)
-    ratio = mu / (1 - mu)
-    total = ratio.sum(axis=axis, keepdims=True)
-    return 1.0 / (1.0 + (total - ratio))
+    return _exactly1(_odds(mu), axis)
 
 
-def _combine(local: np.ndarray, other_t: np.ndarray) -> np.ndarray:
+def _combine(local: np.ndarray, other_t: np.ndarray, out=None) -> np.ndarray:
+    """Variable -> factor message: the local potential times the other factor's."""
     t = local * other_t
     f = (1 - local) * (1 - other_t)
-    return np.clip(t / (t + f), EPS, 1 - EPS)
+    p = np.divide(t, t + f, out=out)
+    return np.minimum(np.maximum(p, EPS), 1 - EPS, out=out)
 
 
 def bp_iterate(state: MessageState, graph: ConstraintGraph, damping: float = 0.0) -> MessageState:
@@ -117,26 +161,25 @@ def bp_iterate(state: MessageState, graph: ConstraintGraph, damping: float = 0.0
 
     damping mixes the new messages with the previous ones (new = (1-d)*new +
     d*old). It never moves the fixed points, only the trajectory; fixed
-    iteration counts use d=0 so each round is exactly one recurrence.
+    iteration counts use d=0 so each round is exactly one recurrence. The
+    input state is left unchanged.
     """
-    local = graph.local
-    from_row = exactly1_all(state.to_row, axis=0)
-    from_col = exactly1_all(state.to_col, axis=1)
+    old = state.msgs
+    new = np.empty_like(old)
+    ratio = _odds(old[:2])
+    _exactly1(ratio[0], 0, out=new[3])   # slot factors: from_row
+    _exactly1(ratio[1], 1, out=new[2])   # value factors: from_col
     if graph.null_row is not None:
-        from_col[graph.null_row, :] = 0.5
-    to_row = _combine(local, from_col)
-    to_col = _combine(local, from_row)
+        new[2, graph.null_row, :] = 0.5
+    _combine(graph.local, new[2:], out=new[:2])
     if damping:
-        from_row = damping * state.from_row + (1 - damping) * from_row
-        from_col = damping * state.from_col + (1 - damping) * from_col
-        to_row = damping * state.to_row + (1 - damping) * to_row
-        to_col = damping * state.to_col + (1 - damping) * to_col
-    out = MessageState(to_row=to_row, to_col=to_col, from_row=from_row,
-                       from_col=from_col, iteration=state.iteration + 1)
-    for name in ("to_row", "to_col", "from_row", "from_col"):
-        arr = getattr(out, name)
-        if not np.all(np.isfinite(arr)):
-            raise ConstraintError(f"non-finite {name} message at iteration {out.iteration}")
+        np.multiply(new, 1 - damping, out=new)
+        np.add(damping * old, new, out=new)
+    out = MessageState(msgs=new, iteration=state.iteration + 1)
+    if not np.isfinite(new).all():
+        bad = next(name for name in ("to_row", "to_col", "from_row", "from_col")
+                   if not np.isfinite(getattr(out, name)).all())
+        raise ConstraintError(f"non-finite {bad} message at iteration {out.iteration}")
     return out
 
 
@@ -162,8 +205,7 @@ def converge(graph: ConstraintGraph) -> tuple[MessageState, float]:
     delta = np.inf
     for _ in range(CONV_CAP):
         new = bp_iterate(state, graph, damping=CONV_DAMPING)
-        delta = max(np.abs(getattr(new, n) - getattr(state, n)).max()
-                    for n in ("to_row", "to_col", "from_row", "from_col"))
+        delta = np.abs(new.msgs - state.msgs).max()
         state = new
         if delta < CONV_TOL:
             break

@@ -163,8 +163,12 @@ def _cluster_from_record(rec: dict) -> Cluster:
 
 
 def load_clusters(path) -> list[Cluster]:
-    """Read newline-delimited cluster records, cap at 200 docs, validate."""
+    """Read newline-delimited cluster records, cap at 200 docs, validate.
+
+    Cluster ids must be unique within the file.
+    """
     clusters = []
+    seen = set()
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -180,6 +184,10 @@ def load_clusters(path) -> list[Cluster]:
                 validate_cluster(cluster)
             except CorpusError as exc:
                 raise CorpusError(f"{path}: record {lineno}: {exc}") from exc
+            if cluster.cluster_id in seen:
+                raise CorpusError(f"{path}: record {lineno}: duplicate cluster_id "
+                                  f"{cluster.cluster_id!r}")
+            seen.add(cluster.cluster_id)
             clusters.append(cluster)
     return clusters
 

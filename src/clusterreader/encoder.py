@@ -96,10 +96,15 @@ def init_encoder(embed_dim: int, rng: np.random.Generator,
 
 
 def embed_cluster(flat_tokens, mention_token_indices, table: EmbeddingTable) -> C.Tensor:
-    """n x e embedding matrix; rows inside mention spans share mask_vector."""
-    base = np.empty((len(flat_tokens), table.dim))
-    for i, tok in enumerate(flat_tokens):
-        base[i] = table.row(tok)
+    """n x e embedding matrix; rows inside mention spans share mask_vector.
+
+    One gather of vocabulary rows; tokens outside the vocabulary (id -1) get
+    unk_vector, as table.row gives them.
+    """
+    ids = np.fromiter((table.vocab.get(tok, -1) for tok in flat_tokens),
+                      dtype=np.intp, count=len(flat_tokens))
+    base = table.matrix[ids]
+    base[ids < 0] = table.unk_vector
     return C.compose_embedding(base, table.mask_vector, np.asarray(sorted(mention_token_indices), dtype=np.intp))
 
 

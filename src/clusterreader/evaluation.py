@@ -172,6 +172,34 @@ def evaluate(instances, predictions, rankings=None, slots=EVAL_SLOTS) -> EvalRep
                       n_clusters=len(instances), n_queries=len(instances) * len(slots))
 
 
+def load_predictions(path):
+    """Read a `predict` output file: ({cluster_id: predictions}, rankings).
+
+    rankings is {cluster_id: {slot: ranked values}} when the first record
+    has them, in which case every record must, and None otherwise.
+    """
+    with open(path) as fh:
+        records = json.load(fh)
+    if not isinstance(records, list):
+        raise EvaluationError(f"{path}: expected a list of prediction records")
+    with_rankings = bool(records) and isinstance(records[0], dict) and "rankings" in records[0]
+    fields = ("predictions", "rankings") if with_rankings else ("predictions",)
+    predictions, rankings = {}, {}
+    for n, rec in enumerate(records, start=1):
+        if not isinstance(rec, dict) or "cluster_id" not in rec:
+            raise EvaluationError(f"{path}: record {n} has no cluster_id")
+        cid = rec["cluster_id"]
+        for name in fields:
+            if not isinstance(rec.get(name), dict):
+                raise EvaluationError(f"{path}: cluster {cid}: {name!r} missing or not an object")
+        if cid in predictions:
+            raise EvaluationError(f"{path}: duplicate cluster_id {cid!r}")
+        predictions[cid] = rec["predictions"]
+        if with_rankings:
+            rankings[cid] = rec["rankings"]
+    return predictions, rankings if with_rankings else None
+
+
 def render_report(report: EvalReport, label: str = "model", per_slot: bool = False) -> str:
     """Aligned-column text: score and null P/R/F1 plus MRR, one row per model."""
     head = f"{'system':<24} {'P':>6} {'R':>6} {'F1':>6}   {'nP':>6} {'nR':>6} {'nF1':>6}   {'MRR':>6}"

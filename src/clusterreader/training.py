@@ -293,6 +293,14 @@ def load_model(path):
     raw = C.load_checkpoint(path)
     extra = raw["extra"]
     params = raw["params"]
+    missing = [f"extra.{k}" for k in ("slots", "vocab", "embed_matrix", "unk_vector")
+               if k not in extra]
+    if not missing:
+        wanted = ["mask_vector", "enc.w1", "enc.b1", "enc.w2", "enc.b2"]
+        missing = [f"params.{k}" for k in wanted + [f"slot.{s}" for s in extra["slots"]]
+                   if k not in params]
+    if missing:
+        raise C.ComputeError(f"{path}: checkpoint lacks {', '.join(missing)}")
     table = E.EmbeddingTable(
         vocab=extra["vocab"],
         matrix=np.asarray(extra["embed_matrix"], dtype=np.float64),

@@ -89,6 +89,59 @@ def test_divergence_exits_4(pipeline, tmp_path, capsys):
     assert "diverged" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field", ["extra.vocab", "extra.slots", "extra.embed_matrix",
+                                   "extra.unk_vector", "params.enc.w2", "params.slot.Crew",
+                                   "params"])
+def test_checkpoint_missing_field_exits_3(pipeline, tmp_path, capsys, field):
+    with open(pipeline["ckpt"]) as fh:
+        magic = fh.readline()
+        body = json.load(fh)
+    section, _, name = field.partition(".")
+    del (body[section] if name else body)[name or section]
+    ckpt = tmp_path / "partial.json"
+    ckpt.write_text(magic + json.dumps(body))
+    code = cli.run(["predict", "--checkpoint", str(ckpt), "--corpus", pipeline["test"],
+                    "--out", str(tmp_path / "p.json")])
+    assert code == 3
+    assert f"checkpoint lacks {field}" in capsys.readouterr().err
+
+
+def _write_records(path, records):
+    with open(path, "w") as fh:
+        json.dump(records, fh)
+    return str(path)
+
+
+def test_eval_record_without_predictions_exits_3(pipeline, tmp_path, capsys):
+    with open(pipeline["pred"]) as fh:
+        records = json.load(fh)
+    del records[1]["predictions"]
+    pred = _write_records(tmp_path / "pred.json", records)
+    assert cli.run(["eval", "--pred", pred, "--gold", pipeline["test"]]) == 3
+    err = capsys.readouterr().err
+    assert f"cluster {records[1]['cluster_id']}: 'predictions' missing" in err
+
+
+def test_eval_duplicate_prediction_ids_exits_3(pipeline, tmp_path, capsys):
+    with open(pipeline["pred"]) as fh:
+        records = json.load(fh)
+    records[1]["cluster_id"] = records[0]["cluster_id"]
+    pred = _write_records(tmp_path / "pred.json", records)
+    assert cli.run(["eval", "--pred", pred, "--gold", pipeline["test"]]) == 3
+    assert f"duplicate cluster_id {records[0]['cluster_id']!r}" in capsys.readouterr().err
+
+
+def test_duplicate_cluster_ids_in_corpus_exit_3(pipeline, tmp_path, capsys):
+    with open(pipeline["test"]) as fh:
+        line = fh.readline()
+    corpus = tmp_path / "dup.ndjson"
+    corpus.write_text(line + line)
+    code = cli.run(["predict", "--checkpoint", pipeline["ckpt"], "--corpus", str(corpus),
+                    "--out", str(tmp_path / "p.json")])
+    assert code == 3
+    assert "record 2: duplicate cluster_id" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # round trip
 

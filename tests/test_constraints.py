@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from clusterreader import compute as C
@@ -318,3 +320,147 @@ def test_tensor_bp_gradients_flow_and_check():
             num[i] = (build(C.Tensor(up.reshape(2, 3))).item()
                       - build(C.Tensor(dn.reshape(2, 3))).item()) / 2e-6
         assert_allclose(phi.grad.ravel(), num, atol=1e-5)
+
+
+# ---------------------------------------------------------------------------
+# the stacked round against the four-array formulas it replaced
+
+NAMES = ("to_row", "to_col", "from_row", "from_col")
+
+
+def reference_init(graph):
+    local = graph.local
+    return {"to_row": local.copy(), "to_col": local.copy(),
+            "from_row": np.full_like(local, 0.5), "from_col": np.full_like(local, 0.5)}
+
+
+def reference_round(msgs, graph, damping=0.0):
+    """One BP round with each direction its own array, as written before the stack."""
+    local = graph.local
+
+    def exactly1(mu, axis):
+        mu = np.clip(mu, K.EPS, 1 - K.EPS)
+        ratio = mu / (1 - mu)
+        total = ratio.sum(axis=axis, keepdims=True)
+        return 1.0 / (1.0 + (total - ratio))
+
+    def combine(other_t):
+        t = local * other_t
+        f = (1 - local) * (1 - other_t)
+        return np.clip(t / (t + f), K.EPS, 1 - K.EPS)
+
+    from_row = exactly1(msgs["to_row"], axis=0)
+    from_col = exactly1(msgs["to_col"], axis=1)
+    if graph.null_row is not None:
+        from_col[graph.null_row, :] = 0.5
+    out = {"to_row": combine(from_col), "to_col": combine(from_row),
+           "from_row": from_row, "from_col": from_col}
+    if damping:
+        out = {n: damping * msgs[n] + (1 - damping) * out[n] for n in NAMES}
+    return out
+
+
+def reference_converge(graph):
+    msgs, delta = reference_init(graph), np.inf
+    for rounds in range(1, K.CONV_CAP + 1):
+        new = reference_round(msgs, graph, K.CONV_DAMPING)
+        delta = max(np.abs(new[n] - msgs[n]).max() for n in NAMES)
+        msgs = new
+        if delta < K.CONV_TOL:
+            break
+    return msgs, rounds, delta
+
+
+def draw_grid(data, max_phi=8.0, missing=True, min_size=1):
+    """A build_graph grid of 1-24 values x 1-8 slots, maybe with a null row
+    and with pairs absent from the score table."""
+    V = data.draw(st.integers(min_size, 24), label="values")
+    S = data.draw(st.integers(min_size, 8), label="slots")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    values = [f"v{i:02d}" for i in range(V)]
+    if data.draw(st.booleans(), label="null row"):
+        values[int(rng.integers(V))] = NULL_VALUE
+    slots = [f"s{j}" for j in range(S)]
+    phi = rng.uniform(-max_phi, max_phi, size=(V, S))
+    present = rng.random((V, S)) < (0.8 if missing else 1.0)
+    table = {s: {v: float(phi[i, j]) for i, v in enumerate(values) if present[i, j]}
+             for j, s in enumerate(slots)}
+    return K.build_graph(table, values, slots)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_bp_iterate_matches_reference_round_bit_for_bit(data):
+    graph = draw_grid(data)
+    damping = data.draw(st.sampled_from((0.0, K.CONV_DAMPING)), label="damping")
+    state, ref = K.init_messages(graph), reference_init(graph)
+    for n in NAMES:
+        assert np.array_equal(getattr(state, n), ref[n])
+    for r in range(1, data.draw(st.integers(1, 3), label="rounds") + 1):
+        state = K.bp_iterate(state, graph, damping)
+        ref = reference_round(ref, graph, damping)
+        assert state.iteration == r
+        for n in NAMES:
+            assert np.array_equal(getattr(state, n), ref[n]), n
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_converge_matches_reference_round_count_and_delta(data):
+    graph = draw_grid(data)
+    state, delta = K.converge(graph)
+    ref, rounds, ref_delta = reference_converge(graph)
+    assert state.iteration == rounds
+    assert delta == ref_delta
+    for n in NAMES:
+        assert np.array_equal(getattr(state, n), ref[n]), n
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_beliefs_lie_in_unit_interval(data):
+    # t = local * from_row * from_col never underflows to 0, but a factor over a
+    # single variable pins it at exactly 1 and converged grids approach a hard
+    # assignment closer than float64 resolves, so 1 itself is reachable
+    graph = draw_grid(data)
+    iterations = data.draw(st.sampled_from((0, 1, 2, 3, K.CONVERGENCE)), label="iterations")
+    b = K.run_bp(graph, iterations)
+    assert np.all(np.isfinite(b)) and np.all(b > 0) and np.all(b <= 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_beliefs_strictly_inside_unit_interval_for_fixed_rounds(data):
+    # every factor has two or more variables and the locals stay moderate
+    graph = draw_grid(data, max_phi=3.0, missing=False, min_size=2)
+    b = K.run_bp(graph, data.draw(st.integers(0, 3), label="iterations"))
+    assert np.all(b > 0) and np.all(b < 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_bp_iterate_leaves_its_input_unchanged(data):
+    graph = draw_grid(data)
+    state = K.init_messages(graph)
+    for _ in range(data.draw(st.integers(0, 2), label="warm rounds")):
+        state = K.bp_iterate(state, graph)
+    before = state.msgs.copy()
+    new = K.bp_iterate(state, graph, data.draw(st.sampled_from((0.0, K.CONV_DAMPING))))
+    assert np.array_equal(state.msgs, before)
+    assert state.iteration == new.iteration - 1
+    assert not np.shares_memory(new.msgs, state.msgs)
+
+
+def test_message_views_are_read_only():
+    st_ = K.init_messages(grid_graph([[0.9, 0.6], [0.4, 0.2]]))
+    with pytest.raises(ValueError):
+        st_.to_row[0, 0] = 0.1
+    assert np.shares_memory(st_.from_col, st_.msgs)
+
+
+def test_non_finite_message_names_direction_and_round():
+    local = np.array([[np.nan, 0.5], [0.4, 0.2]])
+    g = K.ConstraintGraph(values=("a", "b"), slots=("s0", "s1"), local=local, null_row=None)
+    with pytest.raises(K.ConstraintError, match="non-finite to_row message at iteration 1"):
+        K.bp_iterate(K.init_messages(g), g)
+

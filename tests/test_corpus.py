@@ -56,6 +56,15 @@ def test_load_caps_at_200_documents(tmp_path):
     assert loaded[0].documents[-1].doc_id == "d199"
 
 
+def test_duplicate_cluster_ids_rejected(tmp_path):
+    doc = make_doc("d1", 0, [["a", "b"]])
+    path = tmp_path / "dup.jsonl"
+    cp.save_clusters(path, [make_cluster([doc], cid="c7"), make_cluster([doc], cid="c8"),
+                            make_cluster([doc], cid="c7")])
+    with pytest.raises(cp.CorpusError, match="record 3: duplicate cluster_id 'c7'"):
+        cp.load_clusters(path)
+
+
 def test_span_out_of_bounds_rejected(tmp_path):
     bad = cp.Mention(sentence=0, start=1, end=4, value_id="v1")
     doc = make_doc("d1", 0, [["a", "b"]], [bad])

@@ -1,6 +1,8 @@
 """Representation and attention tests: masking, locality, and scoring."""
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from clusterreader import aggregator as agg
@@ -40,6 +42,23 @@ def test_embed_cluster_no_mentions_is_pure_lookup():
     out = E.embed_cluster(["b", "zzz"], [], table)
     assert_allclose(out.data[0], table.matrix[table.vocab["b"]])
     assert_allclose(out.data[1], table.unk_vector)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_embed_cluster_equals_per_row_lookup(data):
+    """The gathered matrix is the table.row loop's, unknown tokens and masked
+    mentions included."""
+    table = small_table(np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))))
+    tokens = data.draw(st.lists(st.sampled_from(("a", "b", "c", "d", "zzz", "")), max_size=30))
+    mentions = data.draw(st.sets(st.integers(0, max(len(tokens) - 1, 0)))) if tokens else set()
+    want = np.empty((len(tokens), table.dim))
+    for i, tok in enumerate(tokens):
+        want[i] = table.row(tok)
+    want[sorted(mentions)] = table.mask_vector.data
+    got = E.embed_cluster(tokens, mentions, table)
+    assert got.shape == want.shape
+    assert np.array_equal(got.data, want)
 
 
 def test_embed_cluster_grad_only_reaches_mask_vector():
