@@ -1,10 +1,10 @@
 """Dense float64 tensors with reverse-mode gradients, Adam, and checkpoints.
 
 This is deliberately small: just the operations the reader pipeline needs
-(1-D convolution, matrix products, softmax, sigmoid, dropout, gathers,
-reductions and segment pooling), recorded on a dynamic graph and
-differentiated by a single topological backward sweep. Everything is 64-bit
-so that finite-difference checks are tight.
+(1-D convolution, matrix products, softmax, dropout, gathers, reductions
+and segment pooling), recorded on a dynamic graph and differentiated by a
+single topological backward sweep. Everything is 64-bit so that
+finite-difference checks are tight.
 """
 
 from __future__ import annotations
@@ -29,8 +29,9 @@ class Tensor:
     """A float64 array plus the bookkeeping needed for reverse mode.
 
     ``_backward`` is a closure that takes the output gradient and accumulates
-    into the parents' ``grad`` fields. Graphs are only recorded when some
-    parent requires a gradient, so inference builds no graph at all.
+    into the parents' ``grad`` fields. An op records its parents and closure
+    only when some parent requires a gradient. Model parameters always do, so
+    prediction records the same graph as training and never runs it backward.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
@@ -59,28 +60,6 @@ class Tensor:
     def zero_grad(self):
         self.grad = None
 
-    # Convenience arithmetic; the heavy lifting lives in the module functions.
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return add(self, neg(_lift(other)))
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(self, other)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
@@ -89,7 +68,7 @@ def _lift(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _node(data, parents, backward) -> Tensor:
+def node(data, parents, backward) -> Tensor:
     """Record an op only when a gradient can flow through it."""
     if any(p.requires_grad for p in parents):
         return Tensor(data, _parents=tuple(parents), _backward=backward)
@@ -100,57 +79,16 @@ def _node(data, parents, backward) -> Tensor:
 # elementwise and reduction ops
 
 
-def add(a, b) -> Tensor:
-    a, b = _lift(a), _lift(b)
-    if a.data.shape != b.data.shape and a.data.ndim != 0 and b.data.ndim != 0:
-        raise ComputeError(f"add shape mismatch {a.data.shape} vs {b.data.shape}")
-    out_data = a.data + b.data
-
-    def backward(g):
-        a.accumulate(g.sum() if a.data.ndim == 0 and out_data.ndim != 0 else g)
-        b.accumulate(g.sum() if b.data.ndim == 0 and out_data.ndim != 0 else g)
-
-    return _node(out_data, (a, b), backward)
-
-
-def mul(a, b) -> Tensor:
-    a, b = _lift(a), _lift(b)
-    if a.data.shape != b.data.shape and a.data.ndim != 0 and b.data.ndim != 0:
-        raise ComputeError(f"mul shape mismatch {a.data.shape} vs {b.data.shape}")
-    out_data = a.data * b.data
-
-    def backward(g):
-        ga = g * b.data
-        gb = g * a.data
-        a.accumulate(ga.sum() if a.data.ndim == 0 and out_data.ndim != 0 else ga)
-        b.accumulate(gb.sum() if b.data.ndim == 0 and out_data.ndim != 0 else gb)
-
-    return _node(out_data, (a, b), backward)
-
-
-def div(a, b) -> Tensor:
-    a, b = _lift(a), _lift(b)
-    out_data = a.data / b.data
-
-    def backward(g):
-        ga = g / b.data
-        gb = -g * a.data / (b.data * b.data)
-        a.accumulate(ga.sum() if a.data.ndim == 0 and out_data.ndim != 0 else ga)
-        b.accumulate(gb.sum() if b.data.ndim == 0 and out_data.ndim != 0 else gb)
-
-    return _node(out_data, (a, b), backward)
-
-
 def neg(a) -> Tensor:
     a = _lift(a)
-    return _node(-a.data, (a,), lambda g: a.accumulate(-g))
+    return node(-a.data, (a,), lambda g: a.accumulate(-g))
 
 
 def scale(a: Tensor, c) -> Tensor:
     """Multiply by a constant array or scalar (no gradient into the constant)."""
     a = _lift(a)
     c = _as_f64(c)
-    return _node(a.data * c, (a,), lambda g: a.accumulate(g * c))
+    return node(a.data * c, (a,), lambda g: a.accumulate(g * c))
 
 
 def relu(a: Tensor) -> Tensor:
@@ -160,20 +98,7 @@ def relu(a: Tensor) -> Tensor:
     def backward(g):
         a.accumulate(g * mask)
 
-    return _node(np.where(mask, a.data, 0.0), (a,), backward)
-
-
-def sigmoid(a) -> Tensor:
-    """Numerically stable logistic; saturates without overflow."""
-    a = _lift(a)
-    x = a.data
-    out_data = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                        np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
-
-    def backward(g):
-        a.accumulate(g * out_data * (1.0 - out_data))
-
-    return _node(out_data, (a,), backward)
+    return node(np.where(mask, a.data, 0.0), (a,), backward)
 
 
 def log(a: Tensor) -> Tensor:
@@ -185,7 +110,7 @@ def log(a: Tensor) -> Tensor:
     def backward(g):
         a.accumulate(g / a.data)
 
-    return _node(out_data, (a,), backward)
+    return node(out_data, (a,), backward)
 
 
 def clamp(a: Tensor, lo: float, hi: float) -> Tensor:
@@ -196,7 +121,7 @@ def clamp(a: Tensor, lo: float, hi: float) -> Tensor:
     def backward(g):
         a.accumulate(g * inside)
 
-    return _node(np.clip(a.data, lo, hi), (a,), backward)
+    return node(np.clip(a.data, lo, hi), (a,), backward)
 
 
 def tsum(a: Tensor) -> Tensor:
@@ -205,18 +130,7 @@ def tsum(a: Tensor) -> Tensor:
     def backward(g):
         a.accumulate(np.full_like(a.data, float(g)))
 
-    return _node(a.data.sum(), (a,), backward)
-
-
-def axis_total(a: Tensor, axis: int) -> Tensor:
-    """Sum along one axis, broadcast back to a's shape: each entry gets its line's total."""
-    a = _lift(a)
-    out_data = np.broadcast_to(a.data.sum(axis=axis, keepdims=True), a.data.shape).copy()
-
-    def backward(g):
-        a.accumulate(np.broadcast_to(g.sum(axis=axis, keepdims=True), a.data.shape))
-
-    return _node(out_data, (a,), backward)
+    return node(a.data.sum(), (a,), backward)
 
 
 def softmax(a: Tensor) -> Tensor:
@@ -232,7 +146,7 @@ def softmax(a: Tensor) -> Tensor:
         dot = (g * out_data).sum(axis=-1, keepdims=True)
         a.accumulate(out_data * (g - dot))
 
-    return _node(out_data, (a,), backward)
+    return node(out_data, (a,), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -255,12 +169,12 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             a.accumulate(g @ b.data.T)
             b.accumulate(a.data.T @ g)
 
-    return _node(out_data, (a, b), backward)
+    return node(out_data, (a, b), backward)
 
 
 def transpose(a: Tensor) -> Tensor:
     a = _lift(a)
-    return _node(a.data.T.copy(), (a,), lambda g: a.accumulate(g.T))
+    return node(a.data.T.copy(), (a,), lambda g: a.accumulate(g.T))
 
 
 def rows_slice(a: Tensor, start: int, stop: int) -> Tensor:
@@ -271,7 +185,7 @@ def rows_slice(a: Tensor, start: int, stop: int) -> Tensor:
         ga[start:stop] = g
         a.accumulate(ga)
 
-    return _node(a.data[start:stop].copy(), (a,), backward)
+    return node(a.data[start:stop].copy(), (a,), backward)
 
 
 def cols_slice(a: Tensor, start: int, stop: int) -> Tensor:
@@ -282,7 +196,7 @@ def cols_slice(a: Tensor, start: int, stop: int) -> Tensor:
         ga[:, start:stop] = g
         a.accumulate(ga)
 
-    return _node(a.data[:, start:stop].copy(), (a,), backward)
+    return node(a.data[:, start:stop].copy(), (a,), backward)
 
 
 def take(a: Tensor, idx) -> Tensor:
@@ -299,7 +213,7 @@ def take(a: Tensor, idx) -> Tensor:
         np.add.at(ga, idx, g)
         a.accumulate(ga)
 
-    return _node(a.data[idx], (a,), backward)
+    return node(a.data[idx], (a,), backward)
 
 
 def take_pairs(a: Tensor, rows, cols) -> Tensor:
@@ -318,7 +232,7 @@ def take_pairs(a: Tensor, rows, cols) -> Tensor:
         np.add.at(ga, (rows, cols), g)
         a.accumulate(ga)
 
-    return _node(a.data[rows, cols], (a,), backward)
+    return node(a.data[rows, cols], (a,), backward)
 
 
 def segment_pool(a: Tensor, segments, weights=None, take_max=None) -> Tensor:
@@ -362,7 +276,7 @@ def segment_pool(a: Tensor, segments, weights=None, take_max=None) -> Tensor:
         np.add.at(ga, (r, picks[:, take_max]), g[:, take_max])
         a.accumulate(ga.reshape(a.data.shape))
 
-    return _node(out.reshape(a.data.shape[:-1] + (len(segments),)), (a,), backward)
+    return node(out.reshape(a.data.shape[:-1] + (len(segments),)), (a,), backward)
 
 
 def stack(parts: list[Tensor]) -> Tensor:
@@ -374,7 +288,7 @@ def stack(parts: list[Tensor]) -> Tensor:
         for i, p in enumerate(parts):
             p.accumulate(g[i])
 
-    return _node(out_data, tuple(parts), backward)
+    return node(out_data, tuple(parts), backward)
 
 
 def concat_rows(parts: list[Tensor]) -> Tensor:
@@ -389,7 +303,7 @@ def concat_rows(parts: list[Tensor]) -> Tensor:
             p.accumulate(g[at:at + sz])
             at += sz
 
-    return _node(out_data, tuple(parts), backward)
+    return node(out_data, tuple(parts), backward)
 
 
 def concat_cols(parts: list[Tensor]) -> Tensor:
@@ -404,7 +318,7 @@ def concat_cols(parts: list[Tensor]) -> Tensor:
             p.accumulate(g[:, at:at + sz])
             at += sz
 
-    return _node(out_data, tuple(parts), backward)
+    return node(out_data, tuple(parts), backward)
 
 
 def compose_embedding(base: np.ndarray, mask_vector: Tensor, mask_rows) -> Tensor:
@@ -421,7 +335,7 @@ def compose_embedding(base: np.ndarray, mask_vector: Tensor, mask_rows) -> Tenso
         if mask_rows.size:
             mask_vector.accumulate(g[mask_rows].sum(axis=0))
 
-    return _node(out_data, (mask_vector,), backward)
+    return node(out_data, (mask_vector,), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -443,7 +357,7 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         raise ComputeError(f"conv1d shape mismatch x={x.data.shape} w={w.data.shape} b={b.data.shape}")
     n = x.data.shape[0]
     if n == 0:
-        return _node(np.zeros((0, d_out)), (x, w, b), lambda g: None)
+        return node(np.zeros((0, d_out)), (x, w, b), lambda g: None)
 
     left = width // 2
     right = width - 1 - left
@@ -461,7 +375,7 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
             gpad[k:k + n] += g @ w.data[k].T
         x.accumulate(gpad[left:left + n])
 
-    return _node(out_data, (x, w, b), backward)
+    return node(out_data, (x, w, b), backward)
 
 
 def dropout(x: Tensor, keep_prob: float, training: bool, rng: np.random.Generator | None = None) -> Tensor:

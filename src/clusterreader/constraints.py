@@ -22,6 +22,11 @@ takes from_col, to_col takes from_row). A round is therefore a handful of
 numpy calls over whole slices of the stack: both factor families into the
 from half, one combine into the to half, damping and the finiteness check
 over all four at once. The per-direction names stay readable as views.
+
+There is one BP implementation. Prediction runs these rounds on the score
+table (run_bp); training runs the same undamped rounds on the score matrix
+(run_bp_tensor) and differentiates them with one closed-form backward that
+walks the kept message states in reverse.
 """
 
 from __future__ import annotations
@@ -52,6 +57,12 @@ class ConstraintGraph:
     slots: tuple        # column labels
     local: np.ndarray   # V x S sigmoided potentials in (0,1)
     null_row: int | None
+
+    @classmethod
+    def from_scores(cls, phi, values, slots, null_row: int | None) -> "ConstraintGraph":
+        """The grid of a V x S score array: local = sigmoid(phi) clipped into [EPS, 1-EPS]."""
+        return cls(values=tuple(values), slots=tuple(slots),
+                   local=np.clip(_sigmoid(phi), EPS, 1 - EPS), null_row=null_row)
 
     @property
     def shape(self):
@@ -114,9 +125,8 @@ def build_graph(table: dict, values, slots) -> ConstraintGraph:
         for i, v in enumerate(values):
             if v in row_scores:
                 phi[i, j] = row_scores[v]
-    local = np.clip(_sigmoid(phi), EPS, 1 - EPS)
     null_row = values.index(NULL_VALUE) if NULL_VALUE in values else None
-    return ConstraintGraph(values=values, slots=slots, local=local, null_row=null_row)
+    return ConstraintGraph.from_scores(phi, values, slots, null_row)
 
 
 def init_messages(graph: ConstraintGraph) -> MessageState:
@@ -280,11 +290,7 @@ def brute_force_oracle(local: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# differentiable variant (for training with constraints in the loop)
-
-
-def _one_minus(x: C.Tensor) -> C.Tensor:
-    return C.add(C.neg(x), 1.0)
+# the same rounds with a gradient (for training with constraints in the loop)
 
 
 def run_bp_tensor(phi: C.Tensor, null_col: int | None, iterations: int) -> C.Tensor:
@@ -292,30 +298,59 @@ def run_bp_tensor(phi: C.Tensor, null_col: int | None, iterations: int) -> C.Ten
 
     phi is the slot x value grid, the transpose of build_graph's layout: each
     row is a slot's Exactly-1 factor and each column but null_col a value's.
-    The recurrence is bp_iterate's, so the result matches run_bp on the
-    transposed grid; it is only used when the constraint layer is in the loss.
+    The forward is init_messages, bp_iterate and beliefs on the transposed
+    grid, so it equals run_bp there; the backward is one node whose closure
+    walks the kept message states in reverse (_bp_adjoint).
     """
-    def exactly1(mu: C.Tensor, axis: int) -> C.Tensor:
-        mu = C.clamp(mu, EPS, 1 - EPS)
-        ratio = C.div(mu, _one_minus(mu))
-        return C.div(1.0, C.add(C.add(C.axis_total(ratio, axis), C.neg(ratio)), 1.0))
-
-    def combine(other_t: C.Tensor) -> C.Tensor:
-        t = C.mul(local, other_t)
-        f = C.mul(_one_minus(local), _one_minus(other_t))
-        return C.clamp(C.div(t, C.add(t, f)), EPS, 1 - EPS)
-
-    local = C.clamp(C.sigmoid(phi), EPS, 1 - EPS)
-    keep = np.ones(phi.shape)
-    if null_col is not None:
-        keep[:, null_col] = 0.0
-    to_slot, to_value = local, local
-    from_slot = from_value = C.Tensor(np.full(phi.shape, 0.5))
+    graph = ConstraintGraph.from_scores(phi.data.T, range(phi.shape[1]),
+                                        range(phi.shape[0]), null_col)
+    states = [init_messages(graph)]
     for _ in range(iterations):
-        from_slot = exactly1(to_slot, axis=1)
-        from_value = C.add(C.scale(exactly1(to_value, axis=0), keep), 0.5 * (1 - keep))
-        to_slot = combine(from_value)
-        to_value = combine(from_slot)
-    t = C.mul(C.mul(local, from_slot), from_value)
-    f = C.mul(C.mul(_one_minus(local), _one_minus(from_slot)), _one_minus(from_value))
-    return C.div(t, C.add(t, f))
+        states.append(bp_iterate(states[-1], graph))
+
+    def backward(g):
+        phi.accumulate(_bp_adjoint(graph, states, g.T).T)
+
+    return C.node(beliefs(states[-1], graph).T, (phi,), backward)
+
+
+def _bp_adjoint(graph: ConstraintGraph, states: list, g: np.ndarray) -> np.ndarray:
+    """Gradient of beliefs(states[-1]) in the V x S scores, given g on the beliefs.
+
+    Every step uses the direct quotient-rule derivative: d(lo / D)/do =
+    l(1-l) / D^2 with D = lo + (1-l)(1-o). It stays finite where a factor over
+    a single variable sends a message of exactly 1, which the logit-additive
+    form b(1-b) / (o(1-o)) turns into 0/0. Clipped entries pass no gradient.
+    """
+    local = graph.local
+    col, row = states[-1].msgs[2], states[-1].msgs[3]
+    t = local * row * col
+    f = (1 - local) * (1 - row) * (1 - col)
+    g = g / ((t + f) * (t + f))
+    g_local = g * row * col * (1 - row) * (1 - col)
+    adj = np.zeros_like(states[-1].msgs)
+    adj[2] = g * local * row * (1 - local) * (1 - row)
+    adj[3] = g * local * col * (1 - local) * (1 - col)
+    for old, new in zip(states[-2::-1], states[:0:-1]):
+        # combine: to_row from from_col, to_col from from_row
+        other = new.msgs[2:]
+        t = local * other
+        d = t + (1 - local) * (1 - other)
+        p = t / d
+        g_p = adj[:2] * ((p >= EPS) & (p <= 1 - EPS)) / (d * d)
+        g_local += (g_p * other * (1 - other)).sum(axis=0)
+        adj[2:] += g_p * local * (1 - local)
+        # Exactly-1 from the odds: d(1 / (1 + S_i)) / d ratio_j = -o_i^2 for j != i
+        if graph.null_row is not None:
+            adj[2, graph.null_row, :] = 0.0
+        w = new.msgs[2:] * new.msgs[2:] * adj[2:]
+        mu = old.msgs[:2]
+        inside = (mu >= EPS) & (mu <= 1 - EPS)
+        mu = np.minimum(np.maximum(mu, EPS), 1 - EPS)
+        adj[0] = w[1] - w[1].sum(axis=0, keepdims=True)   # slot factors, from to_row
+        adj[1] = w[0] - w[0].sum(axis=1, keepdims=True)   # value factors, from to_col
+        adj[:2] *= inside / ((1 - mu) * (1 - mu))
+        adj[2:] = 0.0                                      # a round reads no old from_*
+    g_local += adj[0] + adj[1]
+    # sigmoid: local is sigmoid(phi) wherever the clip left it alone
+    return g_local * local * (1 - local) * ((local > EPS) & (local < 1 - EPS))

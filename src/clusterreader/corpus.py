@@ -82,10 +82,6 @@ class Document:
     def flat_tokens(self) -> list[str]:
         return [t for s in self.sentences for t in s]
 
-    def sentence_ids(self) -> list[int]:
-        """Sentence id of every token, document-global order."""
-        return [i for i, s in enumerate(self.sentences) for _ in s]
-
 
 @dataclass(frozen=True)
 class Cluster:
@@ -94,9 +90,6 @@ class Cluster:
     gold: dict            # slot name -> tuple of value_id (empty tuple = null)
     candidate_values: tuple
     documents: tuple
-
-    def gold_values(self, slot: str) -> tuple:
-        return tuple(self.gold.get(slot, ()))
 
 
 def _validate_document(doc: Document, candidates: set, where: str):

@@ -157,9 +157,6 @@ class EvalReport:
             "queries": self.n_queries,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.as_dict(), indent=2)
-
 
 def evaluate(instances, predictions, rankings=None, slots=EVAL_SLOTS) -> EvalReport:
     instances = list(instances)
@@ -194,8 +191,16 @@ def load_predictions(path):
                 raise EvaluationError(f"{path}: cluster {cid}: {name!r} missing or not an object")
         if cid in predictions:
             raise EvaluationError(f"{path}: duplicate cluster_id {cid!r}")
+        for slot, pred in rec["predictions"].items():
+            if pred is not None and not isinstance(pred, str):
+                raise EvaluationError(f"{path}: cluster {cid} slot {slot!r}: "
+                                      f"prediction {pred!r} is not a string or null")
         predictions[cid] = rec["predictions"]
         if with_rankings:
+            for slot, ranked in rec["rankings"].items():
+                if not isinstance(ranked, list) or not all(isinstance(v, str) for v in ranked):
+                    raise EvaluationError(f"{path}: cluster {cid} slot {slot!r}: "
+                                          f"ranking {ranked!r} is not a list of strings")
             rankings[cid] = rec["rankings"]
     return predictions, rankings if with_rankings else None
 

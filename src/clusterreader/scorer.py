@@ -10,8 +10,6 @@ aggregator later reads as evidence for the null value.
 
 from __future__ import annotations
 
-import csv
-
 import numpy as np
 
 from . import compute as C
@@ -42,13 +40,3 @@ def score_tokens(R: C.Tensor, pis: list) -> C.Tensor:
 def attend(U: C.Tensor) -> C.Tensor:
     """Each slot's attention over all cluster tokens, mentions and plain words alike."""
     return C.softmax(U)
-
-
-def write_attention_csv(path, tokens, attention: dict[str, np.ndarray]):
-    """Debug dump: token_index,token,one column per slot."""
-    slots = sorted(attention)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["token_index", "token"] + slots)
-        for i, tok in enumerate(tokens):
-            writer.writerow([i, tok] + [f"{attention[s][i]:.6g}" for s in slots])

@@ -295,22 +295,34 @@ def load_model(path):
     params = raw["params"]
     missing = [f"extra.{k}" for k in ("slots", "vocab", "embed_matrix", "unk_vector")
                if k not in extra]
-    if not missing:
-        wanted = ["mask_vector", "enc.w1", "enc.b1", "enc.w2", "enc.b2"]
-        missing = [f"params.{k}" for k in wanted + [f"slot.{s}" for s in extra["slots"]]
-                   if k not in params]
     if missing:
         raise C.ComputeError(f"{path}: checkpoint lacks {', '.join(missing)}")
+    slots, vocab = extra["slots"], extra["vocab"]
+    if not isinstance(slots, list) or not all(isinstance(s, str) for s in slots):
+        raise C.ComputeError(f"{path}: checkpoint extra.slots is not a list of strings")
+    wanted = ["mask_vector", "enc.w1", "enc.b1", "enc.w2", "enc.b2"]
+    missing = [f"params.{k}" for k in wanted + [f"slot.{s}" for s in slots] if k not in params]
+    if missing:
+        raise C.ComputeError(f"{path}: checkpoint lacks {', '.join(missing)}")
+    matrix = np.asarray(extra["embed_matrix"], dtype=np.float64)
+    unk_vector = np.asarray(extra["unk_vector"], dtype=np.float64)
+    if matrix.ndim != 2 or not (unk_vector.shape == params["mask_vector"].shape
+                                == matrix.shape[1:]):
+        raise C.ComputeError(f"{path}: checkpoint extra.embed_matrix is not a 2-D matrix as "
+                             f"wide as extra.unk_vector and params.mask_vector")
+    if not isinstance(vocab, dict) or not all(type(i) is int and 0 <= i < len(matrix)
+                                              for i in vocab.values()):
+        raise C.ComputeError(f"{path}: checkpoint extra.vocab does not map strings to "
+                             f"row ids in [0, {len(matrix)})")
     table = E.EmbeddingTable(
-        vocab=extra["vocab"],
-        matrix=np.asarray(extra["embed_matrix"], dtype=np.float64),
+        vocab=vocab, matrix=matrix,
         mask_vector=C.Tensor(params["mask_vector"], requires_grad=True),
-        unk_vector=np.asarray(extra["unk_vector"], dtype=np.float64))
+        unk_vector=unk_vector)
     enc = E.EncoderParams(w1=C.Tensor(params["enc.w1"], requires_grad=True),
                           b1=C.Tensor(params["enc.b1"], requires_grad=True),
                           w2=C.Tensor(params["enc.w2"], requires_grad=True),
                           b2=C.Tensor(params["enc.b2"], requires_grad=True))
-    pi = {s: C.Tensor(params[f"slot.{s}"], requires_grad=True) for s in extra["slots"]}
+    pi = {s: C.Tensor(params[f"slot.{s}"], requires_grad=True) for s in slots}
     model = ReaderModel(table=table, enc=enc, pi=pi)
     hp_bits = extra.get("hyperparams", {})
     config = AggregationConfig(mode=hp_bits.get("mode", "sum"),

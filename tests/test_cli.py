@@ -81,6 +81,7 @@ def test_synth_validation_exits_3(tmp_path):
     assert code == 3
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_divergence_exits_4(pipeline, tmp_path, capsys):
     code = cli.run(["train", "--corpus", pipeline["train"],
                     "--checkpoint", str(tmp_path / "m.json"),
@@ -106,6 +107,46 @@ def test_checkpoint_missing_field_exits_3(pipeline, tmp_path, capsys, field):
     assert f"checkpoint lacks {field}" in capsys.readouterr().err
 
 
+def _rewrite_checkpoint(src, dest, edit):
+    with open(src) as fh:
+        magic = fh.readline()
+        body = json.load(fh)
+    edit(body)
+    dest.write_text(magic + json.dumps(body))
+    return str(dest)
+
+
+def _set_extra(name, value):
+    return lambda body: body["extra"].__setitem__(name, value)
+
+
+def _vocab_past_end(body):
+    rows = len(body["extra"]["embed_matrix"])
+    body["extra"]["vocab"] = {token: rows for token in body["extra"]["vocab"]}
+
+
+def _narrow_unk_vector(body):
+    body["extra"]["unk_vector"] = body["extra"]["unk_vector"][:-1]
+
+
+@pytest.mark.parametrize("edit,message", [
+    (_set_extra("slots", 3), "extra.slots is not a list of strings"),
+    (_set_extra("slots", ["Crew", 7]), "extra.slots is not a list of strings"),
+    (_vocab_past_end, "extra.vocab does not map strings to row ids"),
+    (_set_extra("vocab", {"acme": "0"}), "extra.vocab does not map strings to row ids"),
+    (_set_extra("vocab", ["acme"]), "extra.vocab does not map strings to row ids"),
+    (_set_extra("embed_matrix", [0.5, 0.25]), "extra.embed_matrix is not a 2-D matrix"),
+    (_narrow_unk_vector, "extra.embed_matrix is not a 2-D matrix as wide as extra.unk_vector"),
+], ids=["slots-int", "slots-item-int", "vocab-row-past-end", "vocab-row-str", "vocab-list",
+        "embed-1d", "unk-narrow"])
+def test_checkpoint_bad_field_value_exits_3(pipeline, tmp_path, capsys, edit, message):
+    ckpt = _rewrite_checkpoint(pipeline["ckpt"], tmp_path / "bad.json", edit)
+    code = cli.run(["predict", "--checkpoint", ckpt, "--corpus", pipeline["test"],
+                    "--out", str(tmp_path / "p.json")])
+    assert code == 3
+    assert message in capsys.readouterr().err
+
+
 def _write_records(path, records):
     with open(path, "w") as fh:
         json.dump(records, fh)
@@ -129,6 +170,21 @@ def test_eval_duplicate_prediction_ids_exits_3(pipeline, tmp_path, capsys):
     pred = _write_records(tmp_path / "pred.json", records)
     assert cli.run(["eval", "--pred", pred, "--gold", pipeline["test"]]) == 3
     assert f"duplicate cluster_id {records[0]['cluster_id']!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field,value,what", [
+    ("predictions", ["x"], "is not a string or null"),
+    ("rankings", 5, "is not a list of strings"),
+    ("rankings", ["x", None], "is not a list of strings"),
+], ids=["prediction-list", "ranking-int", "ranking-null-item"])
+def test_eval_prediction_value_types_exit_3(pipeline, tmp_path, capsys, field, value, what):
+    with open(pipeline["pred"]) as fh:
+        records = json.load(fh)
+    records[1][field]["Crew"] = value
+    pred = _write_records(tmp_path / "pred.json", records)
+    assert cli.run(["eval", "--pred", pred, "--gold", pipeline["test"]]) == 3
+    err = capsys.readouterr().err
+    assert f"cluster {records[1]['cluster_id']} slot 'Crew':" in err and what in err
 
 
 def test_duplicate_cluster_ids_in_corpus_exit_3(pipeline, tmp_path, capsys):

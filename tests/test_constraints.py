@@ -297,7 +297,7 @@ def test_tensor_bp_matches_numpy_path():
             want = K.run_bp(g, iters)
             phi = C.Tensor(np.log(local / (1 - local)).T, requires_grad=True)
             got = K.run_bp_tensor(phi, null_row, iters)
-            assert_allclose(got.data.T, want, atol=1e-9)
+            assert np.array_equal(got.data.T, want)
 
 
 def test_tensor_bp_gradients_flow_and_check():
@@ -320,6 +320,80 @@ def test_tensor_bp_gradients_flow_and_check():
             num[i] = (build(C.Tensor(up.reshape(2, 3))).item()
                       - build(C.Tensor(dn.reshape(2, 3))).item()) / 2e-6
         assert_allclose(phi.grad.ravel(), num, atol=1e-5)
+
+
+def draw_score_grid(data, max_slots=8, max_cols=24, max_phi=8.0):
+    """An S x K score grid for run_bp_tensor, maybe with a null column."""
+    S = data.draw(st.integers(1, max_slots), label="slots")
+    K_ = data.draw(st.integers(1, max_cols), label="columns")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    null_col = int(rng.integers(K_)) if data.draw(st.booleans(), label="null column") else None
+    return rng.uniform(-max_phi, max_phi, size=(S, K_)), null_col
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_tensor_bp_forward_is_the_numpy_rounds(data):
+    phi, null_col = draw_score_grid(data)
+    rounds = data.draw(st.integers(0, 3), label="rounds")
+    values = [NULL_VALUE if k == null_col else f"v{k:02d}" for k in range(phi.shape[1])]
+    slots = [f"s{j}" for j in range(phi.shape[0])]
+    table = {s: {v: phi[j, k] for k, v in enumerate(values)} for j, s in enumerate(slots)}
+    graph = K.build_graph(table, values, slots)
+    state = K.init_messages(graph)
+    for _ in range(rounds):
+        state = K.bp_iterate(state, graph)
+    got = K.run_bp_tensor(C.Tensor(phi, requires_grad=True), null_col, rounds)
+    assert np.array_equal(got.data, K.beliefs(state, graph).T)
+
+
+def check_tensor_bp_gradient(phi0, null_col, rounds, weights, h=1e-6, rtol=1e-4):
+    """run_bp_tensor's gradient of sum(weights * beliefs) is finite and matches
+    central differences; returns it."""
+    def loss(phi):
+        return float((K.run_bp_tensor(C.Tensor(phi), null_col, rounds).data * weights).sum())
+
+    phi = C.Tensor(phi0.copy(), requires_grad=True)
+    C.backward(C.tsum(C.scale(K.run_bp_tensor(phi, null_col, rounds), weights)))
+    assert np.all(np.isfinite(phi.grad))
+    num = np.zeros_like(phi0)
+    for idx in np.ndindex(*phi0.shape):
+        up, dn = phi0.copy(), phi0.copy()
+        up[idx] += h
+        dn[idx] -= h
+        num[idx] = (loss(up) - loss(dn)) / (2 * h)
+    assert_allclose(phi.grad, num, atol=1e-6, rtol=rtol)
+    return phi.grad
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_tensor_bp_gradient_matches_central_differences(data):
+    phi, null_col = draw_score_grid(data, max_slots=5, max_cols=8, max_phi=3.0)
+    rounds = data.draw(st.integers(0, 3), label="rounds")
+    weights = np.random.default_rng(phi.size).normal(size=phi.shape)
+    check_tensor_bp_gradient(phi, null_col, rounds, weights)
+
+
+def test_tensor_bp_gradient_on_single_variable_factors_and_extreme_scores():
+    # a 1-slot or 1-value grid has factors over one variable, whose messages
+    # are exactly 1; scores of +-800 saturate the sigmoid without overflow
+    rng = np.random.default_rng(78)
+    for shape, null_col in (((1, 5), None), ((1, 5), 2), ((4, 1), None), ((4, 1), 0),
+                            ((1, 1), None), ((3, 4), 1)):
+        for rounds in (1, 2, 3):
+            phi = rng.uniform(-3, 3, size=shape)
+            check_tensor_bp_gradient(phi, null_col, rounds, rng.normal(size=shape))
+    phi = rng.uniform(-3, 3, size=(3, 4))
+    phi[0, 1], phi[2, 3] = 800.0, -800.0
+    grad = check_tensor_bp_gradient(phi, 1, 2, rng.normal(size=phi.shape))
+    assert grad[0, 1] == 0.0 and grad[2, 3] == 0.0
+    # scores of +-25 and -30 drive messages within EPS of 0 and 1, so some
+    # combines clip and must pass no gradient; 1 - mu loses digits there and
+    # central differences are good to about 0.5%
+    phi = np.array([[2.835, 25.017, -2.989], [-30.123, 2.932, 0.493]])
+    weights = np.array([[-0.098, 0.095, 0.036], [-0.506, 0.594, 0.891]])
+    check_tensor_bp_gradient(phi, None, 2, weights, rtol=1e-2)
 
 
 # ---------------------------------------------------------------------------

@@ -187,7 +187,6 @@ def test_document_token_helpers():
     assert doc.n_tokens == 6
     assert doc.sentence_starts() == [0, 2, 3]
     assert doc.flat_tokens() == ["a", "b", "c", "d", "e", "f"]
-    assert doc.sentence_ids() == [0, 0, 1, 2, 2, 2]
 
 
 def test_malformed_json_names_record(tmp_path):

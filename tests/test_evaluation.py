@@ -1,7 +1,5 @@
 """Metric tests: modified P/R/F1, null scoring, MRR, per-slot counts."""
 
-import json
-
 import numpy as np
 import pytest
 
@@ -168,7 +166,7 @@ def test_evaluate_and_render(tmp_path):
     text = ev.render_report(report, label="rac-sum", per_slot=True)
     assert "rac-sum" in text.splitlines()[1]
     assert any(line.startswith("Fatalities") for line in text.splitlines())
-    parsed = json.loads(report.to_json())
+    parsed = report.as_dict()
     assert parsed["score"]["f1"] == 1.0
     assert parsed["per_slot"]["Fatalities"] == {"correct": 1, "findable": 1}
 

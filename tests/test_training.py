@@ -11,6 +11,7 @@ import clusterreader.corpus as cp
 import clusterreader.model as M
 import clusterreader.training as T
 from clusterreader.aggregator import NULL_VALUE, AggregationConfig
+from clusterreader.cli import _tiny_cluster
 from clusterreader.constraints import beliefs_as_table, build_graph, run_bp, run_bp_tensor
 from clusterreader.scorer import NULL_SLOT
 
@@ -298,11 +299,11 @@ def test_bp_sharpened_table_matches_numpy_bp():
                               columns.index(NULL_VALUE), 2)
 
     table = {s: {v: phi[i, k] for k, v in enumerate(columns)} for i, s in enumerate(slots)}
-    graph = build_graph(table, ["a", "b", NULL_VALUE], slots)
+    graph = build_graph(table, columns, slots)
     want = beliefs_as_table(graph, run_bp(graph, 2))
     for i, s in enumerate(slots):
         for k, v in enumerate(columns):
-            assert abs(sharpened.data[i, k] - want[s][v]) < 1e-9
+            assert sharpened.data[i, k] == want[s][v]
 
 
 def graph_size(loss):
@@ -463,6 +464,13 @@ def test_gradient_check_mention_mode():
     report = T.gradient_check(hp, crash_cluster())
     assert max(report.values()) < 1e-4
     assert f"slot.{NULL_SLOT}" in report
+
+
+def test_gradient_check_with_bp_in_the_loss():
+    hp = tiny_hp(seed=13, bp_train_iters=2)
+    report = T.gradient_check(hp, _tiny_cluster())
+    assert max(report.values()) < 1e-4
+    assert {"enc.w1", "mask_vector"} <= set(report)
 
 
 def test_embedding_matrix_is_frozen_and_mask_trains():
