@@ -5,8 +5,9 @@ pool the S x n attention matrix (one row per slot) into an S x K value score
 matrix with one segment-pool op. Column k pools the first tokens of one
 value's mentions: hard max, plain sum, weighted sum (weights from discourse
 topicality or from publication-date information content), or a sum over a
-per-document attention softmax. The null column pools the attention mass
-left on non-mention tokens.
+per-document attention softmax, one block softmax whose blocks are the
+documents. The null column pools the attention mass left on non-mention
+tokens.
 """
 
 from __future__ import annotations
@@ -70,14 +71,7 @@ def per_document_attention(u: C.Tensor, doc_lengths) -> C.Tensor:
     """Softmax each document's block of every slot's scores separately."""
     if sum(doc_lengths) != u.shape[-1]:
         raise AggregationError("doc lengths do not cover the score matrix")
-    parts = []
-    at = 0
-    for length in doc_lengths:
-        if length == 0:
-            continue
-        parts.append(C.softmax(C.cols_slice(u, at, at + length)))
-        at += length
-    return C.concat_cols(parts)
+    return C.softmax(u, doc_lengths)
 
 
 # ---------------------------------------------------------------------------

@@ -135,7 +135,7 @@ def cmd_train(args) -> int:
         log(msg)
 
     state = T.train(train_clusters, dev_clusters, hp, table=table, log=epoch_log)
-    T.save_model(args.checkpoint, state.model, hp, adam=state.adam)
+    T.save_model(args.checkpoint, state.model, hp)
     if args.log:
         with open(args.log, "w") as fh:
             fh.write("\n".join(lines) + "\n")

@@ -5,6 +5,10 @@ This is deliberately small: just the operations the reader pipeline needs
 and segment pooling), recorded on a dynamic graph and differentiated by a
 single topological backward sweep. Everything is 64-bit so that
 finite-difference checks are tight.
+
+A cluster's documents are consecutive blocks of one matrix, not separate
+tensors: conv1d and softmax take the block lengths and work block by block
+inside one node, so no window or normalization crosses a document.
 """
 
 from __future__ import annotations
@@ -133,18 +137,38 @@ def tsum(a: Tensor) -> Tensor:
     return node(a.data.sum(), (a,), backward)
 
 
-def softmax(a: Tensor) -> Tensor:
-    """Softmax over the last axis (a 1-D vector or the rows of a matrix)."""
+def _blocks(lengths, n: int) -> list:
+    """(start, stop) of each non-empty block; lengths None is one block of n."""
+    lengths = [n] if lengths is None else [int(k) for k in lengths]
+    if min(lengths, default=0) < 0 or sum(lengths) != n:
+        raise ComputeError(f"block lengths {lengths} do not cover {n} entries")
+    stops = np.cumsum(lengths, dtype=int)
+    return [(int(s) - k, int(s)) for s, k in zip(stops, lengths) if k]
+
+
+def softmax(a: Tensor, lengths=None) -> Tensor:
+    """Softmax over the last axis (a 1-D vector or the rows of a matrix).
+
+    lengths splits the last axis into consecutive blocks (default: one
+    block), and each block is normalized on its own with the one-block
+    arithmetic, so the result equals a softmax of each block's slice.
+    """
     a = _lift(a)
     if a.data.size == 0:
         raise ComputeError("softmax of empty tensor")
-    shifted = a.data - a.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    out_data = e / e.sum(axis=-1, keepdims=True)
+    blocks = _blocks(lengths, a.data.shape[-1])
+    out_data = np.empty_like(a.data)
+    for lo, hi in blocks:
+        x = a.data[..., lo:hi]
+        e = np.exp(x - x.max(axis=-1, keepdims=True))
+        out_data[..., lo:hi] = e / e.sum(axis=-1, keepdims=True)
 
     def backward(g):
-        dot = (g * out_data).sum(axis=-1, keepdims=True)
-        a.accumulate(out_data * (g - dot))
+        ga = np.empty_like(g)
+        for lo, hi in blocks:
+            out, gb = out_data[..., lo:hi], g[..., lo:hi]
+            ga[..., lo:hi] = out * (gb - (gb * out).sum(axis=-1, keepdims=True))
+        a.accumulate(ga)
 
     return node(out_data, (a,), backward)
 
@@ -175,28 +199,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 def transpose(a: Tensor) -> Tensor:
     a = _lift(a)
     return node(a.data.T.copy(), (a,), lambda g: a.accumulate(g.T))
-
-
-def rows_slice(a: Tensor, start: int, stop: int) -> Tensor:
-    a = _lift(a)
-
-    def backward(g):
-        ga = np.zeros_like(a.data)
-        ga[start:stop] = g
-        a.accumulate(ga)
-
-    return node(a.data[start:stop].copy(), (a,), backward)
-
-
-def cols_slice(a: Tensor, start: int, stop: int) -> Tensor:
-    a = _lift(a)
-
-    def backward(g):
-        ga = np.zeros_like(a.data)
-        ga[:, start:stop] = g
-        a.accumulate(ga)
-
-    return node(a.data[:, start:stop].copy(), (a,), backward)
 
 
 def take(a: Tensor, idx) -> Tensor:
@@ -291,36 +293,6 @@ def stack(parts: list[Tensor]) -> Tensor:
     return node(out_data, tuple(parts), backward)
 
 
-def concat_rows(parts: list[Tensor]) -> Tensor:
-    """Concatenate 2-D tensors along axis 0."""
-    parts = [_lift(p) for p in parts]
-    sizes = [p.data.shape[0] for p in parts]
-    out_data = np.concatenate([p.data for p in parts], axis=0) if parts else np.zeros((0, 0))
-
-    def backward(g):
-        at = 0
-        for p, sz in zip(parts, sizes):
-            p.accumulate(g[at:at + sz])
-            at += sz
-
-    return node(out_data, tuple(parts), backward)
-
-
-def concat_cols(parts: list[Tensor]) -> Tensor:
-    """Concatenate 2-D tensors along axis 1."""
-    parts = [_lift(p) for p in parts]
-    sizes = [p.data.shape[1] for p in parts]
-    out_data = np.concatenate([p.data for p in parts], axis=1)
-
-    def backward(g):
-        at = 0
-        for p, sz in zip(parts, sizes):
-            p.accumulate(g[:, at:at + sz])
-            at += sz
-
-    return node(out_data, tuple(parts), backward)
-
-
 def compose_embedding(base: np.ndarray, mask_vector: Tensor, mask_rows) -> Tensor:
     """Frozen lookup matrix with selected rows replaced by a shared vector.
 
@@ -342,12 +314,15 @@ def compose_embedding(base: np.ndarray, mask_vector: Tensor, mask_rows) -> Tenso
 # convolution and dropout
 
 
-def conv1d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """Same-padded 1-D convolution over rows of x.
+def conv1d(x: Tensor, w: Tensor, b: Tensor, lengths=None) -> Tensor:
+    """Same-padded 1-D convolution over the rows of x, block by block.
 
-    x is (n, d_in), w is (width, d_in, d_out), b is (d_out,). Padding is
-    width//2 zeros on the left and the remainder on the right, so the output
-    has exactly n rows for any width.
+    x is (n, d_in), w is (width, d_in, d_out), b is (d_out,). lengths splits
+    the rows into consecutive blocks (default: one block). Each block is
+    padded on its own, width//2 zeros on the left and the remainder on the
+    right, so no window spans a block boundary and the output has exactly n
+    rows for any width. Forward and backward run block by block in order,
+    adding each block's w and b gradients in turn.
     """
     x, w, b = _lift(x), _lift(w), _lift(b)
     if x.data.ndim != 2 or w.data.ndim != 3 or b.data.ndim != 1:
@@ -355,39 +330,40 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     width, d_in, d_out = w.data.shape
     if x.data.shape[1] != d_in or b.data.shape[0] != d_out:
         raise ComputeError(f"conv1d shape mismatch x={x.data.shape} w={w.data.shape} b={b.data.shape}")
-    n = x.data.shape[0]
-    if n == 0:
-        return node(np.zeros((0, d_out)), (x, w, b), lambda g: None)
-
+    blocks = _blocks(lengths, x.data.shape[0])
     left = width // 2
-    right = width - 1 - left
-    padded = np.zeros((n + left + right, d_in))
-    padded[left:left + n] = x.data
-    windows = np.lib.stride_tricks.sliding_window_view(padded, width, axis=0)  # (n, d_in, width)
-    windows = windows.transpose(0, 2, 1)  # (n, width, d_in)
-    out_data = np.tensordot(windows, w.data, axes=((1, 2), (0, 1))) + b.data
+    out_data = np.zeros((x.data.shape[0], d_out))
+    windows = []
+    for lo, hi in blocks:
+        padded = np.zeros((hi - lo + width - 1, d_in))
+        padded[left:left + hi - lo] = x.data[lo:hi]
+        win = np.lib.stride_tricks.sliding_window_view(padded, width, axis=0)  # (n, d_in, width)
+        win = win.transpose(0, 2, 1)  # (n, width, d_in)
+        out_data[lo:hi] = np.tensordot(win, w.data, axes=((1, 2), (0, 1))) + b.data
+        windows.append(win)
 
     def backward(g):
-        w.accumulate(np.tensordot(windows, g, axes=((0,), (0,))))
-        b.accumulate(g.sum(axis=0))
-        gpad = np.zeros_like(padded)
-        for k in range(width):
-            gpad[k:k + n] += g @ w.data[k].T
-        x.accumulate(gpad[left:left + n])
+        gx = np.zeros_like(x.data)
+        for (lo, hi), win in zip(blocks, windows):
+            gb = g[lo:hi]
+            w.accumulate(np.tensordot(win, gb, axes=((0,), (0,))))
+            b.accumulate(gb.sum(axis=0))
+            gpad = np.zeros((hi - lo + width - 1, d_in))
+            for k in range(width):
+                gpad[k:k + hi - lo] += gb @ w.data[k].T
+            gx[lo:hi] = gpad[left:left + hi - lo]
+        x.accumulate(gx)
 
     return node(out_data, (x, w, b), backward)
 
 
-def dropout(x: Tensor, keep_prob: float, training: bool, rng: np.random.Generator | None = None) -> Tensor:
-    """Inverted dropout: zero with probability 1-keep_prob, scale survivors."""
-    if not 0.0 < keep_prob <= 1.0:
-        raise ComputeError(f"keep_prob must be in (0, 1], got {keep_prob}")
-    if not training or keep_prob == 1.0:
+def dropout(x: Tensor, keep_prob: float, uniforms=None) -> Tensor:
+    """Inverted dropout from pre-drawn uniforms in [0, 1) shaped like x:
+    zero where a uniform is at least keep_prob, scale the rest by
+    1/keep_prob. Without uniforms (inference) x passes through."""
+    if uniforms is None:
         return _lift(x)
-    if rng is None:
-        raise ComputeError("dropout in training mode needs an rng")
-    mask = (rng.random(x.data.shape) < keep_prob) / keep_prob
-    return scale(x, mask)
+    return scale(x, (uniforms < keep_prob) / keep_prob)
 
 
 # ---------------------------------------------------------------------------
@@ -436,20 +412,6 @@ class AdamState:
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
 
-    def to_jsonable(self):
-        return {
-            "beta1": self.beta1, "beta2": self.beta2, "eps": self.eps, "t": self.t,
-            "m": {k: {"shape": list(a.shape), "data": a.ravel().tolist()} for k, a in self.m.items()},
-            "v": {k: {"shape": list(a.shape), "data": a.ravel().tolist()} for k, a in self.v.items()},
-        }
-
-    @classmethod
-    def from_jsonable(cls, obj):
-        state = cls(beta1=obj["beta1"], beta2=obj["beta2"], eps=obj["eps"], t=obj["t"])
-        state.m = {k: _as_f64(v["data"]).reshape(v["shape"]) for k, v in obj["m"].items()}
-        state.v = {k: _as_f64(v["data"]).reshape(v["shape"]) for k, v in obj["v"].items()}
-        return state
-
 
 def adam_step(params: dict[str, Tensor], state: AdamState, lr: float, l2: float = 0.0):
     """One Adam update with bias correction; l2 adds l2*param to each gradient."""
@@ -476,9 +438,8 @@ def adam_step(params: dict[str, Tensor], state: AdamState, lr: float, l2: float 
 # checkpoints
 
 
-def save_checkpoint(path, params: dict[str, Tensor], adam: AdamState | None = None,
-                    seed: int = 0, extra: dict | None = None):
-    """Write parameters (and optimizer state) as a versioned JSON file.
+def save_checkpoint(path, params: dict[str, Tensor], seed: int = 0, extra: dict | None = None):
+    """Write parameters as a versioned JSON file.
 
     The first line is the magic string; the rest is one JSON object with
     row-major float arrays per parameter.
@@ -486,7 +447,6 @@ def save_checkpoint(path, params: dict[str, Tensor], adam: AdamState | None = No
     body = {
         "params": {k: {"shape": list(p.data.shape), "data": p.data.ravel().tolist()}
                    for k, p in params.items()},
-        "adam": adam.to_jsonable() if adam is not None else None,
         "seed": int(seed),
         "extra": extra or {},
     }
@@ -496,7 +456,8 @@ def save_checkpoint(path, params: dict[str, Tensor], adam: AdamState | None = No
 
 
 def load_checkpoint(path) -> dict:
-    """Read a checkpoint; returns params (as ndarrays), adam, seed, extra."""
+    """Read a checkpoint; returns params (as ndarrays), seed, extra. An
+    optimizer-state section, which older files carry, is ignored."""
     with open(path) as fh:
         magic = fh.readline().rstrip("\n")
         if magic != CHECKPOINT_MAGIC:
@@ -505,5 +466,4 @@ def load_checkpoint(path) -> dict:
     if not isinstance(body, dict) or not isinstance(body.get("params"), dict):
         raise ComputeError(f"{path}: checkpoint lacks params")
     params = {k: _as_f64(v["data"]).reshape(v["shape"]) for k, v in body["params"].items()}
-    adam = AdamState.from_jsonable(body["adam"]) if body.get("adam") else None
-    return {"params": params, "adam": adam, "seed": body.get("seed", 0), "extra": body.get("extra", {})}
+    return {"params": params, "seed": body.get("seed", 0), "extra": body.get("extra", {})}

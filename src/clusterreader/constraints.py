@@ -249,6 +249,8 @@ def beliefs_as_table(graph: ConstraintGraph, b: np.ndarray) -> dict:
 
 def bp_trace(graph: ConstraintGraph, iterations: int, path):
     """CSV dump of the belief trajectory: iteration, value, slot, belief."""
+    if iterations < 0:
+        raise ConstraintError(f"negative iteration count {iterations}")
     state = init_messages(graph)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)

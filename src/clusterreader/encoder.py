@@ -2,8 +2,9 @@
 
 Every token in a cluster gets an embedding row (mentions are masked with one
 shared trainable vector so the reader sees only context), then a two-layer
-same-padded convolution runs over each document separately and the outputs
-are concatenated in cluster order into the representation matrix R.
+same-padded convolution runs over the whole n x e matrix, with each
+document a block of rows that no filter window crosses; the result is the
+representation matrix R in cluster order.
 """
 
 from __future__ import annotations
@@ -111,26 +112,23 @@ def embed_cluster(flat_tokens, mention_token_indices, table: EmbeddingTable) -> 
 def encode(embedded: C.Tensor, doc_lengths, params: EncoderParams,
            training: bool = False, keep_prob: float = 1.0,
            rng: np.random.Generator | None = None) -> C.Tensor:
-    """Two CNN layers per document, rectifier between them, dropout on each.
+    """Two CNN layers over the n x e matrix, rectifier between them, dropout
+    on each.
 
-    doc_lengths gives the per-document row counts so no filter window spans
-    a document boundary. Output is n x r in the original row order.
+    doc_lengths gives the per-document row counts: each document is a block
+    of rows that the convolutions pad on their own, so no filter window spans
+    a document boundary. Output is n x r in the original row order. Dropout
+    uniforms are drawn document by document, the first layer's before the
+    second's, so a seeded run draws each mask in document order.
     """
-    if sum(doc_lengths) != embedded.shape[0]:
-        raise C.ComputeError(f"doc lengths {sum(doc_lengths)} != embedded rows {embedded.shape[0]}")
-    blocks = []
-    at = 0
-    for length in doc_lengths:
-        if length == 0:
-            continue
-        x = C.rows_slice(embedded, at, at + length)
-        h = C.conv1d(x, params.w1, params.b1)
-        h = C.relu(h)
-        h = C.dropout(h, keep_prob, training, rng)
-        h = C.conv1d(h, params.w2, params.b2)
-        h = C.dropout(h, keep_prob, training, rng)
-        blocks.append(h)
-        at += length
-    if not blocks:
-        return C.Tensor(np.zeros((0, params.out_dim)))
-    return C.concat_rows(blocks)
+    u1 = u2 = None
+    if training and keep_prob < 1.0 and embedded.shape[0]:
+        if rng is None:
+            raise C.ComputeError("dropout in training mode needs an rng")
+        widths = (params.w1.shape[2], params.out_dim)
+        draws = [rng.random((k, d)) for k in doc_lengths for d in widths]
+        u1, u2 = np.concatenate(draws[0::2]), np.concatenate(draws[1::2])
+    h = C.relu(C.conv1d(embedded, params.w1, params.b1, doc_lengths))
+    h = C.dropout(h, keep_prob, u1)
+    h = C.conv1d(h, params.w2, params.b2, doc_lengths)
+    return C.dropout(h, keep_prob, u2)

@@ -9,6 +9,7 @@ recreates the brittleness of classic distant supervision on purpose.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -64,6 +65,17 @@ class Hyperparams:
     def __post_init__(self):
         if self.loss_mode not in LOSS_MODES:
             raise TrainingError(f"unknown loss mode {self.loss_mode!r}")
+        if not 0.0 < self.keep_prob <= 1.0:
+            raise TrainingError(f"keep_prob must be in (0, 1], got {self.keep_prob}")
+        if not (math.isfinite(self.lr) and self.lr >= 0.0):
+            raise TrainingError(f"lr must be finite and non-negative, got {self.lr}")
+        if not (math.isfinite(self.l2) and self.l2 >= 0.0):
+            raise TrainingError(f"l2 must be finite and non-negative, got {self.l2}")
+        for name in ("width1", "width2", "d1", "r", "embed_dim"):
+            if getattr(self, name) < 1:
+                raise TrainingError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if self.bp_train_iters < 0:
+            raise TrainingError(f"bp_train_iters must be non-negative, got {self.bp_train_iters}")
 
 
 _FIELD_TYPES = {
@@ -271,7 +283,7 @@ def train(train_clusters, dev_clusters, hp: Hyperparams,
 # checkpoints
 
 
-def save_model(path, model: ReaderModel, hp: Hyperparams, adam=None):
+def save_model(path, model: ReaderModel, hp: Hyperparams):
     extra = {
         "slots": list(model.pi),
         "vocab": model.table.vocab,
@@ -285,7 +297,7 @@ def save_model(path, model: ReaderModel, hp: Hyperparams, adam=None):
             "null_enabled": hp.aggregation.null_enabled,
         },
     }
-    C.save_checkpoint(path, model.params(), adam=adam, seed=hp.seed, extra=extra)
+    C.save_checkpoint(path, model.params(), seed=hp.seed, extra=extra)
 
 
 def load_model(path):

@@ -90,6 +90,22 @@ def test_divergence_exits_4(pipeline, tmp_path, capsys):
     assert "diverged" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("setting", ["keep_prob=0", "keep_prob=1.5", "lr=nan", "lr=-0.1",
+                                     "l2=-0.01", "l2=inf", "width1=0", "width2=0", "d1=0",
+                                     "r=0", "embed_dim=0", "bp_train_iters=-1"])
+def test_invalid_hyperparameter_exits_3(pipeline, tmp_path, capsys, setting):
+    code = cli.run(["train", "--corpus", pipeline["train"],
+                    "--checkpoint", str(tmp_path / "m.json")] + TINY + ["--set", setting])
+    assert code == 3
+    assert f"{setting.partition('=')[0]} must be" in capsys.readouterr().err
+
+
+def test_checkpoint_has_no_optimizer_state(pipeline):
+    with open(pipeline["ckpt"]) as fh:
+        fh.readline()
+        assert "adam" not in json.load(fh)
+
+
 @pytest.mark.parametrize("field", ["extra.vocab", "extra.slots", "extra.embed_matrix",
                                    "extra.unk_vector", "params.enc.w2", "params.slot.Crew",
                                    "params"])
@@ -359,6 +375,15 @@ def test_bp_trace_writes_csv(pipeline, tmp_path):
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "iteration,value,slot,belief"
     assert len(lines) > 1
+
+
+def test_bp_trace_negative_iterations_exits_3(pipeline, tmp_path, capsys):
+    out = tmp_path / "t.csv"
+    code = cli.run(["bp-trace", "--checkpoint", pipeline["ckpt"], "--corpus",
+                    pipeline["test"], "--iterations", "-1", "--out", str(out)])
+    assert code == 3
+    assert "negative iteration count" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_bp_trace_unknown_cluster_exits_3(pipeline, tmp_path):

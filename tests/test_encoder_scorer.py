@@ -128,6 +128,52 @@ def test_encode_gradients_reach_all_params():
         assert p.grad is not None and np.abs(p.grad).max() > 0, name
 
 
+def _encode_doc_by_doc(x0, doc_lengths, params, keep_prob, rng, g):
+    """Reference: each document encoded as its own matrix, masks drawn per
+    document (first layer, then second), one backward sweep per document so
+    that parameter gradients add in document order."""
+    outs, gxs = [np.zeros((0, params.out_dim))], [np.zeros((0, x0.shape[1]))]
+    at = 0
+    for length in doc_lengths:
+        if length == 0:
+            continue
+        x = C.Tensor(x0[at:at + length].copy(), requires_grad=True)
+        h = C.relu(C.conv1d(x, params.w1, params.b1))
+        h = C.scale(h, (rng.random(h.shape) < keep_prob) / keep_prob)
+        h = C.conv1d(h, params.w2, params.b2)
+        h = C.scale(h, (rng.random(h.shape) < keep_prob) / keep_prob)
+        C.backward(C.tsum(C.scale(h, g[at:at + length])))
+        outs.append(h.data)
+        gxs.append(x.grad)
+        at += length
+    return np.concatenate(outs), np.concatenate(gxs)
+
+
+@settings(max_examples=25, deadline=None)
+@given(doc_lengths=st.lists(st.integers(0, 14), min_size=1, max_size=5),
+       seed=st.integers(0, 2**16))
+def test_training_encode_equals_doc_by_doc_encoding(doc_lengths, seed):
+    # one block-aware pass draws the same masks and gives the same output
+    # and gradients, to the last bit, as encoding each document on its own
+    rng = np.random.default_rng(seed)
+    x0 = rng.normal(size=(sum(doc_lengths), 5))
+    g = rng.normal(size=(sum(doc_lengths), 3))
+    block = E.init_encoder(5, np.random.default_rng(seed), width1=4, d1=4, width2=3, r=3)
+    ref = E.init_encoder(5, np.random.default_rng(seed), width1=4, d1=4, width2=3, r=3)
+    x = C.Tensor(x0, requires_grad=True)
+    out = E.encode(x, doc_lengths, block, training=True, keep_prob=0.7,
+                   rng=np.random.default_rng(seed + 1))
+    C.backward(C.tsum(C.scale(out, g)))
+    want, want_gx = _encode_doc_by_doc(x0, doc_lengths, ref, 0.7,
+                                       np.random.default_rng(seed + 1), g)
+    assert np.array_equal(out.data, want)
+    assert np.array_equal(x.grad if x.grad is not None else np.zeros_like(x0), want_gx)
+    for name, p in block.as_dict().items():
+        q = ref.as_dict()[name]
+        assert (p.grad is None) == (q.grad is None), name
+        assert p.grad is None or np.array_equal(p.grad, q.grad), name
+
+
 def test_encode_deterministic_at_inference():
     rng = np.random.default_rng(48)
     params = E.init_encoder(4, rng)

@@ -317,25 +317,27 @@ def graph_size(loss):
 
 
 def test_value_step_graph_does_not_grow_with_values_or_mentions():
+    # nor with documents: each document is a block of rows, not a graph node
     words = ["w%d" % i for i in range(12)]
     few = [(2, 3, "fifty", "number")]
     many = [(0, 1, "nine", "number"), (2, 3, "fifty", "number"), (4, 6, "acme", "airline"),
             (7, 8, "fifty", "number"), (9, 10, "ten", "number"), (11, 12, "acme", "airline")]
     gold = {s: () for s in cp.EVAL_SLOTS}
     gold.update(Fatalities=("fifty",), Operator=("acme",), Passengers=("ten",))
+    modes = ("sum", "max", "per_document_softmax_sum")
     sizes = {}
-    for name, mentions in (("few", few), ("many", many)):
-        docs = tuple(make_doc(f"d{i}", i, words, mentions) for i in range(2))
+    for name, mentions, n_docs in (("few", few, 2), ("many", many, 2), ("more docs", many, 5)):
+        docs = tuple(make_doc(f"d{i}", i, words, mentions) for i in range(n_docs))
         c = cp.Cluster(cluster_id=name, split="train", gold=gold,
                        candidate_values=("fifty", "acme", "nine", "ten"), documents=docs)
         cp.validate_cluster(c)
-        for mode in ("sum", "max"):
+        for mode in modes:
             hp = tiny_hp(keep_prob=0.8, aggregation=AggregationConfig(mode=mode))
             model = M.init_model(words, hp, np.random.default_rng(0))
             loss = T.cluster_loss(model, c, hp, rng=np.random.default_rng(1))
             sizes[name, mode] = graph_size(loss)
-    assert sizes["few", "sum"] == sizes["many", "sum"]
-    assert sizes["few", "max"] == sizes["many", "max"]
+    for mode in modes:
+        assert sizes["few", mode] == sizes["many", mode] == sizes["more docs", mode], mode
 
 
 # ---------------------------------------------------------------------------
