@@ -242,8 +242,9 @@ def segment_pool(a: Tensor, segments, weights=None, take_max=None) -> Tensor:
 
     Entry k is the sum of group k's entries, each times weights[index] when
     weights are given, or their maximum where take_max[k] is set (subgradient
-    to the first maximum). Every row sums its group as one 1-D array in the
-    given order, so out[s, k] equals a[s, segments[k]].sum() to the last bit.
+    to the first maximum). A group is reduced for all rows at once along the
+    contiguous last axis, which numpy sums row by row as it sums a 1-D array,
+    so out[s, k] equals a[s, segments[k]].sum() to the last bit.
     """
     a = _lift(a)
     rows = a.data.reshape(-1, a.data.shape[-1])
@@ -260,13 +261,13 @@ def segment_pool(a: Tensor, segments, weights=None, take_max=None) -> Tensor:
     gathered = np.take(rows, idx, axis=1) * w
     out = np.empty((rows.shape[0], len(segments)))
     picks = np.zeros(out.shape, dtype=np.intp)
+    every_row = np.arange(rows.shape[0])
     for k, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
-        for r, row in enumerate(gathered):
-            if take_max[k]:
-                j = lo + int(np.argmax(row[lo:hi]))
-                out[r, k], picks[r, k] = row[j], idx[j]
-            else:
-                out[r, k] = row[lo:hi].sum()
+        if take_max[k]:
+            j = lo + np.argmax(gathered[:, lo:hi], axis=1)
+            out[:, k], picks[:, k] = gathered[every_row, j], idx[j]
+        else:
+            out[:, k] = gathered[:, lo:hi].sum(axis=1)
     col = np.repeat(np.arange(len(segments)), np.diff(bounds))
     summed = ~take_max[col]
 

@@ -5,6 +5,13 @@ shared trainable vector so the reader sees only context), then a two-layer
 same-padded convolution runs over the whole n x e matrix, with each
 document a block of rows that no filter window crosses; the result is the
 representation matrix R in cluster order.
+
+Training runs layer 1 as conv1d, so gradients reach w1, b1 and the mask
+vector. Prediction holds those fixed, so it reads layer 1 from a projection
+instead: each of the cluster's u distinct embedding rows times each filter
+offset of w1, gathered and summed along each token's window. That costs
+u x e x width x d1 multiply-adds rather than n x e x width x d1, and copies
+no n x width x e window tensor.
 """
 
 from __future__ import annotations
@@ -109,9 +116,35 @@ def embed_cluster(flat_tokens, mention_token_indices, table: EmbeddingTable) -> 
     return C.compose_embedding(base, table.mask_vector, np.asarray(sorted(mention_token_indices), dtype=np.intp))
 
 
+def _projected_layer1(distinct: np.ndarray, rows, doc_lengths, w1: np.ndarray,
+                      b1: np.ndarray) -> np.ndarray:
+    """Layer 1 of encode before its rectifier, read from a projection.
+
+    distinct holds u embedding rows and token t reads row rows[t]. The
+    projection P[k, j] = distinct[j] . w1[k] covers every filter offset k and
+    every row j, plus a zero row j = u. Token t gets b1 plus the sum over k of
+    P[k, rows[t + k - width//2]], where a position outside t's document reads
+    the zero row: conv1d's same padding, summed in another order.
+    """
+    width, e, d1 = w1.shape
+    rows = np.asarray(rows, dtype=np.intp)
+    lengths = np.asarray(doc_lengths, dtype=np.intp)
+    if lengths.sum() != rows.size:
+        raise C.ComputeError(f"block lengths {list(doc_lengths)} do not cover {rows.size} entries")
+    zero = len(distinct)
+    proj = np.vstack([distinct, np.zeros(e)]) @ w1     # width x (u + 1) x d1
+    stop = np.repeat(np.cumsum(lengths), lengths)
+    start = stop - np.repeat(lengths, lengths)
+    src = np.arange(rows.size)[:, None] + np.arange(width) - width // 2
+    inside = (src >= start[:, None]) & (src < stop[:, None])
+    window = np.where(inside, rows[np.clip(src, 0, max(rows.size - 1, 0))], zero)
+    picked = np.take(proj.reshape(-1, d1), window + (zero + 1) * np.arange(width), axis=0)
+    return np.einsum("nkd->nd", picked) + b1
+
+
 def encode(embedded: C.Tensor, doc_lengths, params: EncoderParams,
            training: bool = False, keep_prob: float = 1.0,
-           rng: np.random.Generator | None = None) -> C.Tensor:
+           rng: np.random.Generator | None = None, rows=None) -> C.Tensor:
     """Two CNN layers over the n x e matrix, rectifier between them, dropout
     on each.
 
@@ -120,7 +153,18 @@ def encode(embedded: C.Tensor, doc_lengths, params: EncoderParams,
     a document boundary. Output is n x r in the original row order. Dropout
     uniforms are drawn document by document, the first layer's before the
     second's, so a seeded run draws each mask in document order.
+
+    rows is for prediction only: embedded then holds the cluster's distinct
+    embedding rows, token t reads row rows[t], and layer 1 comes from
+    _projected_layer1 with no gradient into w1, b1 or the embeddings. It equals
+    the conv1d path up to rounding.
     """
+    if rows is not None:
+        if training:
+            raise C.ComputeError("the projected layer 1 is for prediction only, not training")
+        h = C.relu(_projected_layer1(embedded.data, rows, doc_lengths,
+                                     params.w1.data, params.b1.data))
+        return C.conv1d(h, params.w2, params.b2, doc_lengths)
     u1 = u2 = None
     if training and keep_prob < 1.0 and embedded.shape[0]:
         if rng is None:

@@ -8,6 +8,13 @@ Its K columns are the cluster's mentioned values plus the null value, sorted
 as strings (ClusterIndex.columns). For inference the matrix becomes the
 prediction record's {slot: {value: float}} table once per cluster
 (score_table), optionally sharpened by the constraint layer.
+
+The prediction entry points (score_table and the mention-level tables)
+encode with projected=True: they embed only the cluster's distinct rows
+(ClusterIndex.distinct_tokens, every mention token one mask row) and the
+encoder reads layer 1 from their projection. Training, and anything else
+that backpropagates, keeps the default conv1d path whatever its training
+flag.
 """
 
 from __future__ import annotations
@@ -56,6 +63,21 @@ class ClusterIndex:
     def n_tokens(self) -> int:
         return len(self.flat_tokens)
 
+    def distinct_tokens(self):
+        """The cluster's distinct embedding rows as (tokens, mask_rows, rows).
+
+        Tokens outside mentions get one row per distinct string, in first-seen
+        order; every mention token shares one row, listed in mask_rows, which
+        embed_cluster fills with the mask vector. Token t reads row rows[t].
+        """
+        first: dict = {}
+        mention = self.mention_token_set
+        rows = np.fromiter((first.setdefault(None if t in mention else tok, len(first))
+                            for t, tok in enumerate(self.flat_tokens)),
+                           dtype=np.intp, count=self.n_tokens)
+        tokens = ["" if tok is None else tok for tok in first]
+        return tokens, [first[None]] if None in first else [], rows
+
     def columns(self, null_enabled: bool) -> list:
         """Score-matrix column labels: mentioned values plus null, sorted as strings."""
         return sorted(list(self.groups) + ([NULL_VALUE] if null_enabled else []))
@@ -84,7 +106,13 @@ class ReaderModel:
         return [s for s in self.pi if s != NULL_SLOT]
 
     def representations(self, index: ClusterIndex, training: bool = False,
-                        keep_prob: float = 1.0, rng=None) -> C.Tensor:
+                        keep_prob: float = 1.0, rng=None, projected: bool = False) -> C.Tensor:
+        """n x r token representations; projected (prediction only) reads
+        layer 1 from the projection of the cluster's distinct rows."""
+        if projected:
+            tokens, mask_rows, rows = index.distinct_tokens()
+            distinct = E.embed_cluster(tokens, mask_rows, self.table)
+            return E.encode(distinct, index.doc_lengths, self.enc, training=training, rows=rows)
         embedded = E.embed_cluster(index.flat_tokens, index.mention_token_set, self.table)
         return E.encode(embedded, index.doc_lengths, self.enc,
                         training=training, keep_prob=keep_prob, rng=rng)
@@ -94,9 +122,10 @@ class ReaderModel:
 
     def value_scores(self, index: ClusterIndex, config: agg.AggregationConfig,
                      training: bool = False, keep_prob: float = 1.0, rng=None,
-                     gold_for_fit: dict | None = None) -> C.Tensor:
+                     gold_for_fit: dict | None = None, projected: bool = False) -> C.Tensor:
         """Differentiable S x K scores: scoring slots by index.columns(null_enabled)."""
-        R = self.representations(index, training=training, keep_prob=keep_prob, rng=rng)
+        R = self.representations(index, training=training, keep_prob=keep_prob, rng=rng,
+                                 projected=projected)
         U = self.token_scores(R, self.scoring_slots())
         if config.mode == "per_document_softmax_sum":
             A = agg.per_document_attention(U, index.doc_lengths)
@@ -113,9 +142,11 @@ class ReaderModel:
         return agg.aggregate_sum(A, segments, weights)
 
     def mention_slot_logits(self, index: ClusterIndex, training: bool = False,
-                            keep_prob: float = 1.0, rng=None) -> C.Tensor:
+                            keep_prob: float = 1.0, rng=None,
+                            projected: bool = False) -> C.Tensor:
         """m x |pi| raw slot scores at each mention's first token (mention-level mode)."""
-        R = self.representations(index, training=training, keep_prob=keep_prob, rng=rng)
+        R = self.representations(index, training=training, keep_prob=keep_prob, rng=rng,
+                                 projected=projected)
         U = self.token_scores(R, list(self.pi))
         return C.take(C.transpose(U), [k for _, _, k in index.mention_rows])
 
@@ -136,7 +167,7 @@ def score_table(model: ReaderModel, index: ClusterIndex,
                 config: agg.AggregationConfig) -> dict:
     """Value scores as the prediction record's {slot: {value: float}}, values
     in first-mention order and the null value last."""
-    scores = model.value_scores(index, config).data
+    scores = model.value_scores(index, config, projected=True).data
     col = {v: k for k, v in enumerate(index.columns(config.null_enabled))}
     keys = list(index.groups) + ([NULL_VALUE] if config.null_enabled else [])
     return {slot: {v: float(scores[i, col[v]]) for v in keys}
@@ -166,7 +197,7 @@ def _mention_mode_tables(model: ReaderModel, index: ClusterIndex, decode: str) -
     no mention fall to NULL); 'max'/'sum' pool the per-mention slot
     probabilities over each value's mentions with no NULL candidate.
     """
-    probs = C.softmax(model.mention_slot_logits(index)).data
+    probs = C.softmax(model.mention_slot_logits(index, projected=True)).data
     slot_order = list(model.pi)
     slots = model.scoring_slots()
     table: dict = {s: {} for s in slots}

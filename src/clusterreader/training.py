@@ -74,8 +74,9 @@ class Hyperparams:
         for name in ("width1", "width2", "d1", "r", "embed_dim"):
             if getattr(self, name) < 1:
                 raise TrainingError(f"{name} must be at least 1, got {getattr(self, name)}")
-        if self.bp_train_iters < 0:
-            raise TrainingError(f"bp_train_iters must be non-negative, got {self.bp_train_iters}")
+        for name in ("bp_train_iters", "max_epochs", "patience"):
+            if getattr(self, name) < 0:
+                raise TrainingError(f"{name} must be non-negative, got {getattr(self, name)}")
 
 
 _FIELD_TYPES = {

@@ -1,7 +1,11 @@
 """End-to-end checks of the command-line pipeline and its exit codes."""
 
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -92,7 +96,8 @@ def test_divergence_exits_4(pipeline, tmp_path, capsys):
 
 @pytest.mark.parametrize("setting", ["keep_prob=0", "keep_prob=1.5", "lr=nan", "lr=-0.1",
                                      "l2=-0.01", "l2=inf", "width1=0", "width2=0", "d1=0",
-                                     "r=0", "embed_dim=0", "bp_train_iters=-1"])
+                                     "r=0", "embed_dim=0", "bp_train_iters=-1",
+                                     "max_epochs=-1", "patience=-1"])
 def test_invalid_hyperparameter_exits_3(pipeline, tmp_path, capsys, setting):
     code = cli.run(["train", "--corpus", pipeline["train"],
                     "--checkpoint", str(tmp_path / "m.json")] + TINY + ["--set", setting])
@@ -354,6 +359,31 @@ def test_predict_is_deterministic_and_bp_changes_scores(pipeline, tmp_path):
     diffs = [abs(raw_scores[s][v] - bp_scores[s][v])
              for s in raw_scores for v in raw_scores[s]]
     assert max(diffs) > 1e-6
+
+
+@pytest.mark.parametrize("loss_mode,bp", [("value_level", "0"), ("value_level", "1"),
+                                        ("value_level", "conv"), ("mention_level", "0")])
+def test_separate_predict_runs_write_identical_files(pipeline, tmp_path, loss_mode, bp):
+    # two processes with different string-hash seeds, so no output may hang
+    # on set or dict order
+    ckpt = pipeline["ckpt"]
+    if loss_mode == "mention_level":
+        ckpt = str(tmp_path / "mention.json")
+        assert cli.run(["train", "--corpus", pipeline["train"], "--checkpoint", ckpt,
+                        "--set", "loss_mode=mention_level"] + TINY) == 0
+    src = str(Path(cli.__file__).resolve().parents[1])
+    written = []
+    for hash_seed in ("1", "2"):
+        out = tmp_path / f"pred{hash_seed}.json"
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-m", "clusterreader.cli", "predict",
+                               "--checkpoint", ckpt, "--corpus", pipeline["test"],
+                               "--out", str(out), "--bp", bp],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        written.append(out.read_bytes())
+    assert written[0] == written[1]
 
 
 def test_predict_convergence_mode_runs(pipeline, tmp_path):

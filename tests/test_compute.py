@@ -121,6 +121,39 @@ def test_segment_pool_sum_and_weighted_grads():
                                           for s in range(3)])
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_segment_pool_equals_per_row_reduction(data):
+    """Each entry is the per-row 1-D sum, or the first maximum, bit for bit."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    n_rows, width = data.draw(st.integers(1, 8)), data.draw(st.integers(1, 40))
+    a = rng.normal(size=(n_rows, width))
+    if data.draw(st.booleans()):
+        a = np.round(a)  # ties for the max, zeros of both signs
+    sizes = data.draw(st.lists(st.integers(0, 60), min_size=1, max_size=6))
+    segments = [rng.integers(0, width, size=k).tolist() for k in sizes]
+    take_max = [bool(seg) and data.draw(st.booleans()) for seg in segments]
+    weights = rng.uniform(0.0, 2.0, size=width) if data.draw(st.booleans()) else None
+    w = np.ones(width) if weights is None else weights
+    a_t = C.Tensor(a, requires_grad=True)
+    out = C.segment_pool(a_t, segments, weights, take_max)
+    C.backward(C.tsum(out))
+    want = np.empty((n_rows, len(segments)))
+    grad = np.zeros_like(a)
+    for k, (seg, is_max) in enumerate(zip(segments, take_max)):
+        for r in range(n_rows):
+            row = a[r, seg] * w[seg]
+            if is_max:
+                j = int(np.argmax(row))
+                want[r, k] = row[j]
+                grad[r, seg[j]] += 1.0
+            else:
+                want[r, k] = row.sum()
+                np.add.at(grad[r], seg, w[seg])
+    assert np.array_equal(out.data, want)
+    assert_allclose(a_t.grad, grad, rtol=1e-12)
+
+
 def test_segment_pool_rejects_bad_groups():
     a = C.Tensor(np.zeros((2, 3)))
     with pytest.raises(C.ComputeError):

@@ -1,6 +1,7 @@
 """Representation and attention tests: masking, locality, and scoring."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
@@ -9,6 +10,7 @@ from clusterreader import aggregator as agg
 from clusterreader import compute as C
 from clusterreader import encoder as E
 from clusterreader import scorer as S
+from clusterreader.model import ClusterIndex
 
 
 def small_table(rng, tokens=("a", "b", "c", "d"), dim=6):
@@ -172,6 +174,77 @@ def test_training_encode_equals_doc_by_doc_encoding(doc_lengths, seed):
         q = ref.as_dict()[name]
         assert (p.grad is None) == (q.grad is None), name
         assert p.grad is None or np.array_equal(p.grad, q.grad), name
+
+
+def _conv_and_projected(tokens, mentions, doc_lengths, table, params):
+    """encode(embed_cluster(...)), the conv1d path, and the projected path
+    over the cluster's distinct rows, as prediction runs it."""
+    want = E.encode(E.embed_cluster(tokens, mentions, table), doc_lengths, params)
+    index = ClusterIndex(cluster=None, flat_tokens=list(tokens),
+                         doc_lengths=list(doc_lengths), mention_token_set=set(mentions))
+    distinct_tokens, mask_rows, rows = index.distinct_tokens()
+    distinct = E.embed_cluster(distinct_tokens, mask_rows, table)
+    return want.data, E.encode(distinct, doc_lengths, params, rows=rows).data
+
+
+def _assert_close_to_reference(got, want):
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= 1e-12 + 1e-9 * np.abs(want))
+
+
+def _encoder(table, rng, width1, width2=3):
+    params = E.init_encoder(table.dim, rng, width1=width1, d1=4, width2=width2, r=3)
+    params.b1.data[:] = rng.normal(scale=0.05, size=4)  # rectifier on both sides
+    return params
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_projected_layer1_equals_conv1d_encoding(data):
+    """Unknown tokens, masked mentions, repeated tokens, empty documents and
+    documents shorter than the filter: prediction's layer 1 read from the
+    projection gives the conv1d path's output up to rounding."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    table = small_table(rng)
+    doc_lengths = data.draw(st.lists(st.integers(0, 12), min_size=1, max_size=5))
+    n = sum(doc_lengths)
+    tokens = data.draw(st.lists(st.sampled_from(("a", "b", "c", "d", "zzz", "")),
+                                min_size=n, max_size=n))
+    mentions = data.draw(st.sets(st.integers(0, n - 1))) if n else set()
+    params = _encoder(table, rng, data.draw(st.integers(1, 10)), data.draw(st.integers(1, 5)))
+    want, got = _conv_and_projected(tokens, mentions, doc_lengths, table, params)
+    _assert_close_to_reference(got, want)
+
+
+@pytest.mark.parametrize("width1", range(1, 11))
+def test_projected_layer1_every_width_on_edge_clusters(width1):
+    rng = np.random.default_rng(width1)
+    table = small_table(rng)
+    params = _encoder(table, rng, width1)
+    cases = [(["a"], set(), [1]),                       # one token
+             (["zzz"], {0}, [0, 1, 0]),                 # one masked token
+             (["a", "a", "zzz", "b", "a", "", "c", "c"], {1, 6}, [0, 3, 1, 0, 4])]
+    for tokens, mentions, doc_lengths in cases:
+        want, got = _conv_and_projected(tokens, mentions, doc_lengths, table, params)
+        _assert_close_to_reference(got, want)
+
+
+def test_distinct_tokens_share_one_mask_row():
+    index = ClusterIndex(cluster=None, flat_tokens=["a", "b", "a", "c", "b", "zzz"],
+                         doc_lengths=[6], mention_token_set={1, 3, 4})
+    tokens, mask_rows, rows = index.distinct_tokens()
+    assert tokens == ["a", "", "zzz"]
+    assert mask_rows == [1]
+    assert rows.tolist() == [0, 1, 0, 1, 1, 2]
+
+
+def test_projected_encode_refuses_training():
+    rng = np.random.default_rng(49)
+    table = small_table(rng)
+    params = E.init_encoder(table.dim, rng)
+    distinct = E.embed_cluster(["a", "b"], [], table)
+    with pytest.raises(C.ComputeError):
+        E.encode(distinct, [3], params, training=True, rows=[0, 1, 0])
 
 
 def test_encode_deterministic_at_inference():

@@ -8,9 +8,12 @@ import pytest
 
 import clusterreader.compute as C
 import clusterreader.corpus as cp
+import clusterreader.encoder as E
 import clusterreader.model as M
+import clusterreader.scorer as S
+import clusterreader.synth as SY
 import clusterreader.training as T
-from clusterreader.aggregator import NULL_VALUE, AggregationConfig
+from clusterreader.aggregator import NULL_VALUE, AggregationConfig, aggregate_sum
 from clusterreader.cli import _tiny_cluster
 from clusterreader.constraints import beliefs_as_table, build_graph, run_bp, run_bp_tensor
 from clusterreader.scorer import NULL_SLOT
@@ -287,6 +290,91 @@ def test_mention_decode_modes():
         if decode in ("max", "sum"):
             # these decodes have no null candidate, so never abstain
             assert all(v is not None for v in rec["predictions"].values())
+
+
+def _count_conv1d(monkeypatch):
+    calls = []
+    conv1d = C.conv1d
+
+    def counting(*args, **kwargs):
+        calls.append(args[1].shape)
+        return conv1d(*args, **kwargs)
+
+    monkeypatch.setattr(C, "conv1d", counting)
+    return calls
+
+
+def test_eval_mode_loss_backpropagates_through_conv1d(monkeypatch):
+    # the training flag never picks the projected layer 1: a loss built with
+    # training=False, as gradient_check builds it, convolves both layers and
+    # gives the gradients of encode(embed_cluster(...)) bit for bit
+    hp = tiny_hp()
+    c = crash_cluster()
+    vocab = [t for d in c.documents for t in d.flat_tokens()]
+    model = M.init_model(vocab, hp, np.random.default_rng(21))
+    ref = M.init_model(vocab, hp, np.random.default_rng(21))
+    calls = _count_conv1d(monkeypatch)
+    C.backward(T.cluster_loss(model, c, hp, training=False))
+    assert calls == [model.enc.w1.shape, model.enc.w2.shape]
+
+    index = M.ClusterIndex.build(c)
+    R = E.encode(E.embed_cluster(index.flat_tokens, index.mention_token_set, ref.table),
+                 index.doc_lengths, ref.enc)
+    columns = index.columns(True)
+    scores = aggregate_sum(S.attend(ref.token_scores(R, ref.scoring_slots())),
+                           index.segments(columns))
+    loss, _ = T.value_loss(scores, ref.scoring_slots(), columns, c.gold)
+    C.backward(loss)
+    for name in ("enc.w1", "enc.b1", "mask_vector"):
+        got, want = model.params()[name].grad, ref.params()[name].grad
+        assert got is not None and np.abs(got).max() > 0, name
+        assert np.array_equal(got, want), name
+
+
+@pytest.mark.parametrize("loss_mode,decode", [("value_level", None), ("mention_level", "none"),
+                                              ("mention_level", "sum")])
+def test_prediction_convolves_only_layer_2(monkeypatch, loss_mode, decode):
+    hp = tiny_hp(loss_mode=loss_mode)
+    c = crash_cluster()
+    model = M.init_model([t for d in c.documents for t in d.flat_tokens()],
+                         hp, np.random.default_rng(22))
+    calls = _count_conv1d(monkeypatch)
+    M.predict_cluster(model, c, hp.aggregation, bp_iterations=1, mention_decode=decode)
+    assert calls == [model.enc.w2.shape]
+
+
+def _synth_clusters(n, seed):
+    clusters, _ = SY.generate(SY.SynthConfig(n_clusters=n, docs_min=3, docs_max=6, seed=seed,
+                                             misinformation_rate=0.2, offtopic_rate=0.2))
+    return clusters
+
+
+@pytest.mark.parametrize("loss_mode,bp,decode", [
+    ("value_level", 0, None), ("value_level", 1, None), ("value_level", "conv", None),
+    ("mention_level", 0, "none"), ("mention_level", 0, "max"), ("mention_level", 0, "sum")])
+def test_projected_predictions_match_conv1d_reference(monkeypatch, loss_mode, bp, decode):
+    clusters = _synth_clusters(6, 31)
+    hp = tiny_hp(loss_mode=loss_mode, embed_dim=12, width1=5, max_epochs=10, lr=0.03)
+    model = T.train(clusters, [], hp).model
+    got = M.predict_clusters(model, clusters, hp.aggregation, bp, decode)
+    if bp != 1:  # a single BP round predicts null for every slot
+        assert any(v is not None for r in got for v in r["predictions"].values())
+    representations = M.ReaderModel.representations
+
+    def conv_only(self, index, training=False, keep_prob=1.0, rng=None, projected=False):
+        return E.encode(E.embed_cluster(index.flat_tokens, index.mention_token_set, self.table),
+                        index.doc_lengths, self.enc)
+
+    monkeypatch.setattr(M.ReaderModel, "representations", conv_only)
+    want = M.predict_clusters(model, clusters, hp.aggregation, bp, decode)
+    monkeypatch.setattr(M.ReaderModel, "representations", representations)
+    assert M.predictions_map(got) == M.predictions_map(want)
+    assert M.rankings_map(got) == M.rankings_map(want)
+    for g, w in zip(got, want):
+        for slot, vals in w["scores"].items():
+            assert list(g["scores"][slot]) == list(vals)
+            for v, x in vals.items():
+                assert abs(g["scores"][slot][v] - x) <= 1e-12 + 1e-9 * abs(x)
 
 
 def test_bp_sharpened_table_matches_numpy_bp():
