@@ -8,6 +8,11 @@ topicality or from publication-date information content), or a sum over a
 per-document attention softmax, one block softmax whose blocks are the
 documents. The null column pools the attention mass left on non-mention
 tokens.
+
+Decoding reads prediction's S x V grid, whose columns are the mentioned
+values sorted and then null: top-1 is each row's first maximum and a
+ranking its stable descending sort, which in that order break ties to the
+smaller value_id with null last.
 """
 
 from __future__ import annotations
@@ -141,10 +146,10 @@ def date_weights(cluster: cp.Cluster, gold_for_fit: dict | None = None) -> np.nd
     and its density, min-max normalized to [0,1], becomes the document
     weight. Documents without datelines, and all documents when the fit is
     under-determined (fewer than 3 dated documents, no gold, flat curve),
-    keep weight 1.0.
+    keep weight 1.0. Prediction passes no gold, so there every document
+    keeps weight 1.0.
     """
-    gold = gold_for_fit if gold_for_fit is not None else cluster.gold
-    correct = {v for vals in gold.values() for v in vals}
+    correct = {v for vals in (gold_for_fit or {}).values() for v in vals}
     doc_w = np.ones(len(cluster.documents))
     dated = [i for i, d in enumerate(cluster.documents) if d.dateline]
     if len(dated) >= 3 and correct:
@@ -175,16 +180,22 @@ def weights_for(cluster: cp.Cluster, source: str, gold_for_fit: dict | None = No
 # decoding
 
 
-def decode_top1(table: dict) -> dict:
-    """Highest-scoring value per slot; ties break to the smaller value_id.
+def decode_top1(scores: np.ndarray, values) -> list:
+    """Each slot row's best column label, None where that is the null value.
 
-    A tied null never wins over a concrete value. Returns None for slots
-    whose best entry is the null value.
+    Columns are in grid order (values sorted, null last) and NaN cells are
+    unscored. The first maximum wins, so ties break to the smaller value_id
+    and a tied null never wins over a concrete value.
     """
-    out = {}
-    for slot, scores in table.items():
-        if not scores:
-            raise AggregationError(f"empty score table for slot {slot!r}")
-        best = min(scores.items(), key=lambda kv: (-kv[1], kv[0] == NULL_VALUE, kv[0]))
-        out[slot] = None if best[0] == NULL_VALUE else best[0]
-    return out
+    if np.isnan(scores).all(axis=1).any():
+        raise AggregationError("a slot has no scored value")
+    return [None if values[k] == NULL_VALUE else values[k]
+            for k in np.nanargmax(scores, axis=1).tolist()]
+
+
+def rank_values(scores: np.ndarray, values) -> list:
+    """Each slot row's scored column labels best-first: a stable sort in
+    grid order, so ties go to the smaller value_id with null last."""
+    order = np.argsort(-scores, axis=1, kind="stable").tolist()   # NaN sorts last
+    counts = (~np.isnan(scores)).sum(axis=1).tolist()
+    return [[values[k] for k in row[:n]] for row, n in zip(order, counts)]

@@ -1,8 +1,9 @@
 """Command-line pipeline: generate data, train, predict, evaluate, diagnose.
 
-Exit codes: 0 ok, 2 missing input file, 3 invalid data or configuration,
-4 divergence during training. Every command logs its resolved configuration
-and seed to stderr so runs can be reproduced from the log alone.
+Exit codes: 0 ok, 2 missing or unreadable input file, 3 invalid data or
+configuration, 4 divergence during training. Every command logs its
+resolved configuration and seed to stderr so runs can be reproduced from
+the log alone.
 """
 
 from __future__ import annotations
@@ -156,11 +157,8 @@ def cmd_predict(args) -> int:
     records = M.predict_clusters(model, clusters, config, bp_iterations=bp,
                                  mention_decode=decode)
     records.sort(key=lambda r: r["cluster_id"])
-    payload = [{"cluster_id": r["cluster_id"], "predictions": r["predictions"],
-                "rankings": {s: M.rank_values(v) for s, v in r["scores"].items()},
-                "scores": r["scores"]} for r in records]
     with open(args.out, "w") as fh:
-        json.dump(payload, fh, indent=1)
+        json.dump(records, fh, indent=1)
         fh.write("\n")
     log(f"wrote predictions for {len(records)} clusters to {args.out}")
     return 0
@@ -192,8 +190,8 @@ def cmd_bp_trace(args) -> int:
     index = M.ClusterIndex.build(cluster)
     if not index.groups:
         raise cp.CorpusError(f"cluster {cluster.cluster_id} has no mentions to trace")
-    graph = M.constraint_graph(index, M.score_table(model, index, config))
-    K.bp_trace(graph, args.iterations, args.out)
+    values, scores = M.prediction_scores(model, index, config)
+    K.bp_trace(M.bp_graph(values, model.scoring_slots(), scores), args.iterations, args.out)
     log(f"wrote {args.iterations}-iteration belief trace for "
         f"{cluster.cluster_id} to {args.out}")
     return 0
@@ -316,8 +314,8 @@ def run(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
-        log(f"missing file: {exc}")
+    except (FileNotFoundError, IsADirectoryError, PermissionError) as exc:
+        log(f"missing or unreadable file: {exc}")
         return EXIT_MISSING
     except T.DivergenceError as exc:
         log(f"training diverged: {exc}")

@@ -1,11 +1,12 @@
 """Exactly-one factor grid over (value, slot) variables, decoded by loopy BP.
 
 Aggregated value scores often let one value win several slots at once. This
-layer turns the score table into a grid of Boolean variables X[v,s] with a
-local potential sigmoid(phi) each, an Exactly-1 factor across the values of
-every slot, and an Exactly-1 factor across the slots of every non-null
-value. Synchronous message passing for a fixed number of rounds (or to
-convergence) sharpens the beliefs so duplicate assignments lose out.
+layer turns the transposed slot x value score matrix into a V x S grid of
+Boolean variables X[v,s] with a local potential sigmoid(phi) each, an
+Exactly-1 factor across the values of every slot, and an Exactly-1 factor
+across the slots of every non-null value. Synchronous message passing for
+a fixed number of rounds (or to convergence) sharpens the beliefs so
+duplicate assignments lose out.
 
 Messages are (true, false) pairs normalized to sum 1; we store only the
 true mass. The factor-to-variable update has the closed form
@@ -23,10 +24,12 @@ numpy calls over whole slices of the stack: both factor families into the
 from half, one combine into the to half, damping and the finiteness check
 over all four at once. The per-direction names stay readable as views.
 
-There is one BP implementation. Prediction runs these rounds on the score
-table (run_bp); training runs the same undamped rounds on the score matrix
-(run_bp_tensor) and differentiates them with one closed-form backward that
-walks the kept message states in reverse.
+There is one BP implementation, and both callers build its grid from a
+score matrix with ConstraintGraph.from_scores. Prediction runs these rounds
+on its grid (run_bp; values sorted, null last, unscored cells at
+MISSING_PHI); training runs the same undamped rounds on the loss's score
+matrix (run_bp_tensor) and differentiates them with one closed-form
+backward that walks the kept message states in reverse.
 """
 
 from __future__ import annotations
@@ -38,7 +41,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import compute as C
-from .aggregator import NULL_VALUE
 
 EPS = 1e-9
 CONVERGENCE = "conv"
@@ -108,25 +110,6 @@ def _sigmoid(x):
     x = np.asarray(x, dtype=np.float64)
     return np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
                     np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
-
-
-def build_graph(table: dict, values, slots) -> ConstraintGraph:
-    """Grid of sigmoided local potentials from a {slot: {value: phi}} table.
-
-    Pairs absent from the table get a strongly negative score so their local
-    potential is effectively zero.
-    """
-    values, slots = tuple(values), tuple(slots)
-    if not values or not slots:
-        raise ConstraintError("constraint grid needs at least one value and one slot")
-    phi = np.full((len(values), len(slots)), MISSING_PHI)
-    for j, s in enumerate(slots):
-        row_scores = table.get(s, {})
-        for i, v in enumerate(values):
-            if v in row_scores:
-                phi[i, j] = row_scores[v]
-    null_row = values.index(NULL_VALUE) if NULL_VALUE in values else None
-    return ConstraintGraph.from_scores(phi, values, slots, null_row)
 
 
 def init_messages(graph: ConstraintGraph) -> MessageState:
@@ -241,12 +224,6 @@ def run_bp(graph: ConstraintGraph, iterations) -> np.ndarray:
     return beliefs(state, graph)
 
 
-def beliefs_as_table(graph: ConstraintGraph, b: np.ndarray) -> dict:
-    """Reshape a belief grid into the {slot: {value: score}} decode format."""
-    return {s: {v: float(b[i, j]) for i, v in enumerate(graph.values)}
-            for j, s in enumerate(graph.slots)}
-
-
 def bp_trace(graph: ConstraintGraph, iterations: int, path):
     """CSV dump of the belief trajectory: iteration, value, slot, belief."""
     if iterations < 0:
@@ -298,7 +275,7 @@ def brute_force_oracle(local: np.ndarray) -> np.ndarray:
 def run_bp_tensor(phi: C.Tensor, null_col: int | None, iterations: int) -> C.Tensor:
     """Beliefs after undamped rounds, differentiable in the S x K score grid.
 
-    phi is the slot x value grid, the transpose of build_graph's layout: each
+    phi is the slot x value grid, the transpose of the V x S layout: each
     row is a slot's Exactly-1 factor and each column but null_col a value's.
     The forward is init_messages, bp_iterate and beliefs on the transposed
     grid, so it equals run_bp there; the backward is one node whose closure

@@ -5,20 +5,25 @@ dense matrix flows from attention to the loss: the scorer gives an S x n
 attention matrix (one row per scoring slot), the aggregator pools it into an
 S x K value score matrix, and training reads each slot's gold mass from that.
 Its K columns are the cluster's mentioned values plus the null value, sorted
-as strings (ClusterIndex.columns). For inference the matrix becomes the
-prediction record's {slot: {value: float}} table once per cluster
-(score_table), optionally sharpened by the constraint layer.
+as strings (ClusterIndex.columns).
 
-The prediction entry points (score_table and the mention-level tables)
-encode with projected=True: they embed only the cluster's distinct rows
-(ClusterIndex.distinct_tokens, every mention token one mask row) and the
-encoder reads layer 1 from their projection. Training, and anything else
-that backpropagates, keeps the default conv1d path whatever its training
-flag.
+Prediction works on one S x V grid per cluster (prediction_scores): the
+same matrix with its columns in grid order, the mentioned values sorted and
+then null (ClusterIndex.grid_columns), or the mention-level baseline's
+pooled probabilities in that order, NaN where a cell has no score. BP runs
+on that grid (bp_graph), and decoding, ranking and the {slot: {value:
+score}} record are read off it once (prediction_record).
+
+The prediction entry points encode with projected=True: they embed only the
+cluster's distinct rows (ClusterIndex.distinct_tokens, every mention token
+one mask row) and the encoder reads layer 1 from their projection.
+Training, and anything else that backpropagates, keeps the default conv1d
+path whatever its training flag.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -81,6 +86,10 @@ class ClusterIndex:
     def columns(self, null_enabled: bool) -> list:
         """Score-matrix column labels: mentioned values plus null, sorted as strings."""
         return sorted(list(self.groups) + ([NULL_VALUE] if null_enabled else []))
+
+    def grid_columns(self, null_enabled: bool) -> list:
+        """Prediction grid columns: mentioned values sorted, then null."""
+        return sorted(self.groups) + ([NULL_VALUE] if null_enabled else [])
 
     def segments(self, columns) -> list:
         """Tokens each column pools: a value's mention first tokens, or for
@@ -163,89 +172,86 @@ def init_model(vocab_tokens, hp, rng: np.random.Generator,
     return ReaderModel(table=table, enc=enc, pi=pi)
 
 
-def score_table(model: ReaderModel, index: ClusterIndex,
-                config: agg.AggregationConfig) -> dict:
-    """Value scores as the prediction record's {slot: {value: float}}, values
-    in first-mention order and the null value last."""
-    scores = model.value_scores(index, config, projected=True).data
+def prediction_scores(model: ReaderModel, index: ClusterIndex, config: agg.AggregationConfig,
+                      mention_decode: str | None = None) -> tuple[list, np.ndarray]:
+    """Grid columns and the S x V score matrix prediction decodes.
+
+    Rows are the scoring slots; columns are ClusterIndex.grid_columns, the
+    mentioned values sorted as strings and then the null value if it is
+    scored. A NaN cell has no score (mention decode 'none' only).
+    """
+    if mention_decode is not None:
+        return _mention_scores(model, index, mention_decode)
+    values = index.grid_columns(config.null_enabled)
     col = {v: k for k, v in enumerate(index.columns(config.null_enabled))}
-    keys = list(index.groups) + ([NULL_VALUE] if config.null_enabled else [])
-    return {slot: {v: float(scores[i, col[v]]) for v in keys}
-            for i, slot in enumerate(model.scoring_slots())}
+    scores = model.value_scores(index, config, projected=True).data
+    return values, scores[:, [col[v] for v in values]]
 
 
-def constraint_graph(index: ClusterIndex, table: dict) -> K.ConstraintGraph:
-    """Exactly-1 grid over a score table: mentioned values sorted, then null
-    if any slot scores it."""
-    values = sorted(index.groups)
-    if any(NULL_VALUE in vals for vals in table.values()):
-        values.append(NULL_VALUE)
-    return K.build_graph(table, values, list(table))
+def _mention_scores(model: ReaderModel, index: ClusterIndex,
+                    decode: str) -> tuple[list, np.ndarray]:
+    """Scores of the mention-classification baseline on the prediction grid.
 
-
-def rank_values(scores: dict) -> list:
-    """Value keys best-first; ties go to the smaller id with NULL last."""
-    return [k for k, _ in sorted(scores.items(),
-                                 key=lambda kv: (-kv[1], kv[0] == NULL_VALUE, kv[0]))]
-
-
-def _mention_mode_tables(model: ReaderModel, index: ClusterIndex, decode: str) -> dict:
-    """Score tables for the mention-classification baseline.
-
-    decode='none' treats each mention as classified into its argmax slot and
-    lets the most confident classified mention win that slot (slots winning
-    no mention fall to NULL); 'max'/'sum' pool the per-mention slot
-    probabilities over each value's mentions with no NULL candidate.
+    decode='none' classifies each mention into its argmax slot and lets the
+    most confident classified mention score its value in that slot; cells no
+    mention reaches are NaN, and null scores 0.0 everywhere. 'max'/'sum'
+    pool each slot's softmaxed probability over a value's mentions, with no
+    null column. Pooling is unbuffered in mention order, so a sum adds as a
+    running total over the mentions does; segment_pool's pairwise sum would
+    move the sums, and BP's beliefs after them, in the last bits.
     """
     probs = C.softmax(model.mention_slot_logits(index, projected=True)).data
     slot_order = list(model.pi)
     slots = model.scoring_slots()
-    table: dict = {s: {} for s in slots}
+    values = index.grid_columns(decode == "none")
+    col = {v: k for k, v in enumerate(values)}
+    owner = np.array([col[m.value_id] for m, _, _ in index.mention_rows])
+    scores = np.full((len(slots), len(values)), 0.0 if decode == "sum" else np.nan)
     if decode == "none":
-        for s in slots:
-            table[s][NULL_VALUE] = 0.0
-        for (m, _, _), p in zip(index.mention_rows, probs):
-            arg = slot_order[int(np.argmax(p))]
-            if arg == NULL_SLOT:
-                continue
-            cur = table[arg].get(m.value_id, 0.0)
-            table[arg][m.value_id] = max(cur, float(p.max()))
-        return table
-    for s in slots:
-        si = slot_order.index(s)
-        for (m, _, _), p in zip(index.mention_rows, probs):
-            prev = table[s].get(m.value_id)
-            val = float(p[si])
-            if decode == "max":
-                table[s][m.value_id] = val if prev is None else max(prev, val)
-            else:
-                table[s][m.value_id] = val if prev is None else prev + val
-    return table
+        scores[:, -1] = 0.0
+        row = np.array([-1 if s == NULL_SLOT else slots.index(s) for s in slot_order])
+        rows = row[probs.argmax(axis=1)]
+        kept = rows >= 0
+        np.fmax.at(scores, (rows[kept], owner[kept]), probs.max(axis=1)[kept])
+    else:
+        pool = np.add if decode == "sum" else np.fmax
+        pool.at(scores.T, owner, probs[:, [slot_order.index(s) for s in slots]])
+    return values, scores
+
+
+def bp_graph(values, slots, scores: np.ndarray) -> K.ConstraintGraph:
+    """The V x S constraint grid of an S x V score matrix; a NaN cell reads
+    MISSING_PHI, so its local potential is effectively zero."""
+    phi = np.where(np.isnan(scores), K.MISSING_PHI, scores).T
+    null_row = values.index(NULL_VALUE) if NULL_VALUE in values else None
+    return K.ConstraintGraph.from_scores(phi, values, slots, null_row)
+
+
+def prediction_record(cluster_id: str, slots, values, scores: np.ndarray) -> dict:
+    """The record predict writes for an S x V score matrix: the top value
+    per slot (None for null), every scored value best-first, and the
+    {slot: {value: score}} table in grid order without the NaN cells."""
+    table = {s: {v: x for v, x in zip(values, row) if not math.isnan(x)}
+             for s, row in zip(slots, scores.tolist())}
+    return {"cluster_id": cluster_id,
+            "predictions": dict(zip(slots, agg.decode_top1(scores, values))),
+            "rankings": dict(zip(slots, agg.rank_values(scores, values))),
+            "scores": table}
 
 
 def predict_cluster(model: ReaderModel, cluster: cp.Cluster,
                     config: agg.AggregationConfig, bp_iterations=0,
                     mention_decode: str | None = None) -> dict:
-    """Decode one cluster into the prediction-record format."""
+    """Decode one cluster into its prediction record."""
     index = ClusterIndex.build(cluster)
+    slots = model.scoring_slots()
     if index.n_tokens == 0 or not index.groups:
-        empty = {s: None for s in model.scoring_slots()}
-        return {"cluster_id": cluster.cluster_id, "predictions": empty,
-                "scores": {s: {NULL_VALUE: 1.0} for s in model.scoring_slots()}}
-    if mention_decode is not None:
-        scores = _mention_mode_tables(model, index, mention_decode)
-        scores = {s: (vals if vals else {NULL_VALUE: 0.0}) for s, vals in scores.items()}
-    else:
-        scores = score_table(model, index, config)
+        return prediction_record(cluster.cluster_id, slots, [NULL_VALUE],
+                                 np.ones((len(slots), 1)))
+    values, scores = prediction_scores(model, index, config, mention_decode)
     if bp_iterations != 0:
-        graph = constraint_graph(index, scores)
-        beliefs = K.run_bp(graph, bp_iterations)
-        decode_table = K.beliefs_as_table(graph, beliefs)
-    else:
-        decode_table = scores
-    predictions = agg.decode_top1(decode_table)
-    return {"cluster_id": cluster.cluster_id, "predictions": predictions,
-            "scores": decode_table}
+        scores = K.run_bp(bp_graph(values, slots, scores), bp_iterations).T
+    return prediction_record(cluster.cluster_id, slots, values, scores)
 
 
 def predict_clusters(model: ReaderModel, clusters, config: agg.AggregationConfig,
@@ -259,5 +265,4 @@ def predictions_map(records: list) -> dict:
 
 
 def rankings_map(records: list) -> dict:
-    return {r["cluster_id"]: {s: rank_values(vals) for s, vals in r["scores"].items()}
-            for r in records}
+    return {r["cluster_id"]: r["rankings"] for r in records}

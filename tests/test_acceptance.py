@@ -105,9 +105,7 @@ def test_bp_decode_matches_oracle_on_small_grids():
         phi = rng.normal(0.0, 2.0, size=(n, n))
         values = [f"v{i}" for i in range(n)]
         slots = [f"s{j}" for j in range(n)]
-        table = {s: {v: phi[i, j] for i, v in enumerate(values)}
-                 for j, s in enumerate(slots)}
-        graph = K.build_graph(table, values, slots)
+        graph = M.bp_graph(values, slots, phi.T)
         beliefs = K.run_bp(graph, K.CONVERGENCE)
         decode = tuple(int(np.argmax(beliefs[:, j])) for j in range(n))
         if decode == _best_permutation(graph.local):
@@ -116,9 +114,7 @@ def test_bp_decode_matches_oracle_on_small_grids():
 
     # zero iterations must leave the sigmoided locals untouched
     phi = np.array([[0.3, 1.7, 4.0], [2.2, 0.0, 5.5], [1.1, 0.4, 3.3]])
-    table = {f"s{j}": {f"v{i}": phi[i, j] for i in range(3)} for j in range(3)}
-    graph = K.build_graph(table, [f"v{i}" for i in range(3)],
-                          [f"s{j}" for j in range(3)])
+    graph = M.bp_graph([f"v{i}" for i in range(3)], [f"s{j}" for j in range(3)], phi.T)
     exact = np.array_equal(K.run_bp(graph, 0), 1.0 / (1.0 + np.exp(-phi)))
 
     check("constraint decoding vs brute force",
@@ -134,14 +130,13 @@ def test_one_bp_round_separates_duplicate_winners():
     def logit(p):
         return math.log(p / (1 - p))
 
-    table = {"s1": {"A": logit(0.58), "B": logit(0.17)},
-             "s2": {"A": logit(0.45), "B": logit(0.42)}}
-    graph = K.build_graph(table, ["A", "B"], ["s1", "s2"])
-    raw = decode_top1(K.beliefs_as_table(graph, K.run_bp(graph, 0)))
-    once = decode_top1(K.beliefs_as_table(graph, K.run_bp(graph, 1)))
+    phi = np.array([[logit(0.58), logit(0.17)],
+                    [logit(0.45), logit(0.42)]])     # slots s1, s2 x values A, B
+    graph = M.bp_graph(["A", "B"], ["s1", "s2"], phi)
+    raw = decode_top1(K.run_bp(graph, 0).T, graph.values)
+    once = decode_top1(K.run_bp(graph, 1).T, graph.values)
     check("duplicate suppression",
-          raw["s1"] == raw["s2"] == "A"
-          and once["s1"] == "A" and once["s2"] == "B",
+          raw == ["A", "A"] and once == ["A", "B"],
           f"raw decode {raw} -> one round {once}")
 
 
@@ -187,9 +182,8 @@ def test_attention_and_mass_normalization():
         R = model.representations(index)
         attention = S.attend(model.token_scores(R, model.scoring_slots()))
         worst_attn = max(worst_attn, float(np.abs(attention.data.sum(axis=1) - 1.0).max()))
-        table = M.score_table(model, index, config)
-        for slot, vals in table.items():
-            worst_mass = max(worst_mass, abs(sum(vals.values()) - 1.0))
+        _, scores = M.prediction_scores(model, index, config)
+        worst_mass = max(worst_mass, float(np.abs(scores.sum(axis=1) - 1.0).max()))
     check("normalization invariants",
           worst_attn < 1e-9 and worst_mass < 1e-9,
           f"max |attention sum - 1| {worst_attn:.1e}, "

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 import scipy.stats
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
@@ -278,14 +278,14 @@ def test_date_weights_fewer_than_three_dated_docs():
 
 def test_date_weights_equal_ic_all_equal():
     cluster = date_cluster([2, 2, 2, 2], ["2004-01-01", "2004-01-02", "2004-01-03", "2004-01-04"])
-    w = agg.date_weights(cluster)
+    w = agg.date_weights(cluster, cluster.gold)
     assert_allclose(w, np.ones(len(w)))
 
 
 def test_date_weights_early_outlier_downweighted():
     ics = [0, 3, 3, 3, 3, 3]
     cluster = date_cluster(ics, ["2004-01-0%d" % (i + 1) for i in range(6)])
-    w = agg.date_weights(cluster)
+    w = agg.date_weights(cluster, cluster.gold)
     # per-doc weight = weight of its first token
     starts = np.cumsum([0] + [d.n_tokens for d in cluster.documents[:-1]])
     doc_w = w[starts]
@@ -301,7 +301,7 @@ def test_date_weights_early_outlier_downweighted():
 
 def test_date_weights_undated_docs_stay_one():
     cluster = date_cluster([0, 3, 3, 3, 0], ["2004-01-01", "2004-01-02", "2004-01-03", "2004-01-04", None])
-    w = agg.date_weights(cluster)
+    w = agg.date_weights(cluster, cluster.gold)
     starts = np.cumsum([0] + [d.n_tokens for d in cluster.documents[:-1]])
     assert w[starts][-1] == 1.0
     assert w[starts][0] < 1.0
@@ -340,29 +340,53 @@ def test_per_document_dominant_value_accumulates_per_doc():
 
 
 def test_decode_top1_basic_and_null():
-    table = {"Crew": {"v1": 0.6, "v2": 0.3, agg.NULL_VALUE: 0.1},
-             "Operator": {"v1": 0.2, agg.NULL_VALUE: 0.7}}
-    out = agg.decode_top1(table)
-    assert out == {"Crew": "v1", "Operator": None}
+    scores = np.array([[0.6, 0.3, 0.1],         # Crew
+                       [0.2, np.nan, 0.7]])     # Operator: v2 unscored
+    assert agg.decode_top1(scores, ["v1", "v2", agg.NULL_VALUE]) == ["v1", None]
 
 
 def test_decode_top1_ties():
-    assert agg.decode_top1({"s": {"b": 0.4, "a": 0.4}}) == {"s": "a"}
+    assert agg.decode_top1(np.array([[0.4, 0.4]]), ["a", "b"]) == ["a"]
     # a tied null loses to a concrete value
-    assert agg.decode_top1({"s": {"z": 0.5, agg.NULL_VALUE: 0.5}}) == {"s": "z"}
+    assert agg.decode_top1(np.array([[0.5, 0.5]]), ["z", agg.NULL_VALUE]) == ["z"]
 
 
 def test_decode_top1_monotone_invariance():
     rng = np.random.default_rng(66)
-    scores = {f"v{i}": float(s) for i, s in enumerate(rng.uniform(size=6))}
-    base = agg.decode_top1({"s": scores})
-    squashed = {k: float(np.tanh(3 * v) + 2) for k, v in scores.items()}
-    assert agg.decode_top1({"s": squashed}) == base
+    scores = rng.uniform(size=(1, 6))
+    values = [f"v{i}" for i in range(6)]
+    base = agg.decode_top1(scores, values)
+    assert agg.decode_top1(np.tanh(3 * scores) + 2, values) == base
 
 
 def test_decode_top1_empty_slot_errors():
     with pytest.raises(agg.AggregationError):
-        agg.decode_top1({"s": {}})
+        agg.decode_top1(np.array([[0.5, 0.1], [np.nan, np.nan]]), ["a", agg.NULL_VALUE])
+
+
+def dict_rule_order(row: dict) -> list:
+    """The decode order of the {value: score} tables prediction used to rank:
+    best score first, ties to a concrete value over null, then the smaller id."""
+    return [v for v, _ in sorted(row.items(),
+                                 key=lambda kv: (-kv[1], kv[0] == agg.NULL_VALUE, kv[0]))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_matrix_decode_and_ranking_match_the_dict_rule(data):
+    ids = data.draw(st.lists(st.text("abz09_", min_size=1, max_size=3), min_size=1,
+                             max_size=8, unique=True), label="value ids")
+    values = sorted(ids) + ([agg.NULL_VALUE] if data.draw(st.booleans(), label="null") else [])
+    cell = st.one_of(st.sampled_from([0.0, -0.0, 0.25, 1.0, np.nan]),
+                     st.floats(-2.0, 2.0, allow_nan=False))
+    scores = data.draw(arrays(np.float64, (data.draw(st.integers(1, 4), label="slots"),
+                                           len(values)), elements=cell), label="scores")
+    assume(not np.isnan(scores).all(axis=1).any())
+    rows = [{v: x for v, x in zip(values, row) if not np.isnan(x)} for row in scores.tolist()]
+    want = [dict_rule_order(row) for row in rows]
+    assert agg.rank_values(scores, values) == want
+    assert agg.decode_top1(scores, values) == [
+        None if order[0] == agg.NULL_VALUE else order[0] for order in want]
 
 
 def test_weights_for_dispatch():

@@ -54,6 +54,20 @@ def test_missing_corpus_exits_2(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("command,flag", [
+    ("predict", "--checkpoint"), ("predict", "--corpus"), ("eval", "--pred"), ("eval", "--gold")])
+def test_directory_as_input_exits_2(pipeline, tmp_path, capsys, command, flag):
+    args = {"predict": {"--checkpoint": pipeline["ckpt"], "--corpus": pipeline["test"],
+                        "--out": str(tmp_path / "p.json")},
+            "eval": {"--pred": pipeline["pred"], "--gold": pipeline["test"]}}[command]
+    args[flag] = str(tmp_path)
+    code = cli.run([command] + [x for pair in args.items() for x in pair])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Traceback" not in err
+    assert err.strip().splitlines()[-1].startswith("[clusterreader] missing or unreadable file")
+
+
 def test_unknown_setting_exits_3(pipeline, tmp_path):
     code = cli.run(["train", "--corpus", pipeline["train"],
                     "--checkpoint", str(tmp_path / "m.json"), "--set", "nonsense=1"])
@@ -233,6 +247,10 @@ def test_predict_output_format(pipeline):
         assert set(rec) == {"cluster_id", "predictions", "rankings", "scores"}
         for slot, ranked in rec["rankings"].items():
             assert ranked, f"empty ranking for {slot}"
+            # scores list the values sorted, null last; a ranking holds the same keys
+            keys = list(rec["scores"][slot])
+            assert keys == sorted(set(keys) - {"__NULL__"}) + ["__NULL__"] * ("__NULL__" in keys)
+            assert sorted(ranked) == sorted(keys)
             top = rec["predictions"][slot]
             if top is None:
                 assert ranked[0] == "__NULL__"

@@ -11,6 +11,7 @@ from numpy.testing import assert_allclose
 
 from clusterreader import compute as C
 from clusterreader import constraints as K
+from clusterreader import model as M
 from clusterreader.aggregator import NULL_VALUE
 
 
@@ -22,11 +23,9 @@ def grid_graph(local):
     """Graph whose sigmoided locals equal the given matrix (no null row)."""
     local = np.asarray(local, dtype=np.float64)
     V, S = local.shape
-    values = [f"v{i}" for i in range(V)]
-    slots = [f"s{j}" for j in range(S)]
-    table = {s: {v: logit(local[i, j]) for i, v in enumerate(values)}
-             for j, s in enumerate(slots)}
-    return K.build_graph(table, values, slots)
+    phi = np.vectorize(logit)(local)
+    return K.ConstraintGraph.from_scores(phi, [f"v{i}" for i in range(V)],
+                                         [f"s{j}" for j in range(S)], None)
 
 
 def oracle_factor_message(mu, i):
@@ -46,23 +45,18 @@ def oracle_factor_message(mu, i):
     return t / z, f / z
 
 
-def test_build_graph_zero_phi_and_missing_pairs():
-    g = K.build_graph({"s0": {"a": 0.0}, "s1": {"a": 0.0}}, ["a", "b"], ["s0", "s1"])
+def test_bp_graph_zero_phi_and_missing_cells():
+    # prediction's S x V score matrix; NaN marks a cell without a score
+    g = M.bp_graph(["a", "b"], ["s0", "s1"], np.array([[0.0, np.nan], [0.0, np.nan]]))
+    assert g.values == ("a", "b") and g.slots == ("s0", "s1")
     assert_allclose(g.local[0], [0.5, 0.5])
-    assert np.all(g.local[1] < 1e-8)  # missing pair pushed to ~0
+    assert np.all(g.local[1] < 1e-8)  # missing cell pushed to ~0
     assert g.null_row is None
 
 
-def test_build_graph_detects_null_row():
-    g = K.build_graph({"s": {"a": 0.1, NULL_VALUE: 0.2}}, ["a", NULL_VALUE], ["s"])
+def test_bp_graph_detects_null_row():
+    g = M.bp_graph(["a", NULL_VALUE], ["s"], np.array([[0.1, 0.2]]))
     assert g.null_row == 1
-
-
-def test_build_graph_empty_errors():
-    with pytest.raises(K.ConstraintError):
-        K.build_graph({}, [], ["s"])
-    with pytest.raises(K.ConstraintError):
-        K.build_graph({}, ["v"], [])
 
 
 def test_init_messages():
@@ -184,8 +178,8 @@ def test_duplicate_prediction_broken_by_one_iteration():
     # in s2; the per-value factor should flip s2 to B after one round
     loc = {"A": {"s1": 0.58, "s2": 0.45}, "B": {"s1": 0.17, "s2": 0.42},
            NULL_VALUE: {"s1": 0.25, "s2": 0.13}}
-    table = {s: {v: logit(loc[v][s]) for v in loc} for s in ("s1", "s2")}
-    g = K.build_graph(table, ["A", "B", NULL_VALUE], ["s1", "s2"])
+    phi = [[logit(loc[v][s]) for v in loc] for s in ("s1", "s2")]
+    g = M.bp_graph(["A", "B", NULL_VALUE], ["s1", "s2"], np.array(phi))
     b0 = K.run_bp(g, 0)
     picks0 = [g.values[b0[:, j].argmax()] for j in range(2)]
     assert picks0 == ["A", "A"]
@@ -266,9 +260,9 @@ def test_brute_force_oracle_rejects_bad_grids():
         K.brute_force_oracle(np.full((5, 5), 0.5))  # > 20 variables
 
 
-def test_beliefs_as_table():
+def test_prediction_record_reads_beliefs_by_slot_and_value():
     g = grid_graph([[0.8], [0.3]])
-    table = K.beliefs_as_table(g, K.run_bp(g, 0))
+    table = M.prediction_record("c", g.slots, g.values, K.run_bp(g, 0).T)["scores"]
     assert_allclose(table["s0"]["v0"], 0.8)
     assert_allclose(table["s0"]["v1"], 0.3)
 
@@ -285,15 +279,14 @@ def test_bp_trace_csv(tmp_path):
 
 
 def test_tensor_bp_matches_numpy_path():
-    # the tensor BP runs on the slot x value grid, the transpose of build_graph's
+    # the tensor BP runs on the slot x value grid, the transpose of prediction's
     rng = np.random.default_rng(76)
     for null_row in (None, 2):
         for iters in (1, 2, 3):
             local = rng.uniform(0.05, 0.95, size=(3, 4))
             values = ["a", "b", NULL_VALUE] if null_row == 2 else ["a", "b", "c"]
-            table = {f"s{j}": {v: logit(local[i, j]) for i, v in enumerate(values)}
-                     for j in range(4)}
-            g = K.build_graph(table, values, [f"s{j}" for j in range(4)])
+            phi = np.vectorize(logit)(local).T
+            g = M.bp_graph(values, [f"s{j}" for j in range(4)], phi)
             want = K.run_bp(g, iters)
             phi = C.Tensor(np.log(local / (1 - local)).T, requires_grad=True)
             got = K.run_bp_tensor(phi, null_row, iters)
@@ -338,8 +331,7 @@ def test_tensor_bp_forward_is_the_numpy_rounds(data):
     rounds = data.draw(st.integers(0, 3), label="rounds")
     values = [NULL_VALUE if k == null_col else f"v{k:02d}" for k in range(phi.shape[1])]
     slots = [f"s{j}" for j in range(phi.shape[0])]
-    table = {s: {v: phi[j, k] for k, v in enumerate(values)} for j, s in enumerate(slots)}
-    graph = K.build_graph(table, values, slots)
+    graph = M.bp_graph(values, slots, phi)
     state = K.init_messages(graph)
     for _ in range(rounds):
         state = K.bp_iterate(state, graph)
@@ -446,8 +438,8 @@ def reference_converge(graph):
 
 
 def draw_grid(data, max_phi=8.0, missing=True, min_size=1):
-    """A build_graph grid of 1-24 values x 1-8 slots, maybe with a null row
-    and with pairs absent from the score table."""
+    """A prediction grid of 1-24 values x 1-8 slots, maybe with a null row
+    and with cells absent from the score matrix (NaN)."""
     V = data.draw(st.integers(min_size, 24), label="values")
     S = data.draw(st.integers(min_size, 8), label="slots")
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
@@ -457,9 +449,7 @@ def draw_grid(data, max_phi=8.0, missing=True, min_size=1):
     slots = [f"s{j}" for j in range(S)]
     phi = rng.uniform(-max_phi, max_phi, size=(V, S))
     present = rng.random((V, S)) < (0.8 if missing else 1.0)
-    table = {s: {v: float(phi[i, j]) for i, v in enumerate(values) if present[i, j]}
-             for j, s in enumerate(slots)}
-    return K.build_graph(table, values, slots)
+    return M.bp_graph(values, slots, np.where(present, phi, np.nan).T)
 
 
 @settings(max_examples=150, deadline=None)

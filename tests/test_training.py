@@ -13,9 +13,9 @@ import clusterreader.model as M
 import clusterreader.scorer as S
 import clusterreader.synth as SY
 import clusterreader.training as T
-from clusterreader.aggregator import NULL_VALUE, AggregationConfig, aggregate_sum
-from clusterreader.cli import _tiny_cluster
-from clusterreader.constraints import beliefs_as_table, build_graph, run_bp, run_bp_tensor
+from clusterreader.aggregator import NULL_VALUE, AggregationConfig, aggregate_sum, rank_values
+from clusterreader.cli import AGG_PRESETS, _tiny_cluster, aggregation_preset
+from clusterreader.constraints import run_bp, run_bp_tensor
 from clusterreader.scorer import NULL_SLOT
 
 
@@ -273,9 +273,12 @@ def test_predict_cluster_covers_all_slots():
                          hp, np.random.default_rng(2))
     rec = M.predict_cluster(model, c, hp.aggregation)
     assert set(rec["predictions"]) == set(cp.EVAL_SLOTS)
+    values, scores = M.prediction_scores(model, M.ClusterIndex.build(c), hp.aggregation)
+    rankings = dict(zip(model.scoring_slots(), rank_values(scores, values)))
     for slot, value in rec["predictions"].items():
         assert value is None or value in c.candidate_values
-        ranked = M.rank_values(rec["scores"][slot])
+        ranked = rankings[slot]
+        assert rec["rankings"][slot] == ranked
         assert ranked[0] == (value if value is not None else NULL_VALUE) or value is None
 
 
@@ -349,6 +352,22 @@ def _synth_clusters(n, seed):
     return clusters
 
 
+@pytest.fixture(scope="module")
+def dated_model_and_clusters():
+    clusters = _synth_clusters(6, 3)    # synth documents carry datelines
+    return T.train(clusters, [], tiny_hp(max_epochs=1)).model, clusters
+
+
+@pytest.mark.parametrize("preset", sorted(AGG_PRESETS))
+def test_predict_records_do_not_read_gold(dated_model_and_clusters, preset):
+    model, clusters = dated_model_and_clusters
+    config = aggregation_preset(preset)
+    stripped = [replace(c, gold={}) for c in clusters]
+    for bp in (0, 1):
+        assert (M.predict_clusters(model, stripped, config, bp)
+                == M.predict_clusters(model, clusters, config, bp))
+
+
 @pytest.mark.parametrize("loss_mode,bp,decode", [
     ("value_level", 0, None), ("value_level", 1, None), ("value_level", "conv", None),
     ("mention_level", 0, "none"), ("mention_level", 0, "max"), ("mention_level", 0, "sum")])
@@ -386,12 +405,8 @@ def test_bp_sharpened_table_matches_numpy_bp():
     sharpened = run_bp_tensor(C.Tensor(phi, requires_grad=True),
                               columns.index(NULL_VALUE), 2)
 
-    table = {s: {v: phi[i, k] for k, v in enumerate(columns)} for i, s in enumerate(slots)}
-    graph = build_graph(table, columns, slots)
-    want = beliefs_as_table(graph, run_bp(graph, 2))
-    for i, s in enumerate(slots):
-        for k, v in enumerate(columns):
-            assert sharpened.data[i, k] == want[s][v]
+    want = run_bp(M.bp_graph(columns, slots, phi), 2).T
+    assert np.array_equal(sharpened.data, want)
 
 
 def graph_size(loss):
