@@ -3,11 +3,12 @@
 A value is usually mentioned many times across a cluster; these functions
 pool the S x n attention matrix (one row per slot) into an S x K value score
 matrix with one segment-pool op. Column k pools the first tokens of one
-value's mentions: hard max, plain sum, weighted sum (weights from discourse
-topicality or from publication-date information content), or a sum over a
-per-document attention softmax, one block softmax whose blocks are the
-documents. The null column pools the attention mass left on non-mention
-tokens.
+value's mentions. The aggregation mode is one of MODES: 'max' (hard max),
+'sum' (plain sum), 'topic' or 'date' (a sum weighted by discourse
+topicality or by publication-date information content), or 'per-doc' (a
+sum over a per-document attention softmax, one block softmax whose blocks
+are the documents). The null column pools the attention mass left on
+non-mention tokens.
 
 Decoding reads prediction's S x V grid, whose columns are the mentioned
 values sorted and then null: top-1 is each row's first maximum and a
@@ -27,8 +28,7 @@ from . import corpus as cp
 
 NULL_VALUE = "__NULL__"
 
-MODES = ("max", "sum", "weighted_sum", "per_document_softmax_sum")
-WEIGHT_SOURCES = ("unit", "topic", "date")
+MODES = ("max", "sum", "topic", "date", "per-doc")
 
 
 class AggregationError(ValueError):
@@ -38,16 +38,11 @@ class AggregationError(ValueError):
 @dataclass(frozen=True)
 class AggregationConfig:
     mode: str = "sum"
-    weight_source: str = "unit"
     null_enabled: bool = True
 
     def __post_init__(self):
         if self.mode not in MODES:
-            raise AggregationError(f"unknown aggregation mode {self.mode!r}")
-        if self.weight_source not in WEIGHT_SOURCES:
-            raise AggregationError(f"unknown weight source {self.weight_source!r}")
-        if self.mode == "weighted_sum" and self.weight_source == "unit":
-            raise AggregationError("weighted_sum needs a topic or date weight source")
+            raise AggregationError(f"mode must be one of {', '.join(MODES)}, got {self.mode!r}")
 
 
 def aggregate_max(a: C.Tensor, segments, null_col: int | None = None) -> C.Tensor:
@@ -81,10 +76,6 @@ def per_document_attention(u: C.Tensor, doc_lengths) -> C.Tensor:
 
 # ---------------------------------------------------------------------------
 # aggregation weights
-
-
-def _doc_token_counts(cluster: cp.Cluster) -> list[int]:
-    return [d.n_tokens for d in cluster.documents]
 
 
 def topic_weights(cluster: cp.Cluster) -> np.ndarray:
@@ -162,18 +153,18 @@ def date_weights(cluster: cp.Cluster, gold_for_fit: dict | None = None) -> np.nd
             span = dens.max() - dens.min()
             if span > 1e-12:
                 doc_w[dated] = (dens - dens.min()) / span
-    counts = _doc_token_counts(cluster)
+    counts = [d.n_tokens for d in cluster.documents]
     return np.repeat(doc_w, counts) if counts else np.zeros(0)
 
 
-def weights_for(cluster: cp.Cluster, source: str, gold_for_fit: dict | None = None) -> np.ndarray:
-    if source == "unit":
-        return np.ones(sum(_doc_token_counts(cluster)))
-    if source == "topic":
+def weights_for(cluster: cp.Cluster, mode: str, gold_for_fit: dict | None = None):
+    """Per-token pooling weights of an aggregation mode; None for the
+    unweighted modes."""
+    if mode == "topic":
         return topic_weights(cluster)
-    if source == "date":
+    if mode == "date":
         return date_weights(cluster, gold_for_fit)
-    raise AggregationError(f"unknown weight source {source!r}")
+    return None
 
 
 # ---------------------------------------------------------------------------

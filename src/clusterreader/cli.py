@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -20,27 +21,12 @@ from . import corpus as cp
 from . import model as M
 from . import synth as sy
 from . import training as T
-from .aggregator import AggregationConfig, AggregationError
+from .aggregator import MODES, AggregationError
 from .evaluation import evaluate, instance_from_cluster, load_predictions, render_report
 
 EXIT_MISSING = 2
 EXIT_INVALID = 3
 EXIT_DIVERGED = 4
-
-AGG_PRESETS = {
-    "max": {"mode": "max"},
-    "sum": {"mode": "sum"},
-    "topic": {"mode": "weighted_sum", "weight_source": "topic"},
-    "date": {"mode": "weighted_sum", "weight_source": "date"},
-    "per-doc": {"mode": "per_document_softmax_sum"},
-}
-
-
-def aggregation_preset(name: str) -> AggregationConfig:
-    if name not in AGG_PRESETS:
-        raise AggregationError(f"unknown aggregation preset {name!r}")
-    return AggregationConfig(**AGG_PRESETS[name])
-
 
 def parse_config_file(path) -> dict:
     """Flat key = value lines; # comments; quotes optional on values."""
@@ -104,7 +90,7 @@ def resolve_hyperparams(args) -> T.Hyperparams:
         settings.update(parse_config_file(args.config))
     settings.update(parse_overrides(args.set))
     if args.aggregation:
-        settings.update(AGG_PRESETS[args.aggregation])
+        settings["mode"] = args.aggregation
     if args.seed is not None:
         settings["seed"] = str(args.seed)
     return T.hyperparams_from_dict(settings)
@@ -147,7 +133,7 @@ def cmd_train(args) -> int:
 
 def cmd_predict(args) -> int:
     model, stored_config, loss_mode = T.load_model(args.checkpoint)
-    config = aggregation_preset(args.aggregation) if args.aggregation else stored_config
+    config = replace(stored_config, mode=args.aggregation or stored_config.mode)
     decode = args.mention_decode
     if decode is None and loss_mode == "mention_level":
         decode = "sum"
@@ -180,7 +166,7 @@ def cmd_eval(args) -> int:
 
 def cmd_bp_trace(args) -> int:
     model, stored_config, _ = T.load_model(args.checkpoint)
-    config = aggregation_preset(args.aggregation) if args.aggregation else stored_config
+    config = replace(stored_config, mode=args.aggregation or stored_config.mode)
     clusters = cp.load_clusters(args.corpus)
     wanted = [c for c in clusters if c.cluster_id == args.cluster_id] \
         if args.cluster_id else clusters[:1]
@@ -267,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None, help="key = value settings file")
     p.add_argument("--set", action="append", metavar="KEY=VALUE",
                    help="override a setting (repeatable; wins over --config)")
-    p.add_argument("--aggregation", choices=sorted(AGG_PRESETS), default=None)
+    p.add_argument("--aggregation", choices=MODES, default=None)
     p.add_argument("--embeddings", default=None,
                    help="pretrained embedding text file (token v1 ... ve)")
     p.add_argument("--checkpoint", required=True)
@@ -279,8 +265,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--aggregation", choices=sorted(AGG_PRESETS), default=None,
-                   help="default: the aggregation the checkpoint was trained with")
+    p.add_argument("--aggregation", choices=MODES, default=None,
+                   help="default: the checkpoint's mode (its null_enabled is kept either way)")
     p.add_argument("--bp", default="0", help="constraint iterations: 0, 1, 2, ... or conv")
     p.add_argument("--mention-decode", choices=("none", "max", "sum"), default=None)
     p.set_defaults(func=cmd_predict)
@@ -298,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True)
     p.add_argument("--cluster-id", default=None)
     p.add_argument("--iterations", type=int, default=2)
-    p.add_argument("--aggregation", choices=sorted(AGG_PRESETS), default=None)
+    p.add_argument("--aggregation", choices=MODES, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_bp_trace)
 

@@ -245,7 +245,7 @@ def split_dev(train_clusters, extra_dev_clusters: int = 0):
     return train_out, dev_out
 
 
-def segment_topicality(doc: Document, topical_flight_values=frozenset()) -> list[bool]:
+def segment_topicality(doc: Document) -> list[bool]:
     """Per-sentence on-topic flags from the flight-number discourse rule.
 
     A document starts on topic. A sentence containing a flight-number
@@ -261,7 +261,7 @@ def segment_topicality(doc: Document, topical_flight_values=frozenset()) -> list
     on_topic = True
     for sid in range(len(doc.sentences)):
         hits = by_sentence.get(sid, ())
-        if any(m.is_topical_flight or m.value_id in topical_flight_values for m in hits):
+        if any(m.is_topical_flight for m in hits):
             on_topic = True
         elif hits:
             on_topic = False

@@ -136,7 +136,7 @@ class ReaderModel:
         R = self.representations(index, training=training, keep_prob=keep_prob, rng=rng,
                                  projected=projected)
         U = self.token_scores(R, self.scoring_slots())
-        if config.mode == "per_document_softmax_sum":
+        if config.mode == "per-doc":
             A = agg.per_document_attention(U, index.doc_lengths)
         else:
             A = S.attend(U)
@@ -145,10 +145,8 @@ class ReaderModel:
         if config.mode == "max":
             null_col = columns.index(NULL_VALUE) if config.null_enabled else None
             return agg.aggregate_max(A, segments, null_col)
-        weights = None
-        if config.mode == "weighted_sum":
-            weights = agg.weights_for(index.cluster, config.weight_source, gold_for_fit)
-        return agg.aggregate_sum(A, segments, weights)
+        return agg.aggregate_sum(A, segments,
+                                 agg.weights_for(index.cluster, config.mode, gold_for_fit))
 
     def mention_slot_logits(self, index: ClusterIndex, training: bool = False,
                             keep_prob: float = 1.0, rng=None,

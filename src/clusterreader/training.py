@@ -10,7 +10,7 @@ recreates the brittleness of classic distant supervision on purpose.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -18,7 +18,7 @@ from . import compute as C
 from . import corpus as cp
 from . import encoder as E
 from . import scorer as S
-from .aggregator import NULL_VALUE, AggregationConfig
+from .aggregator import NULL_VALUE, AggregationConfig, AggregationError
 from .constraints import run_bp_tensor
 from .evaluation import evaluate, instance_from_cluster
 from .model import (ClusterIndex, ReaderModel, init_model, predict_clusters,
@@ -79,39 +79,39 @@ class Hyperparams:
                 raise TrainingError(f"{name} must be non-negative, got {getattr(self, name)}")
 
 
-_FIELD_TYPES = {
-    "lr": float, "l2": float, "keep_prob": float,
-    "width1": int, "width2": int, "d1": int, "r": int, "embed_dim": int,
-    "bp_train_iters": int, "seed": int, "max_epochs": int, "patience": int,
-    "loss_mode": str,
-}
-_AGG_KEYS = {"mode": str, "weight_source": str, "null_enabled": bool}
+_BOOLS = {"true": True, "1": True, "yes": True, "on": True,
+          "false": False, "0": False, "no": False, "off": False}
 
 
-def hyperparams_from_dict(overrides: dict) -> Hyperparams:
-    """Build Hyperparams from string-valued config keys (file or CLI)."""
-    kwargs = {}
-    agg_kwargs = {}
-    for key, raw in overrides.items():
-        if key in _AGG_KEYS:
-            agg_kwargs[key] = _coerce(raw, _AGG_KEYS[key])
-        elif key == "aggregation" and isinstance(raw, AggregationConfig):
-            kwargs[key] = raw
-        elif key in _FIELD_TYPES:
-            kwargs[key] = _coerce(raw, _FIELD_TYPES[key])
-        else:
+def hyperparams_from_dict(settings: dict, text: bool = True) -> Hyperparams:
+    """Build Hyperparams from flat keys: its own fields and AggregationConfig's.
+
+    Each value takes the type of its field's default. With text (config
+    files and --set) a string is parsed to that type; otherwise (checkpoint
+    JSON) the value must already have it.
+    """
+    kinds = {f.name: type(f.default) for f in fields(Hyperparams) + fields(AggregationConfig)
+             if f.name != "aggregation"}
+    typed = {}
+    for key, raw in settings.items():
+        if key not in kinds:
             raise TrainingError(f"unknown hyperparameter {key!r}")
-    if agg_kwargs and "aggregation" not in kwargs:
-        kwargs["aggregation"] = AggregationConfig(**agg_kwargs)
-    return Hyperparams(**kwargs)
+        typed[key] = _typed(key, raw, kinds[key], text)
+    aggregation = AggregationConfig(**{f.name: typed.pop(f.name)
+                                       for f in fields(AggregationConfig) if f.name in typed})
+    return Hyperparams(aggregation=aggregation, **typed)
 
 
-def _coerce(raw, target):
-    if isinstance(raw, target):
+def _typed(key: str, raw, kind: type, text: bool):
+    if type(raw) is kind:
         return raw
-    if target is bool:
-        return str(raw).strip().lower() in ("1", "true", "yes", "on")
-    return target(raw)
+    if text and isinstance(raw, str):
+        try:
+            return _BOOLS[raw.strip().lower()] if kind is bool else kind(raw)
+        except (KeyError, ValueError):
+            pass
+    words = " (true/false, 1/0, yes/no or on/off)" if kind is bool and text else ""
+    raise TrainingError(f"{key} must be a {kind.__name__}{words}, got {raw!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -290,13 +290,7 @@ def save_model(path, model: ReaderModel, hp: Hyperparams):
         "vocab": model.table.vocab,
         "embed_matrix": model.table.matrix.tolist(),
         "unk_vector": model.table.unk_vector.tolist(),
-        "shape": {"width1": model.enc.w1.shape[0], "width2": model.enc.w2.shape[0]},
-        "hyperparams": {
-            "loss_mode": hp.loss_mode,
-            "mode": hp.aggregation.mode,
-            "weight_source": hp.aggregation.weight_source,
-            "null_enabled": hp.aggregation.null_enabled,
-        },
+        "hyperparams": {"loss_mode": hp.loss_mode, **asdict(hp.aggregation)},
     }
     C.save_checkpoint(path, model.params(), seed=hp.seed, extra=extra)
 
@@ -313,6 +307,8 @@ def load_model(path):
     slots, vocab = extra["slots"], extra["vocab"]
     if not isinstance(slots, list) or not all(isinstance(s, str) for s in slots):
         raise C.ComputeError(f"{path}: checkpoint extra.slots is not a list of strings")
+    if all(s == NULL_SLOT for s in slots):
+        raise C.ComputeError(f"{path}: checkpoint extra.slots names no scoring slot")
     wanted = ["mask_vector", "enc.w1", "enc.b1", "enc.w2", "enc.b2"]
     missing = [f"params.{k}" for k in wanted + [f"slot.{s}" for s in slots] if k not in params]
     if missing:
@@ -337,11 +333,19 @@ def load_model(path):
                           b2=C.Tensor(params["enc.b2"], requires_grad=True))
     pi = {s: C.Tensor(params[f"slot.{s}"], requires_grad=True) for s in slots}
     model = ReaderModel(table=table, enc=enc, pi=pi)
-    hp_bits = extra.get("hyperparams", {})
-    config = AggregationConfig(mode=hp_bits.get("mode", "sum"),
-                               weight_source=hp_bits.get("weight_source", "unit"),
-                               null_enabled=hp_bits.get("null_enabled", True))
-    return model, config, hp_bits.get("loss_mode", "value_level")
+    bits = extra.get("hyperparams", {})
+    if not isinstance(bits, dict):
+        raise C.ComputeError(f"{path}: checkpoint extra.hyperparams is not an object")
+    source = bits.pop("weight_source", None)    # older checkpoints: two aggregation fields
+    if bits.get("mode") == "weighted_sum":
+        bits["mode"] = source
+    elif bits.get("mode") == "per_document_softmax_sum":
+        bits["mode"] = "per-doc"
+    try:
+        hp = hyperparams_from_dict(bits, text=False)
+    except (TrainingError, AggregationError) as exc:
+        raise C.ComputeError(f"{path}: checkpoint extra.hyperparams: {exc}") from exc
+    return model, hp.aggregation, hp.loss_mode
 
 
 # ---------------------------------------------------------------------------

@@ -277,8 +277,7 @@ def test_aggregation_benchmark():
                             _bench_hp("sum", "mention_level"))
 
     sum_f1 = test_f1(sum_state.model, AggregationConfig(mode="sum"))
-    topic_f1 = test_f1(sum_state.model, AggregationConfig(mode="weighted_sum",
-                                                          weight_source="topic"))
+    topic_f1 = test_f1(sum_state.model, AggregationConfig(mode="topic"))
     max_f1 = test_f1(max_state.model, AggregationConfig(mode="max"))
     mention_best = max(test_f1(mention_state.model, AggregationConfig(mode="sum"),
                                decode=d) for d in ("none", "max", "sum"))
@@ -410,9 +409,7 @@ def test_real_corpus_end_to_end():
 
     rows = {
         "rac-sum": report_for(sum_state.model, AggregationConfig(mode="sum")),
-        "rac-topic": report_for(sum_state.model,
-                                AggregationConfig(mode="weighted_sum",
-                                                  weight_source="topic")),
+        "rac-topic": report_for(sum_state.model, AggregationConfig(mode="topic")),
         "mention-cnn": report_for(mention_state.model,
                                   AggregationConfig(mode="sum"), decode="sum"),
     }

@@ -21,13 +21,11 @@ def make_doc(doc_id, order, sentences, mentions=(), dateline=None):
 
 
 def test_config_validation():
-    agg.AggregationConfig(mode="weighted_sum", weight_source="topic")
-    with pytest.raises(agg.AggregationError):
-        agg.AggregationConfig(mode="weighted_sum", weight_source="unit")
-    with pytest.raises(agg.AggregationError):
-        agg.AggregationConfig(mode="mean")
-    with pytest.raises(agg.AggregationError):
-        agg.AggregationConfig(weight_source="tfidf")
+    for mode in agg.MODES:
+        agg.AggregationConfig(mode=mode)
+    for mode in ("mean", "weighted_sum", "per_document_softmax_sum"):
+        with pytest.raises(agg.AggregationError, match="mode must be one of"):
+            agg.AggregationConfig(mode=mode)
 
 
 def rows(*xs):
@@ -392,7 +390,7 @@ def test_matrix_decode_and_ranking_match_the_dict_rule(data):
 def test_weights_for_dispatch():
     doc = make_doc("d", 0, [["a", "b"]])
     cluster = cp.Cluster("c", "train", {}, (), (doc,))
-    assert_allclose(agg.weights_for(cluster, "unit"), [1, 1])
     assert_allclose(agg.weights_for(cluster, "topic"), [1, 1])
-    with pytest.raises(agg.AggregationError):
-        agg.weights_for(cluster, "idf")
+    assert_allclose(agg.weights_for(cluster, "date"), [1, 1])
+    for mode in ("max", "sum", "per-doc"):
+        assert agg.weights_for(cluster, mode) is None

