@@ -93,7 +93,26 @@ def resolve_hyperparams(args) -> T.Hyperparams:
         settings["mode"] = args.aggregation
     if args.seed is not None:
         settings["seed"] = str(args.seed)
-    return T.hyperparams_from_dict(settings)
+    hp = T.hyperparams_from_dict(settings)
+    refuse_mention_level_aggregation(args, hp.loss_mode)
+    return hp
+
+
+def refuse_mention_level_aggregation(args, loss_mode: str):
+    """A mention-level model classifies mentions and pools no attention, so
+    no aggregation mode would reach it."""
+    if args.aggregation and loss_mode == "mention_level":
+        raise T.TrainingError("--aggregation does not apply to loss_mode=mention_level: "
+                              "a mention-level model pools no attention")
+
+
+def load_for_prediction(args):
+    """The checkpoint's model, its aggregation with --aggregation's mode,
+    and the mention decode prediction uses by default."""
+    model, stored_config, loss_mode = T.load_model(args.checkpoint)
+    refuse_mention_level_aggregation(args, loss_mode)
+    config = replace(stored_config, mode=args.aggregation or stored_config.mode)
+    return model, config, T.default_mention_decode(loss_mode)
 
 
 def cmd_train(args) -> int:
@@ -132,11 +151,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    model, stored_config, loss_mode = T.load_model(args.checkpoint)
-    config = replace(stored_config, mode=args.aggregation or stored_config.mode)
-    decode = args.mention_decode
-    if decode is None and loss_mode == "mention_level":
-        decode = "sum"
+    model, config, default_decode = load_for_prediction(args)
+    decode = args.mention_decode or default_decode
     bp = parse_bp(args.bp)
     log(f"predict config: aggregation={config} bp={bp} mention_decode={decode}")
     clusters = cp.load_clusters(args.corpus)
@@ -165,8 +181,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_bp_trace(args) -> int:
-    model, stored_config, _ = T.load_model(args.checkpoint)
-    config = replace(stored_config, mode=args.aggregation or stored_config.mode)
+    model, config, decode = load_for_prediction(args)
+    log(f"bp-trace config: aggregation={config} mention_decode={decode}")
     clusters = cp.load_clusters(args.corpus)
     wanted = [c for c in clusters if c.cluster_id == args.cluster_id] \
         if args.cluster_id else clusters[:1]
@@ -176,7 +192,7 @@ def cmd_bp_trace(args) -> int:
     index = M.ClusterIndex.build(cluster)
     if not index.groups:
         raise cp.CorpusError(f"cluster {cluster.cluster_id} has no mentions to trace")
-    values, scores = M.prediction_scores(model, index, config)
+    values, scores = M.prediction_scores(model, index, config, decode)
     K.bp_trace(M.bp_graph(values, model.scoring_slots(), scores), args.iterations, args.out)
     log(f"wrote {args.iterations}-iteration belief trace for "
         f"{cluster.cluster_id} to {args.out}")
@@ -253,7 +269,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None, help="key = value settings file")
     p.add_argument("--set", action="append", metavar="KEY=VALUE",
                    help="override a setting (repeatable; wins over --config)")
-    p.add_argument("--aggregation", choices=MODES, default=None)
+    p.add_argument("--aggregation", choices=MODES, default=None,
+                   help="not with loss_mode=mention_level")
     p.add_argument("--embeddings", default=None,
                    help="pretrained embedding text file (token v1 ... ve)")
     p.add_argument("--checkpoint", required=True)
@@ -266,9 +283,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--aggregation", choices=MODES, default=None,
-                   help="default: the checkpoint's mode (its null_enabled is kept either way)")
+                   help="default: the checkpoint's mode (its null_enabled is kept either way); "
+                        "not for a mention_level checkpoint")
     p.add_argument("--bp", default="0", help="constraint iterations: 0, 1, 2, ... or conv")
-    p.add_argument("--mention-decode", choices=("none", "max", "sum"), default=None)
+    p.add_argument("--mention-decode", choices=("none", "max", "sum"), default=None,
+                   help="default: sum for a mention_level checkpoint")
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("eval", help="score predictions against gold")
@@ -284,7 +303,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True)
     p.add_argument("--cluster-id", default=None)
     p.add_argument("--iterations", type=int, default=2)
-    p.add_argument("--aggregation", choices=MODES, default=None)
+    p.add_argument("--aggregation", choices=MODES, default=None,
+                   help="as for predict; a mention_level checkpoint traces its sum decode")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_bp_trace)
 

@@ -21,8 +21,12 @@ All four message directions live in one 4 x V x S float64 array, stacked as
 then the factor-to-variable messages each of them is combined from (to_row
 takes from_col, to_col takes from_row). A round is therefore a handful of
 numpy calls over whole slices of the stack: both factor families into the
-from half, one combine into the to half, damping and the finiteness check
-over all four at once. The per-direction names stay readable as views.
+from half, one combine into the to half, damping over all four at once.
+The per-direction names stay readable as views. A round returns its own
+largest message change (MessageState.delta, max |new - old| over the whole
+stack): converge stops on it, and since it is NaN or inf exactly when a
+message is, it is also the round's finiteness check; the four directions
+are scanned for the culprit's name only when it fails.
 
 There is one BP implementation, and both callers build its grid from a
 score matrix with ConstraintGraph.from_scores. Prediction runs these rounds
@@ -36,7 +40,9 @@ from __future__ import annotations
 
 import csv
 import itertools
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -70,6 +76,11 @@ class ConstraintGraph:
     def shape(self):
         return self.local.shape
 
+    @cached_property
+    def not_local(self) -> np.ndarray:
+        """1 - local, the false mass of every local potential."""
+        return 1 - self.local
+
 
 @dataclass
 class MessageState:
@@ -79,10 +90,14 @@ class MessageState:
     to_col:   X[v,s] -> value factor v (null row unused)
     from_col: value factor v -> X[v,s], held at 0.5 on the null row (no factor there)
     from_row: slot factor s -> X[v,s]
+
+    delta is the round's largest message change, max |new - old| over the
+    whole stack (inf before the first round).
     """
 
     msgs: np.ndarray
     iteration: int = 0
+    delta: float = np.inf
 
     @property
     def to_row(self) -> np.ndarray:
@@ -141,10 +156,12 @@ def exactly1_all(mu: np.ndarray, axis: int) -> np.ndarray:
     return _exactly1(_odds(mu), axis)
 
 
-def _combine(local: np.ndarray, other_t: np.ndarray, out=None) -> np.ndarray:
-    """Variable -> factor message: the local potential times the other factor's."""
+def _combine(local: np.ndarray, other_t: np.ndarray, out=None, not_local=None) -> np.ndarray:
+    """Variable -> factor message: the local potential times the other factor's.
+
+    not_local is 1 - local when the caller already holds it."""
     t = local * other_t
-    f = (1 - local) * (1 - other_t)
+    f = (1 - local if not_local is None else not_local) * (1 - other_t)
     p = np.divide(t, t + f, out=out)
     return np.minimum(np.maximum(p, EPS), 1 - EPS, out=out)
 
@@ -155,7 +172,8 @@ def bp_iterate(state: MessageState, graph: ConstraintGraph, damping: float = 0.0
     damping mixes the new messages with the previous ones (new = (1-d)*new +
     d*old). It never moves the fixed points, only the trajectory; fixed
     iteration counts use d=0 so each round is exactly one recurrence. The
-    input state is left unchanged.
+    input state is left unchanged; the returned one carries the round's
+    largest message change, which is NaN or inf exactly when a message is.
     """
     old = state.msgs
     new = np.empty_like(old)
@@ -164,12 +182,17 @@ def bp_iterate(state: MessageState, graph: ConstraintGraph, damping: float = 0.0
     _exactly1(ratio[1], 1, out=new[2])   # value factors: from_col
     if graph.null_row is not None:
         new[2, graph.null_row, :] = 0.5
-    _combine(graph.local, new[2:], out=new[:2])
+    _combine(graph.local, new[2:], out=new[:2], not_local=graph.not_local)
     if damping:
         np.multiply(new, 1 - damping, out=new)
-        np.add(damping * old, new, out=new)
-    out = MessageState(msgs=new, iteration=state.iteration + 1)
-    if not np.isfinite(new).all():
+        change = np.multiply(damping, old)
+        np.add(change, new, out=new)
+        change = np.subtract(new, old, out=change)
+    else:
+        change = np.subtract(new, old)
+    delta = np.abs(change, out=change).max(initial=0.0)
+    out = MessageState(msgs=new, iteration=state.iteration + 1, delta=delta)
+    if not math.isfinite(delta):
         bad = next(name for name in ("to_row", "to_col", "from_row", "from_col")
                    if not np.isfinite(getattr(out, name)).all())
         raise ConstraintError(f"non-finite {bad} message at iteration {out.iteration}")
@@ -178,9 +201,8 @@ def bp_iterate(state: MessageState, graph: ConstraintGraph, damping: float = 0.0
 
 def beliefs(state: MessageState, graph: ConstraintGraph) -> np.ndarray:
     """Posterior true-probability per variable from local and both factor messages."""
-    local = graph.local
-    t = local * state.from_row * state.from_col
-    f = (1 - local) * (1 - state.from_row) * (1 - state.from_col)
+    t = graph.local * state.from_row * state.from_col
+    f = graph.not_local * (1 - state.from_row) * (1 - state.from_col)
     return t / (t + f)
 
 
@@ -195,14 +217,11 @@ def converge(graph: ConstraintGraph) -> tuple[MessageState, float]:
     the final state and last delta (below CONV_TOL unless the cap hit).
     """
     state = init_messages(graph)
-    delta = np.inf
     for _ in range(CONV_CAP):
-        new = bp_iterate(state, graph, damping=CONV_DAMPING)
-        delta = np.abs(new.msgs - state.msgs).max()
-        state = new
-        if delta < CONV_TOL:
+        state = bp_iterate(state, graph, damping=CONV_DAMPING)
+        if state.delta < CONV_TOL:
             break
-    return state, delta
+    return state, state.delta
 
 
 def run_bp(graph: ConstraintGraph, iterations) -> np.ndarray:

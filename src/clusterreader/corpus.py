@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
+from itertools import chain
+from operator import attrgetter
 
 # 15 template slots; the first 8 carry gold labels and are scored.
 EVAL_SLOTS = (
@@ -133,25 +135,94 @@ def validate_cluster(cluster: Cluster):
         _validate_document(doc, cands, f"cluster {cluster.cluster_id} doc {doc.doc_id}")
 
 
-def _cluster_from_record(rec: dict) -> Cluster:
-    docs = []
-    for d in rec["documents"]:
-        mentions = tuple(sorted(
-            (Mention(sentence=int(m["sentence"]), start=int(m["start"]), end=int(m["end"]),
-                     value_id=str(m["value_id"]), entity_type=m.get("entity_type", "other"),
-                     is_flight_number=bool(m.get("is_flight_number", False)),
-                     is_topical_flight=bool(m.get("is_topical_flight", False)))
-             for m in d.get("mentions", [])),
-            key=lambda m: (m.start, m.end)))
-        docs.append(Document(
-            doc_id=str(d["doc_id"]), order_index=int(d["order_index"]),
-            sentences=tuple(tuple(s) for s in d["sentences"]),
-            mentions=mentions, dateline=d.get("dateline")))
-    docs.sort(key=lambda d: d.order_index)
+_REQUIRED = object()
+
+
+def _all_strings(items) -> bool:
+    """Whether every item is a string; str.join checks each one's type in C,
+    several times faster than a Python-level test per token."""
+    try:
+        "".join(items)
+    except TypeError:
+        return False
+    return True
+
+
+# The JSON type a record field takes, by the name its error message gives it.
+_KINDS = {
+    "an integer": lambda v: type(v) is int,       # no bool, no float
+    "true or false": lambda v: type(v) is bool,
+    "a string": lambda v: type(v) is str,
+    "a string or null": lambda v: v is None or type(v) is str,
+    "a list": lambda v: type(v) is list,
+    "a list of strings": lambda v: type(v) is list and _all_strings(v),
+    "a list of token lists": lambda v: (type(v) is list and set(map(type, v)) <= {list}
+                                        and _all_strings(chain.from_iterable(v))),
+    "an object": lambda v: type(v) is dict,
+}
+
+
+def _field(obj, key: str, kind: str, where: str, default=_REQUIRED):
+    """obj[key], which must be of the named _KINDS entry; a missing key
+    takes default, or fails when there is none."""
+    if type(obj) is not dict:
+        raise CorpusError(f"{where}: expected an object, got {json.dumps(obj)[:60]}")
+    if key not in obj:
+        if default is _REQUIRED:
+            raise CorpusError(f"{where}: missing field {key!r}")
+        return default
+    if not _KINDS[kind](obj[key]):
+        raise CorpusError(f"{where}: field {key!r} must be {kind}, got {json.dumps(obj[key])[:60]}")
+    return obj[key]
+
+
+_MENTION_FIELDS = (("sentence", "an integer", _REQUIRED), ("start", "an integer", _REQUIRED),
+                   ("end", "an integer", _REQUIRED), ("value_id", "a string", _REQUIRED),
+                   ("entity_type", "a string", "other"),
+                   ("is_flight_number", "true or false", False),
+                   ("is_topical_flight", "true or false", False))
+_MENTION_TYPES = (int, int, int, str, str, bool, bool)
+
+
+def _mention_from_record(m, where: str, i: int) -> Mention:
+    """Mention i of a document, its fields in Mention's order; a corpus holds
+    many, so the well-typed case is one comparison of their types, and only a
+    mismatch goes field by field to name the culprit."""
+    try:
+        values = (m["sentence"], m["start"], m["end"], m["value_id"],
+                  m.get("entity_type", "other"), m.get("is_flight_number", False),
+                  m.get("is_topical_flight", False))
+    except (KeyError, TypeError):   # a missing field, or m no object
+        values = ()
+    if tuple(map(type, values)) != _MENTION_TYPES:
+        for key, kind, default in _MENTION_FIELDS:
+            _field(m, key, kind, f"{where} mention {i}", default)
+    return Mention(*values)
+
+
+def _document_from_record(d, where: str) -> Document:
+    doc_id = _field(d, "doc_id", "a string", where)
+    where = f"{where} doc {doc_id}"
+    mentions = [_mention_from_record(m, where, i)
+                for i, m in enumerate(_field(d, "mentions", "a list", where, []))]
+    return Document(
+        doc_id=doc_id, order_index=_field(d, "order_index", "an integer", where),
+        sentences=tuple(map(tuple, _field(d, "sentences", "a list of token lists", where))),
+        mentions=tuple(sorted(mentions, key=attrgetter("start", "end"))),
+        dateline=_field(d, "dateline", "a string or null", where, None))
+
+
+def _cluster_from_record(rec) -> Cluster:
+    cluster_id = _field(rec, "cluster_id", "a string", "cluster")
+    where = f"cluster {cluster_id}"
+    gold = _field(rec, "gold", "an object", where, {})
+    docs = [_document_from_record(d, where) for d in _field(rec, "documents", "a list", where)]
+    docs.sort(key=attrgetter("order_index"))
     return Cluster(
-        cluster_id=str(rec["cluster_id"]), split=rec["split"],
-        gold={slot: tuple(vals) for slot, vals in rec.get("gold", {}).items()},
-        candidate_values=tuple(rec["candidate_values"]),
+        cluster_id=cluster_id, split=_field(rec, "split", "a string", where),
+        gold={slot: tuple(_field(gold, slot, "a list of strings", f"{where} gold"))
+              for slot in gold},
+        candidate_values=tuple(_field(rec, "candidate_values", "a list of strings", where)),
         documents=tuple(docs))
 
 
@@ -167,9 +238,8 @@ def load_clusters(path) -> list[Cluster]:
             if not line.strip():
                 continue
             try:
-                rec = json.loads(line)
-                cluster = _cluster_from_record(rec)
-            except (KeyError, TypeError, ValueError, AttributeError) as exc:
+                cluster = _cluster_from_record(json.loads(line))
+            except (ValueError, RecursionError) as exc:   # CorpusError, malformed or too deep JSON
                 raise CorpusError(f"{path}: record {lineno}: {exc}") from exc
             if len(cluster.documents) > MAX_CLUSTER_DOCS:
                 cluster = replace(cluster, documents=cluster.documents[:MAX_CLUSTER_DOCS])

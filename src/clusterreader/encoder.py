@@ -6,12 +6,16 @@ same-padded convolution runs over the whole n x e matrix, with each
 document a block of rows that no filter window crosses; the result is the
 representation matrix R in cluster order.
 
-Training runs layer 1 as conv1d, so gradients reach w1, b1 and the mask
-vector. Prediction holds those fixed, so it reads layer 1 from a projection
-instead: each of the cluster's u distinct embedding rows times each filter
-offset of w1, gathered and summed along each token's window. That costs
-u x e x width x d1 multiply-adds rather than n x e x width x d1, and copies
-no n x width x e window tensor.
+Training runs both layers as conv1d, so gradients reach w1, b1 and the mask
+vector. Prediction holds the encoder fixed and calls no conv1d: it builds
+each token's same-padded window once per layer and reads both layers
+through gathers. Layer 1 comes from a projection, each of the cluster's u
+distinct embedding rows times each filter offset of w1, gathered and summed
+along each token's window; that costs u x e x width x d1 multiply-adds
+rather than n x e x width x d1, and copies no n x width x e window tensor.
+Layer 2 gathers the rectified layer-1 rows of every window into one
+n x (width2 * d1) matrix for a single GEMM with w2, where conv1d pads, views
+and contracts each document on its own.
 """
 
 from __future__ import annotations
@@ -116,30 +120,49 @@ def embed_cluster(flat_tokens, mention_token_indices, table: EmbeddingTable) -> 
     return C.compose_embedding(base, table.mask_vector, np.asarray(sorted(mention_token_indices), dtype=np.intp))
 
 
-def _projected_layer1(distinct: np.ndarray, rows, doc_lengths, w1: np.ndarray,
-                      b1: np.ndarray) -> np.ndarray:
-    """Layer 1 of encode before its rectifier, read from a projection.
+def _windows(lengths: np.ndarray, width: int, rows: np.ndarray, pad: int) -> np.ndarray:
+    """n x width: row t, column k holds rows[t + k - width//2], or pad where
+    that position falls outside t's document.
 
-    distinct holds u embedding rows and token t reads row rows[t]. The
-    projection P[k, j] = distinct[j] . w1[k] covers every filter offset k and
-    every row j, plus a zero row j = u. Token t gets b1 plus the sum over k of
-    P[k, rows[t + k - width//2]], where a position outside t's document reads
-    the zero row: conv1d's same padding, summed in another order.
+    That is conv1d's same padding. The documents lie end to end in one
+    padded sequence, each with width//2 pad entries before it and the rest of
+    width - 1 after, so token t of document j sits at t + j * (width - 1) +
+    width//2 and its window starts width//2 earlier.
     """
-    width, e, d1 = w1.shape
+    doc = np.repeat(np.arange(lengths.size), lengths)
+    at = np.arange(doc.size) + doc * (width - 1)
+    padded = np.full(doc.size + lengths.size * (width - 1), pad)
+    padded[at + width // 2] = rows
+    return padded[at[:, None] + np.arange(width)]
+
+
+def _projected_encode(distinct: np.ndarray, rows, doc_lengths, params: EncoderParams) -> np.ndarray:
+    """Both layers of encode at prediction, read through window gathers.
+
+    distinct holds u embedding rows and token t reads row rows[t]. Layer 1
+    projects them once: P[k, j] = distinct[j] . w1[k] for every filter offset
+    k and every row j, plus a zero row j = u, and token t gets b1 plus the
+    sum over k of P[k, rows[t + k - width1//2]]. Layer 2 gathers each
+    token's window of rectified layer-1 rows, -1 reading a zero row appended
+    last, into one n x (width2 * d1) matrix and multiplies it by w2 flattened
+    the same way. Outside t's document both read their zero row: conv1d's
+    same padding, summed in another order.
+    """
+    w1, w2 = params.w1.data, params.w2.data
+    width1, e, d1 = w1.shape
+    width2, _, r = w2.shape
     rows = np.asarray(rows, dtype=np.intp)
     lengths = np.asarray(doc_lengths, dtype=np.intp)
-    if lengths.sum() != rows.size:
-        raise C.ComputeError(f"block lengths {list(doc_lengths)} do not cover {rows.size} entries")
+    n = rows.size
+    if lengths.sum() != n:
+        raise C.ComputeError(f"block lengths {list(doc_lengths)} do not cover {n} entries")
     zero = len(distinct)
-    proj = np.vstack([distinct, np.zeros(e)]) @ w1     # width x (u + 1) x d1
-    stop = np.repeat(np.cumsum(lengths), lengths)
-    start = stop - np.repeat(lengths, lengths)
-    src = np.arange(rows.size)[:, None] + np.arange(width) - width // 2
-    inside = (src >= start[:, None]) & (src < stop[:, None])
-    window = np.where(inside, rows[np.clip(src, 0, max(rows.size - 1, 0))], zero)
-    picked = np.take(proj.reshape(-1, d1), window + (zero + 1) * np.arange(width), axis=0)
-    return np.einsum("nkd->nd", picked) + b1
+    proj = np.vstack([distinct, np.zeros(e)]) @ w1     # width1 x (u + 1) x d1
+    window = _windows(lengths, width1, rows, zero).T + (zero + 1) * np.arange(width1)[:, None]
+    h = np.take(proj.reshape(-1, d1), window, axis=0).sum(axis=0) + params.b1.data
+    h = np.vstack([np.where(h > 0, h, 0.0), np.zeros(d1)])
+    gathered = h[_windows(lengths, width2, np.arange(n), -1)].reshape(n, width2 * d1)
+    return gathered @ w2.reshape(width2 * d1, r) + params.b2.data
 
 
 def encode(embedded: C.Tensor, doc_lengths, params: EncoderParams,
@@ -155,16 +178,14 @@ def encode(embedded: C.Tensor, doc_lengths, params: EncoderParams,
     second's, so a seeded run draws each mask in document order.
 
     rows is for prediction only: embedded then holds the cluster's distinct
-    embedding rows, token t reads row rows[t], and layer 1 comes from
-    _projected_layer1 with no gradient into w1, b1 or the embeddings. It equals
-    the conv1d path up to rounding.
+    embedding rows, token t reads row rows[t], and both layers come from
+    _projected_encode with no gradient into any parameter or the embeddings.
+    It equals the conv1d path up to rounding.
     """
     if rows is not None:
         if training:
-            raise C.ComputeError("the projected layer 1 is for prediction only, not training")
-        h = C.relu(_projected_layer1(embedded.data, rows, doc_lengths,
-                                     params.w1.data, params.b1.data))
-        return C.conv1d(h, params.w2, params.b2, doc_lengths)
+            raise C.ComputeError("the projected encode is for prediction only, not training")
+        return C.Tensor(_projected_encode(embedded.data, rows, doc_lengths, params))
     u1 = u2 = None
     if training and keep_prob < 1.0 and embedded.shape[0]:
         if rng is None:

@@ -16,9 +16,10 @@ score}} record are read off it once (prediction_record).
 
 The prediction entry points encode with projected=True: they embed only the
 cluster's distinct rows (ClusterIndex.distinct_tokens, every mention token
-one mask row) and the encoder reads layer 1 from their projection.
-Training, and anything else that backpropagates, keeps the default conv1d
-path whatever its training flag.
+one mask row), and the encoder reads layer 1 from their projection and
+layer 2 through one window gather, with no conv1d. Training, and anything
+else that backpropagates, keeps the default conv1d path whatever its
+training flag.
 """
 
 from __future__ import annotations

@@ -214,12 +214,18 @@ def cluster_loss(model: ReaderModel, cluster: cp.Cluster, hp: Hyperparams,
     return loss
 
 
+def default_mention_decode(loss_mode: str) -> str | None:
+    """The decode prediction uses unless told otherwise: a mention-level
+    model sums each value's mention probabilities per slot; a value-level
+    model decodes its value scores (None)."""
+    return "sum" if loss_mode == "mention_level" else None
+
+
 def dev_f1(model: ReaderModel, dev_clusters, hp: Hyperparams) -> float:
     if not dev_clusters:
         return 0.0
-    decode = "sum" if hp.loss_mode == "mention_level" else None
-    records = predict_clusters(model, dev_clusters, hp.aggregation,
-                               bp_iterations=0, mention_decode=decode)
+    records = predict_clusters(model, dev_clusters, hp.aggregation, bp_iterations=0,
+                               mention_decode=default_mention_decode(hp.loss_mode))
     instances = [instance_from_cluster(c) for c in dev_clusters]
     report = evaluate(instances, predictions_map(records))
     return report.score_f1

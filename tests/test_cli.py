@@ -10,7 +10,10 @@ from pathlib import Path
 import pytest
 
 from clusterreader import cli
+from clusterreader import constraints as K
 from clusterreader import corpus as cp
+from clusterreader import model as M
+from clusterreader import training as T
 from clusterreader.aggregator import NULL_VALUE
 from clusterreader.compute import load_checkpoint
 from clusterreader.training import TrainingError
@@ -299,6 +302,54 @@ def test_mention_level_pipeline(pipeline, tmp_path):
     # pooled mention decoding has no null candidate, so it never abstains
     for rec in records:
         assert all(v is not None for v in rec["predictions"].values())
+
+
+@pytest.fixture(scope="module")
+def mention_checkpoint(pipeline):
+    ckpt = str(pipeline["root"] / "mention.json")
+    assert cli.run(["train", "--corpus", pipeline["train"], "--checkpoint", ckpt,
+                    "--set", "loss_mode=mention_level"] + TINY) == 0
+    return ckpt
+
+
+@pytest.mark.parametrize("command", ["predict", "bp-trace"])
+def test_aggregation_on_mention_level_checkpoint_exits_3(pipeline, mention_checkpoint,
+                                                         tmp_path, capsys, command):
+    out = tmp_path / "out"
+    code = cli.run([command, "--checkpoint", mention_checkpoint, "--corpus", pipeline["test"],
+                    "--out", str(out), "--aggregation", "max"])
+    assert code == 3
+    assert "--aggregation" in capsys.readouterr().err.strip().splitlines()[-1]
+    assert not out.exists()
+
+
+def test_aggregation_with_mention_level_training_exits_3(pipeline, tmp_path, capsys):
+    ckpt = tmp_path / "m.json"
+    code = cli.run(["train", "--corpus", pipeline["train"], "--checkpoint", str(ckpt),
+                    "--aggregation", "sum", "--set", "loss_mode=mention_level"] + TINY)
+    assert code == 3
+    assert "--aggregation" in capsys.readouterr().err.strip().splitlines()[-1]
+    assert not ckpt.exists()
+
+
+def test_bp_trace_of_mention_level_checkpoint_traces_its_sum_decode(pipeline,
+                                                                    mention_checkpoint,
+                                                                    tmp_path):
+    # bp-trace's iteration 0 is the grid predict decodes: the summed mention
+    # probabilities, with no null row
+    trace = tmp_path / "t.csv"
+    assert cli.run(["bp-trace", "--checkpoint", mention_checkpoint, "--corpus",
+                    pipeline["test"], "--iterations", "0", "--out", str(trace)]) == 0
+    model, config, _ = T.load_model(mention_checkpoint)
+    cluster = cp.load_clusters(pipeline["test"])[0]
+    values, scores = M.prediction_scores(model, M.ClusterIndex.build(cluster), config, "sum")
+    graph = M.bp_graph(values, model.scoring_slots(), scores)
+    beliefs = K.beliefs(K.init_messages(graph), graph)
+    rows = [line.split(",") for line in trace.read_text().strip().splitlines()[1:]]
+    assert [(v, s) for _, v, s, _ in rows] == [(v, s) for v in values
+                                              for s in model.scoring_slots()]
+    assert NULL_VALUE not in values
+    assert [b for *_, b in rows] == [f"{b:.10f}" for b in beliefs.ravel()]
 
 
 # ---------------------------------------------------------------------------

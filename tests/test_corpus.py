@@ -4,8 +4,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from clusterreader import cli
 from clusterreader import corpus as cp
+from clusterreader import synth as SY
 
 
 def make_doc(doc_id, order, sentences, mentions=(), dateline=None):
@@ -193,3 +197,111 @@ def test_malformed_json_names_record(tmp_path):
     path.write_text('{"cluster_id": "ok"\n')
     with pytest.raises(cp.CorpusError, match="record 1"):
         cp.load_clusters(path)
+
+
+# ---------------------------------------------------------------------------
+# field types
+
+
+def _synth_record(seed=3):
+    clusters, _ = SY.generate(SY.SynthConfig(n_clusters=1, docs_min=2, docs_max=3, seed=seed))
+    return cp.cluster_to_record(clusters[0])
+
+
+def _set_path(rec, path, value):
+    *head, last = path
+    for key in head:
+        rec = rec[key]
+    rec[last] = value
+
+
+_WRONG_TYPES = [
+    (("gold", "Fatalities"), "12", "Fatalities"),               # was the tuple ("1", "2")
+    (("gold", "Fatalities"), [5], "Fatalities"),
+    (("candidate_values",), "fat5", "candidate_values"),
+    (("cluster_id",), {"id": 1}, "cluster_id"),                 # was str()-ed
+    (("cluster_id",), 7, "cluster_id"),
+    (("documents", 0, "doc_id"), 3, "doc_id"),
+    (("documents", 0, "order_index"), 0.0, "order_index"),
+    (("documents", 0, "order_index"), True, "order_index"),
+    (("documents", 0, "sentences"), "a b c", "sentences"),
+    (("documents", 0, "sentences", 0, 0), 12, "sentences"),
+    (("documents", 0, "dateline"), 20150310, "dateline"),
+    (("documents", 0, "mentions", 1, "start"), 6.0, "start"),
+    (("documents", 0, "mentions", 1, "start"), 1.5, "start"),    # was truncated to 1
+    (("documents", 0, "mentions", 1, "end"), False, "end"),
+    (("documents", 0, "mentions", 1, "sentence"), "1", "sentence"),
+    (("documents", 0, "mentions", 1, "value_id"), 5, "value_id"),
+    (("documents", 0, "mentions", 1, "is_flight_number"), "false", "is_flight_number"),
+]
+
+
+@pytest.mark.parametrize("path,value,field", _WRONG_TYPES,
+                         ids=[f"{f}={json.dumps(v)}" for _, v, f in _WRONG_TYPES])
+def test_field_of_wrong_json_type_exits_3(tmp_path, capsys, path, value, field):
+    rec = _synth_record()
+    _set_path(rec, path, value)
+    corpus = tmp_path / "c.ndjson"
+    corpus.write_text(json.dumps(rec) + "\n")
+    with pytest.raises(cp.CorpusError, match=f"record 1: .*'{field}'"):
+        cp.load_clusters(corpus)
+    assert cli.run(["train", "--corpus", str(corpus), "--checkpoint", str(tmp_path / "m")]) == 3
+    assert f"'{field}'" in capsys.readouterr().err
+
+
+def test_too_deeply_nested_record_names_record(tmp_path):
+    path = tmp_path / "x.jsonl"
+    path.write_text("[" * 100_000 + "]" * 100_000 + "\n")
+    with pytest.raises(cp.CorpusError, match="record 1"):
+        cp.load_clusters(path)
+
+
+def test_dateline_may_be_null(tmp_path):
+    rec = _synth_record()
+    rec["documents"][0]["dateline"] = None
+    corpus = tmp_path / "c.ndjson"
+    corpus.write_text(json.dumps(rec) + "\n")
+    assert cp.load_clusters(corpus)[0].documents[0].dateline is None
+
+
+def _paths(node, at=()):
+    """Every key and index path inside a JSON value."""
+    items = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield at + (key,)
+        yield from _paths(child, at + (key,))
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 40) | st.floats(allow_nan=True)
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                 max_size=3),
+    max_leaves=6)
+_RECORDS = [_synth_record(seed) for seed in (3, 4)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_mutated_records_raise_only_corpus_errors(tmp_path_factory, data):
+    rec = json.loads(json.dumps(data.draw(st.sampled_from(_RECORDS), label="record")))
+    for _ in range(data.draw(st.integers(1, 3), label="mutations")):
+        paths = list(_paths(rec))
+        if not paths:
+            break
+        path = data.draw(st.sampled_from(paths), label="path")
+        if data.draw(st.booleans(), label="delete"):
+            *head, last = path
+            owner = rec
+            for key in head:
+                owner = owner[key]
+            del owner[last]
+        else:
+            _set_path(rec, path, data.draw(_JSON, label="value"))
+    corpus = tmp_path_factory.getbasetemp() / "fuzz.ndjson"
+    corpus.write_text(json.dumps(rec) + "\n")
+    try:
+        cp.load_clusters(corpus)
+    except cp.CorpusError:
+        pass

@@ -218,15 +218,17 @@ def test_projected_layer1_equals_conv1d_encoding(data):
 
 @pytest.mark.parametrize("width1", range(1, 11))
 def test_projected_layer1_every_width_on_edge_clusters(width1):
+    # every width2 from 1 to 5 with each width1: both layers' windows
     rng = np.random.default_rng(width1)
     table = small_table(rng)
-    params = _encoder(table, rng, width1)
     cases = [(["a"], set(), [1]),                       # one token
              (["zzz"], {0}, [0, 1, 0]),                 # one masked token
              (["a", "a", "zzz", "b", "a", "", "c", "c"], {1, 6}, [0, 3, 1, 0, 4])]
-    for tokens, mentions, doc_lengths in cases:
-        want, got = _conv_and_projected(tokens, mentions, doc_lengths, table, params)
-        _assert_close_to_reference(got, want)
+    for width2 in range(1, 6):
+        params = _encoder(table, rng, width1, width2)
+        for tokens, mentions, doc_lengths in cases:
+            want, got = _conv_and_projected(tokens, mentions, doc_lengths, table, params)
+            _assert_close_to_reference(got, want)
 
 
 def test_distinct_tokens_share_one_mask_row():

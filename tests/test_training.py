@@ -362,14 +362,16 @@ def test_eval_mode_loss_backpropagates_through_conv1d(monkeypatch):
 
 @pytest.mark.parametrize("loss_mode,decode", [("value_level", None), ("mention_level", "none"),
                                               ("mention_level", "sum")])
-def test_prediction_convolves_only_layer_2(monkeypatch, loss_mode, decode):
+def test_prediction_calls_no_conv1d(monkeypatch, loss_mode, decode):
+    # prediction reads both layers through window gathers
     hp = tiny_hp(loss_mode=loss_mode)
     c = crash_cluster()
     model = M.init_model([t for d in c.documents for t in d.flat_tokens()],
                          hp, np.random.default_rng(22))
     calls = _count_conv1d(monkeypatch)
-    M.predict_cluster(model, c, hp.aggregation, bp_iterations=1, mention_decode=decode)
-    assert calls == [model.enc.w2.shape]
+    rec = M.predict_cluster(model, c, hp.aggregation, bp_iterations=1, mention_decode=decode)
+    assert set(rec["predictions"]) == set(cp.EVAL_SLOTS)
+    assert calls == []
 
 
 def _synth_clusters(n, seed):
