@@ -4,11 +4,10 @@ A value is usually mentioned many times across a cluster; these functions
 pool the S x n attention matrix (one row per slot) into an S x K value score
 matrix with one segment-pool op. Column k pools the first tokens of one
 value's mentions. The aggregation mode is one of MODES: 'max' (hard max),
-'sum' (plain sum), 'topic' or 'date' (a sum weighted by discourse
-topicality or by publication-date information content), or 'per-doc' (a
-sum over a per-document attention softmax, one block softmax whose blocks
-are the documents). The null column pools the attention mass left on
-non-mention tokens.
+'sum' (plain sum), 'topic' (a sum weighted by discourse topicality), or
+'per-doc' (a sum over a per-document attention softmax, one block softmax
+whose blocks are the documents). The null column pools the attention mass
+left on non-mention tokens.
 
 Decoding reads prediction's S x V grid, whose columns are the mentioned
 values sorted and then null: top-1 is each row's first maximum and a
@@ -18,7 +17,6 @@ smaller value_id with null last.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +26,7 @@ from . import corpus as cp
 
 NULL_VALUE = "__NULL__"
 
-MODES = ("max", "sum", "topic", "date", "per-doc")
+MODES = ("max", "sum", "topic", "per-doc")
 
 
 class AggregationError(ValueError):
@@ -88,83 +86,10 @@ def topic_weights(cluster: cp.Cluster) -> np.ndarray:
     return np.asarray(weights)
 
 
-def skew_normal_pdf(x, xi: float, omega: float, alpha: float):
-    """Density of the skew-normal distribution, no scipy required."""
-    z = (np.asarray(x, dtype=np.float64) - xi) / omega
-    phi = np.exp(-0.5 * z * z) / math.sqrt(2 * math.pi)
-    cdf = 0.5 * (1.0 + _erf_vec(alpha * z / math.sqrt(2)))
-    return 2.0 / omega * phi * cdf
-
-
-def _erf_vec(x):
-    return np.vectorize(math.erf)(x)
-
-
-def fit_skew_normal(positions, masses):
-    """Moment-matched (xi, omega, alpha) for weighted points, or None.
-
-    Returns None when the fit is under-determined: zero total mass or zero
-    spread. Skewness is clipped to the representable range of the family.
-    """
-    x = np.asarray(positions, dtype=np.float64)
-    w = np.asarray(masses, dtype=np.float64)
-    total = w.sum()
-    if total <= 0:
-        return None
-    mean = (w * x).sum() / total
-    m2 = (w * (x - mean) ** 2).sum() / total
-    if m2 <= 1e-12:
-        return None
-    m3 = (w * (x - mean) ** 3).sum() / total
-    g1 = m3 / m2 ** 1.5
-    g1 = float(np.clip(g1, -0.99, 0.99))
-    # invert the skewness relation: g1 -> delta
-    t = math.copysign(abs(2 * g1 / (4 - math.pi)) ** (1 / 3), g1)
-    u = t / math.sqrt(1 + t * t)          # u = delta * sqrt(2/pi)
-    delta = u * math.sqrt(math.pi / 2)
-    delta = max(-0.999, min(0.999, delta))
-    omega = math.sqrt(m2 / (1 - 2 * delta * delta / math.pi))
-    xi = mean - omega * delta * math.sqrt(2 / math.pi)
-    alpha = delta / math.sqrt(1 - delta * delta)
-    return xi, omega, alpha
-
-
-def date_weights(cluster: cp.Cluster, gold_for_fit: dict | None = None) -> np.ndarray:
-    """Per-token weights from a recency curve over dated documents.
-
-    Each dated document's information content is the number of correct
-    values it mentions; a skew-normal curve is fit over publication order
-    and its density, min-max normalized to [0,1], becomes the document
-    weight. Documents without datelines, and all documents when the fit is
-    under-determined (fewer than 3 dated documents, no gold, flat curve),
-    keep weight 1.0. Prediction passes no gold, so there every document
-    keeps weight 1.0.
-    """
-    correct = {v for vals in (gold_for_fit or {}).values() for v in vals}
-    doc_w = np.ones(len(cluster.documents))
-    dated = [i for i, d in enumerate(cluster.documents) if d.dateline]
-    if len(dated) >= 3 and correct:
-        pos = np.array([cluster.documents[i].order_index for i in dated], dtype=np.float64)
-        ic = np.array([len({m.value_id for m in cluster.documents[i].mentions} & correct)
-                       for i in dated], dtype=np.float64)
-        fit = None if np.ptp(ic) == 0 else fit_skew_normal(pos, ic)
-        if fit is not None:
-            dens = skew_normal_pdf(pos, *fit)
-            span = dens.max() - dens.min()
-            if span > 1e-12:
-                doc_w[dated] = (dens - dens.min()) / span
-    counts = [d.n_tokens for d in cluster.documents]
-    return np.repeat(doc_w, counts) if counts else np.zeros(0)
-
-
-def weights_for(cluster: cp.Cluster, mode: str, gold_for_fit: dict | None = None):
+def weights_for(cluster: cp.Cluster, mode: str):
     """Per-token pooling weights of an aggregation mode; None for the
     unweighted modes."""
-    if mode == "topic":
-        return topic_weights(cluster)
-    if mode == "date":
-        return date_weights(cluster, gold_for_fit)
-    return None
+    return topic_weights(cluster) if mode == "topic" else None
 
 
 # ---------------------------------------------------------------------------

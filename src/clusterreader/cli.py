@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -21,12 +21,14 @@ from . import corpus as cp
 from . import model as M
 from . import synth as sy
 from . import training as T
-from .aggregator import MODES, AggregationError
+from .aggregator import MODES, AggregationConfig, AggregationError
 from .evaluation import evaluate, instance_from_cluster, load_predictions, render_report
 
 EXIT_MISSING = 2
 EXIT_INVALID = 3
 EXIT_DIVERGED = 4
+MODE_HELP = f"aggregation mode: {', '.join(MODES)}"
+
 
 def parse_config_file(path) -> dict:
     """Flat key = value lines; # comments; quotes optional on values."""
@@ -89,29 +91,32 @@ def resolve_hyperparams(args) -> T.Hyperparams:
     if args.config:
         settings.update(parse_config_file(args.config))
     settings.update(parse_overrides(args.set))
-    if args.aggregation:
+    asked = [f.name for f in fields(AggregationConfig) if f.name in settings]
+    if args.aggregation is not None:
         settings["mode"] = args.aggregation
+        asked.insert(0, "--aggregation")
     if args.seed is not None:
         settings["seed"] = str(args.seed)
     hp = T.hyperparams_from_dict(settings)
-    refuse_mention_level_aggregation(args, hp.loss_mode)
+    refuse_mention_level_aggregation(asked, hp.loss_mode)
     return hp
 
 
-def refuse_mention_level_aggregation(args, loss_mode: str):
+def refuse_mention_level_aggregation(asked, loss_mode: str):
     """A mention-level model classifies mentions and pools no attention, so
-    no aggregation mode would reach it."""
-    if args.aggregation and loss_mode == "mention_level":
-        raise T.TrainingError("--aggregation does not apply to loss_mode=mention_level: "
+    no aggregation setting (asked: the flags and keys given) would reach it."""
+    if asked and loss_mode == "mention_level":
+        raise T.TrainingError(f"{asked[0]} does not apply to loss_mode=mention_level: "
                               "a mention-level model pools no attention")
 
 
 def load_for_prediction(args):
     """The checkpoint's model, its aggregation with --aggregation's mode,
     and the mention decode prediction uses by default."""
-    model, stored_config, loss_mode = T.load_model(args.checkpoint)
-    refuse_mention_level_aggregation(args, loss_mode)
-    config = replace(stored_config, mode=args.aggregation or stored_config.mode)
+    model, config, loss_mode = T.load_model(args.checkpoint)
+    if args.aggregation is not None:
+        refuse_mention_level_aggregation(["--aggregation"], loss_mode)
+        config = replace(config, mode=args.aggregation)
     return model, config, T.default_mention_decode(loss_mode)
 
 
@@ -269,8 +274,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None, help="key = value settings file")
     p.add_argument("--set", action="append", metavar="KEY=VALUE",
                    help="override a setting (repeatable; wins over --config)")
-    p.add_argument("--aggregation", choices=MODES, default=None,
-                   help="not with loss_mode=mention_level")
+    p.add_argument("--aggregation", default=None,
+                   help=f"{MODE_HELP}; not with loss_mode=mention_level")
     p.add_argument("--embeddings", default=None,
                    help="pretrained embedding text file (token v1 ... ve)")
     p.add_argument("--checkpoint", required=True)
@@ -282,9 +287,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--aggregation", choices=MODES, default=None,
-                   help="default: the checkpoint's mode (its null_enabled is kept either way); "
-                        "not for a mention_level checkpoint")
+    p.add_argument("--aggregation", default=None,
+                   help=f"{MODE_HELP}; default: the checkpoint's mode (its null_enabled is "
+                        "kept either way); not for a mention_level checkpoint")
     p.add_argument("--bp", default="0", help="constraint iterations: 0, 1, 2, ... or conv")
     p.add_argument("--mention-decode", choices=("none", "max", "sum"), default=None,
                    help="default: sum for a mention_level checkpoint")
@@ -303,8 +308,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True)
     p.add_argument("--cluster-id", default=None)
     p.add_argument("--iterations", type=int, default=2)
-    p.add_argument("--aggregation", choices=MODES, default=None,
-                   help="as for predict; a mention_level checkpoint traces its sum decode")
+    p.add_argument("--aggregation", default=None,
+                   help=f"{MODE_HELP}; as for predict; a mention_level checkpoint traces "
+                        "its sum decode")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_bp_trace)
 

@@ -463,8 +463,18 @@ def load_checkpoint(path) -> dict:
         magic = fh.readline().rstrip("\n")
         if magic != CHECKPOINT_MAGIC:
             raise ComputeError(f"bad checkpoint magic {magic!r}, expected {CHECKPOINT_MAGIC!r}")
-        body = json.load(fh)
+        try:
+            body = json.load(fh)
+        except RecursionError as exc:
+            raise ComputeError(f"{path}: {exc}") from exc
     if not isinstance(body, dict) or not isinstance(body.get("params"), dict):
         raise ComputeError(f"{path}: checkpoint lacks params")
-    params = {k: _as_f64(v["data"]).reshape(v["shape"]) for k, v in body["params"].items()}
+    if not isinstance(body.get("extra", {}), dict):
+        raise ComputeError(f"{path}: checkpoint extra is not an object")
+    params = {}
+    for k, v in body["params"].items():
+        try:
+            params[k] = _as_f64(v["data"]).reshape(v["shape"])
+        except (TypeError, ValueError, KeyError) as exc:
+            raise ComputeError(f"{path}: checkpoint params.{k} is not a float array") from exc
     return {"params": params, "seed": body.get("seed", 0), "extra": body.get("extra", {})}

@@ -176,7 +176,10 @@ def load_predictions(path):
     has them, in which case every record must, and None otherwise.
     """
     with open(path) as fh:
-        records = json.load(fh)
+        try:
+            records = json.load(fh)
+        except RecursionError as exc:
+            raise EvaluationError(f"{path}: {exc}") from exc
     if not isinstance(records, list):
         raise EvaluationError(f"{path}: expected a list of prediction records")
     with_rankings = bool(records) and isinstance(records[0], dict) and "rankings" in records[0]
@@ -186,6 +189,8 @@ def load_predictions(path):
         if not isinstance(rec, dict) or "cluster_id" not in rec:
             raise EvaluationError(f"{path}: record {n} has no cluster_id")
         cid = rec["cluster_id"]
+        if not isinstance(cid, str):
+            raise EvaluationError(f"{path}: record {n}: cluster_id {cid!r} is not a string")
         for name in fields:
             if not isinstance(rec.get(name), dict):
                 raise EvaluationError(f"{path}: cluster {cid}: {name!r} missing or not an object")

@@ -5,7 +5,8 @@ dense matrix flows from attention to the loss: the scorer gives an S x n
 attention matrix (one row per scoring slot), the aggregator pools it into an
 S x K value score matrix, and training reads each slot's gold mass from that.
 Its K columns are the cluster's mentioned values plus the null value, sorted
-as strings (ClusterIndex.columns).
+as strings (ClusterIndex.columns). No forward pass takes gold labels; only
+training's losses read them.
 
 Prediction works on one S x V grid per cluster (prediction_scores): the
 same matrix with its columns in grid order, the mentioned values sorted and
@@ -132,7 +133,7 @@ class ReaderModel:
 
     def value_scores(self, index: ClusterIndex, config: agg.AggregationConfig,
                      training: bool = False, keep_prob: float = 1.0, rng=None,
-                     gold_for_fit: dict | None = None, projected: bool = False) -> C.Tensor:
+                     projected: bool = False) -> C.Tensor:
         """Differentiable S x K scores: scoring slots by index.columns(null_enabled)."""
         R = self.representations(index, training=training, keep_prob=keep_prob, rng=rng,
                                  projected=projected)
@@ -146,8 +147,7 @@ class ReaderModel:
         if config.mode == "max":
             null_col = columns.index(NULL_VALUE) if config.null_enabled else None
             return agg.aggregate_max(A, segments, null_col)
-        return agg.aggregate_sum(A, segments,
-                                 agg.weights_for(index.cluster, config.mode, gold_for_fit))
+        return agg.aggregate_sum(A, segments, agg.weights_for(index.cluster, config.mode))
 
     def mention_slot_logits(self, index: ClusterIndex, training: bool = False,
                             keep_prob: float = 1.0, rng=None,

@@ -202,8 +202,7 @@ def cluster_loss(model: ReaderModel, cluster: cp.Cluster, hp: Hyperparams,
                                            keep_prob=hp.keep_prob, rng=rng)
         return mention_loss(logits, index, cluster.gold, list(model.pi))
     scores = model.value_scores(index, hp.aggregation, training=training,
-                                keep_prob=hp.keep_prob, rng=rng,
-                                gold_for_fit=cluster.gold)
+                                keep_prob=hp.keep_prob, rng=rng)
     columns = index.columns(hp.aggregation.null_enabled)
     if hp.bp_train_iters > 0:
         null_col = columns.index(NULL_VALUE) if NULL_VALUE in columns else None
@@ -319,8 +318,11 @@ def load_model(path):
     missing = [f"params.{k}" for k in wanted + [f"slot.{s}" for s in slots] if k not in params]
     if missing:
         raise C.ComputeError(f"{path}: checkpoint lacks {', '.join(missing)}")
-    matrix = np.asarray(extra["embed_matrix"], dtype=np.float64)
-    unk_vector = np.asarray(extra["unk_vector"], dtype=np.float64)
+    try:
+        matrix = np.asarray(extra["embed_matrix"], dtype=np.float64)
+        unk_vector = np.asarray(extra["unk_vector"], dtype=np.float64)
+    except (TypeError, ValueError):     # not numbers: fails the shape check below
+        matrix = unk_vector = np.zeros(0)
     if matrix.ndim != 2 or not (unk_vector.shape == params["mask_vector"].shape
                                 == matrix.shape[1:]):
         raise C.ComputeError(f"{path}: checkpoint extra.embed_matrix is not a 2-D matrix as "
@@ -345,8 +347,10 @@ def load_model(path):
     source = bits.pop("weight_source", None)    # older checkpoints: two aggregation fields
     if bits.get("mode") == "weighted_sum":
         bits["mode"] = source
-    elif bits.get("mode") == "per_document_softmax_sum":
-        bits["mode"] = "per-doc"
+    # 'date', since deleted, predicted as 'sum'
+    for old, new in (("per_document_softmax_sum", "per-doc"), ("date", "sum")):
+        if bits.get("mode") == old:
+            bits["mode"] = new
     try:
         hp = hyperparams_from_dict(bits, text=False)
     except (TrainingError, AggregationError) as exc:

@@ -2,7 +2,6 @@
 
 import numpy as np
 import pytest
-import scipy.stats
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -14,10 +13,10 @@ from clusterreader import corpus as cp
 from clusterreader import model as M
 
 
-def make_doc(doc_id, order, sentences, mentions=(), dateline=None):
+def make_doc(doc_id, order, sentences, mentions=()):
     return cp.Document(doc_id=doc_id, order_index=order,
                        sentences=tuple(tuple(s) for s in sentences),
-                       mentions=tuple(mentions), dateline=dateline)
+                       mentions=tuple(mentions))
 
 
 def test_config_validation():
@@ -225,92 +224,6 @@ def test_topic_weights_zero_in_offtopic_segment():
     assert_allclose(w, [1, 1, 0, 0, 0, 0, 1, 1, 1])
 
 
-def test_skew_normal_pdf_matches_scipy():
-    rng = np.random.default_rng(63)
-    for _ in range(5):
-        xi, omega, alpha = rng.normal(), rng.uniform(0.5, 3.0), rng.normal() * 3
-        x = rng.normal(size=7) * 4
-        ours = agg.skew_normal_pdf(x, xi, omega, alpha)
-        ref = scipy.stats.skewnorm.pdf(x, alpha, loc=xi, scale=omega)
-        assert_allclose(ours, ref, rtol=1e-10, atol=1e-15)
-
-
-def test_fit_skew_normal_moment_recovery():
-    # fit masses sampled from a true skew-normal density; moments should
-    # drive the fitted curve close to the source
-    xi, omega, alpha = 2.0, 1.5, 3.0
-    xs = np.linspace(-2, 8, 201)
-    masses = scipy.stats.skewnorm.pdf(xs, alpha, loc=xi, scale=omega)
-    fit = agg.fit_skew_normal(xs, masses)
-    assert fit is not None
-    dens = agg.skew_normal_pdf(xs, *fit)
-    assert np.max(np.abs(dens - masses)) < 0.02
-
-
-def test_fit_skew_normal_degenerate_cases():
-    assert agg.fit_skew_normal([1, 2, 3], [0, 0, 0]) is None
-    assert agg.fit_skew_normal([2, 2, 2], [1, 1, 1]) is None
-
-
-def date_cluster(ics, datelines):
-    """One doc per entry; ic realized as that many distinct gold mentions."""
-    docs = []
-    gold_vals = tuple(f"g{j}" for j in range(max(ics) if ics else 0))
-    for i, (ic, dl) in enumerate(zip(ics, datelines)):
-        toks = [f"g{j}" for j in range(ic)] + ["pad"]
-        ms = [cp.Mention(sentence=0, start=j, end=j + 1, value_id=f"g{j}") for j in range(ic)]
-        docs.append(make_doc(f"d{i}", i, [toks], ms, dateline=dl))
-    gold = {"Fatalities": gold_vals}
-    return cp.Cluster("c", "train", gold, gold_vals + ("pad",), tuple(docs))
-
-
-def test_date_weights_no_datelines_all_one():
-    cluster = date_cluster([3, 3, 0], [None, None, None])
-    assert_allclose(agg.date_weights(cluster), np.ones(sum(d.n_tokens for d in cluster.documents)))
-
-
-def test_date_weights_fewer_than_three_dated_docs():
-    cluster = date_cluster([3, 2, 1], ["2004-01-01", "2004-01-02", None])
-    assert_allclose(agg.date_weights(cluster), np.ones(sum(d.n_tokens for d in cluster.documents)))
-
-
-def test_date_weights_equal_ic_all_equal():
-    cluster = date_cluster([2, 2, 2, 2], ["2004-01-01", "2004-01-02", "2004-01-03", "2004-01-04"])
-    w = agg.date_weights(cluster, cluster.gold)
-    assert_allclose(w, np.ones(len(w)))
-
-
-def test_date_weights_early_outlier_downweighted():
-    ics = [0, 3, 3, 3, 3, 3]
-    cluster = date_cluster(ics, ["2004-01-0%d" % (i + 1) for i in range(6)])
-    w = agg.date_weights(cluster, cluster.gold)
-    # per-doc weight = weight of its first token
-    starts = np.cumsum([0] + [d.n_tokens for d in cluster.documents[:-1]])
-    doc_w = w[starts]
-    assert all(doc_w[0] < doc_w[j] for j in range(1, 6))
-    assert doc_w.min() >= 0.0 and doc_w.max() <= 1.0
-    # and the weights match direct evaluation of the fitted curve
-    pos = np.arange(6, dtype=float)
-    fit = agg.fit_skew_normal(pos, np.array(ics, dtype=float))
-    dens = agg.skew_normal_pdf(pos, *fit)
-    expect = (dens - dens.min()) / (dens.max() - dens.min())
-    assert_allclose(doc_w, expect, atol=1e-12)
-
-
-def test_date_weights_undated_docs_stay_one():
-    cluster = date_cluster([0, 3, 3, 3, 0], ["2004-01-01", "2004-01-02", "2004-01-03", "2004-01-04", None])
-    w = agg.date_weights(cluster, cluster.gold)
-    starts = np.cumsum([0] + [d.n_tokens for d in cluster.documents[:-1]])
-    assert w[starts][-1] == 1.0
-    assert w[starts][0] < 1.0
-
-
-def test_date_weights_without_gold_fall_back_to_one():
-    cluster = date_cluster([2, 3, 2], ["2004-01-01", "2004-01-02", "2004-01-03"])
-    stripped = cp.Cluster(cluster.cluster_id, "test", {}, cluster.candidate_values, cluster.documents)
-    assert_allclose(agg.date_weights(stripped), np.ones(sum(d.n_tokens for d in stripped.documents)))
-
-
 def test_per_document_attention_normalizes_each_doc():
     rng = np.random.default_rng(64)
     u = C.Tensor(rng.normal(size=(2, 10)), requires_grad=True)
@@ -391,6 +304,5 @@ def test_weights_for_dispatch():
     doc = make_doc("d", 0, [["a", "b"]])
     cluster = cp.Cluster("c", "train", {}, (), (doc,))
     assert_allclose(agg.weights_for(cluster, "topic"), [1, 1])
-    assert_allclose(agg.weights_for(cluster, "date"), [1, 1])
     for mode in ("max", "sum", "per-doc"):
         assert agg.weights_for(cluster, mode) is None

@@ -187,6 +187,7 @@ def _set_hyperparam(name, value):
     (_set_extra("vocab", {"acme": "0"}), "extra.vocab does not map strings to row ids"),
     (_set_extra("vocab", ["acme"]), "extra.vocab does not map strings to row ids"),
     (_set_extra("embed_matrix", [0.5, 0.25]), "extra.embed_matrix is not a 2-D matrix"),
+    (_set_extra("embed_matrix", {}), "extra.embed_matrix is not a 2-D matrix"),
     (_narrow_unk_vector, "extra.embed_matrix is not a 2-D matrix as wide as extra.unk_vector"),
     (_no_scoring_slot, "extra.slots names no scoring slot"),
     (_set_extra("hyperparams", ["sum"]), "extra.hyperparams is not an object"),
@@ -194,15 +195,48 @@ def _set_hyperparam(name, value):
     (_set_hyperparam("max_pooling", True),
      "extra.hyperparams: unknown hyperparameter 'max_pooling'"),
     (_set_hyperparam("mode", "mean"), "extra.hyperparams: mode must be one of"),
+    (lambda body: body["params"].__setitem__("enc.w1", 5),
+     "checkpoint params.enc.w1 is not a float array"),
 ], ids=["slots-int", "slots-item-int", "vocab-row-past-end", "vocab-row-str", "vocab-list",
-        "embed-1d", "unk-narrow", "slots-none-scoring", "hyperparams-list",
-        "null-enabled-str", "hyperparams-unknown-key", "mode-unknown"])
+        "embed-1d", "embed-object", "unk-narrow", "slots-none-scoring", "hyperparams-list",
+        "null-enabled-str", "hyperparams-unknown-key", "mode-unknown", "param-int"])
 def test_checkpoint_bad_field_value_exits_3(pipeline, tmp_path, capsys, edit, message):
     ckpt = _rewrite_checkpoint(pipeline["ckpt"], tmp_path / "bad.json", edit)
     code = cli.run(["predict", "--checkpoint", ckpt, "--corpus", pipeline["test"],
                     "--out", str(tmp_path / "p.json")])
     assert code == 3
     assert message in capsys.readouterr().err
+
+
+def test_too_deeply_nested_checkpoint_exits_3(pipeline, tmp_path, capsys):
+    with open(pipeline["ckpt"]) as fh:
+        magic = fh.readline()
+    ckpt = tmp_path / "deep.json"
+    ckpt.write_text(magic + "[" * 100_000 + "]" * 100_000)
+    code = cli.run(["predict", "--checkpoint", str(ckpt), "--corpus", pipeline["test"],
+                    "--out", str(tmp_path / "p.json")])
+    assert code == 3
+    assert "maximum recursion depth" in capsys.readouterr().err
+
+
+def test_too_deeply_nested_predictions_exit_3(pipeline, tmp_path, capsys):
+    pred = tmp_path / "deep.json"
+    pred.write_text("[" * 100_000 + "]" * 100_000)
+    assert cli.run(["eval", "--pred", str(pred), "--gold", pipeline["test"]]) == 3
+    assert "maximum recursion depth" in capsys.readouterr().err
+
+
+def test_date_checkpoint_predicts_as_sum(pipeline, tmp_path):
+    outputs = []
+    for mode in ("date", "sum"):
+        ckpt = _rewrite_checkpoint(pipeline["ckpt"], tmp_path / f"{mode}.json",
+                                   _set_hyperparam("mode", mode))
+        for bp in ("0", "conv"):
+            out = tmp_path / f"{mode}-{bp}.json"
+            assert cli.run(["predict", "--checkpoint", ckpt, "--corpus", pipeline["test"],
+                            "--out", str(out), "--bp", bp]) == 0
+            outputs.append(out.read_bytes())
+    assert outputs[:2] == outputs[2:]
 
 
 def _write_records(path, records):
@@ -243,6 +277,15 @@ def test_eval_prediction_value_types_exit_3(pipeline, tmp_path, capsys, field, v
     assert cli.run(["eval", "--pred", pred, "--gold", pipeline["test"]]) == 3
     err = capsys.readouterr().err
     assert f"cluster {records[1]['cluster_id']} slot 'Crew':" in err and what in err
+
+
+def test_eval_cluster_id_that_is_not_a_string_exits_3(pipeline, tmp_path, capsys):
+    with open(pipeline["pred"]) as fh:
+        records = json.load(fh)
+    records[1]["cluster_id"] = [records[1]["cluster_id"]]
+    pred = _write_records(tmp_path / "pred.json", records)
+    assert cli.run(["eval", "--pred", pred, "--gold", pipeline["test"]]) == 3
+    assert "record 2: cluster_id" in capsys.readouterr().err
 
 
 def test_duplicate_cluster_ids_in_corpus_exit_3(pipeline, tmp_path, capsys):
@@ -330,6 +373,36 @@ def test_aggregation_with_mention_level_training_exits_3(pipeline, tmp_path, cap
     assert code == 3
     assert "--aggregation" in capsys.readouterr().err.strip().splitlines()[-1]
     assert not ckpt.exists()
+
+
+@pytest.mark.parametrize("setting", ["mode=max", "null_enabled=false"])
+def test_aggregation_key_with_mention_level_training_exits_3(pipeline, tmp_path, capsys,
+                                                              setting):
+    ckpt = tmp_path / "m.json"
+    config = tmp_path / "agg.cfg"
+    config.write_text(setting.replace("=", " = ") + "\n")
+    for flags in (["--set", setting], ["--config", str(config)]):
+        code = cli.run(["train", "--corpus", pipeline["train"], "--checkpoint", str(ckpt),
+                        "--set", "loss_mode=mention_level"] + TINY + flags)
+        assert code == 3
+        last = capsys.readouterr().err.strip().splitlines()[-1]
+        assert f"{setting.partition('=')[0]} does not apply to loss_mode=mention_level" in last
+        assert not ckpt.exists()
+
+
+@pytest.mark.parametrize("mode", ["bogus", "date"])
+@pytest.mark.parametrize("command", ["train", "predict", "bp-trace"])
+def test_unknown_aggregation_mode_exits_3(pipeline, tmp_path, capsys, command, mode):
+    out = tmp_path / "out"
+    if command == "train":
+        args = ["--corpus", pipeline["train"], "--checkpoint", str(out)] + TINY
+    else:
+        args = ["--checkpoint", pipeline["ckpt"], "--corpus", pipeline["test"],
+                "--out", str(out)]
+    assert cli.run([command, "--aggregation", mode] + args) == 3
+    last = capsys.readouterr().err.strip().splitlines()[-1]
+    assert f"mode must be one of max, sum, topic, per-doc, got {mode!r}" in last
+    assert not out.exists()
 
 
 def test_bp_trace_of_mention_level_checkpoint_traces_its_sum_decode(pipeline,

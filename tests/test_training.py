@@ -585,7 +585,7 @@ def test_checkpoint_keeps_every_aggregation_setting(tmp_path):
 
 
 @pytest.mark.parametrize("mode,weight_source,want", [
-    ("weighted_sum", "topic", "topic"), ("weighted_sum", "date", "date"),
+    ("weighted_sum", "topic", "topic"), ("weighted_sum", "date", "sum"),
     ("per_document_softmax_sum", "unit", "per-doc"), ("sum", "unit", "sum"),
     ("max", "topic", "max")])
 def test_two_field_checkpoint_loads_as_one_mode(tmp_path, mode, weight_source, want):
@@ -601,6 +601,22 @@ def test_two_field_checkpoint_loads_as_one_mode(tmp_path, mode, weight_source, w
     path.write_text(magic + "\n" + json.dumps(body))
     _, config, _ = T.load_model(path)
     assert config == AggregationConfig(mode=want, null_enabled=False)
+
+
+def test_date_checkpoint_loads_as_sum(tmp_path):
+    # the deleted 'date' mode predicted as 'sum'
+    c = crash_cluster()
+    model = M.init_model([t for d in c.documents for t in d.flat_tokens()],
+                         tiny_hp(), np.random.default_rng(12))
+    path = tmp_path / "model.ckpt"
+    T.save_model(path, model, tiny_hp())
+    magic, body = path.read_text().split("\n", 1)
+    body = json.loads(body)
+    body["extra"]["hyperparams"] = {"loss_mode": "value_level", "mode": "date",
+                                    "null_enabled": False}
+    path.write_text(magic + "\n" + json.dumps(body))
+    _, config, _ = T.load_model(path)
+    assert config == AggregationConfig(mode="sum", null_enabled=False)
 
 
 def test_train_smoke_with_dev_tracking():
