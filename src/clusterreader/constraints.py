@@ -1,20 +1,34 @@
-"""Exactly-one factor grid over (value, slot) variables, decoded by loopy BP.
+"""Factor grid over (value, slot) variables, decoded by loopy BP.
 
 Aggregated value scores often let one value win several slots at once. This
 layer turns the transposed slot x value score matrix into a V x S grid of
-Boolean variables X[v,s] with a local potential sigmoid(phi) each, an
-Exactly-1 factor across the values of every slot, and an Exactly-1 factor
-across the slots of every non-null value. Synchronous message passing for
-a fixed number of rounds (or to convergence) sharpens the beliefs so
-duplicate assignments lose out.
+Boolean variables X[v,s] with a local potential each, an Exactly-1 factor
+across the values of every slot, and a factor across the slots of every
+non-null value. Synchronous message passing for a fixed number of rounds
+(or to convergence) sharpens the beliefs so duplicate assignments lose out.
+
+The value factors are At-Most-1: a value fills at most one slot, as in
+bipartite matching, and a grid with more values than slots still has valid
+assignments. The one exception is a square grid with no null row: there
+the slot factors already leave only bijections, so Exactly-1 value factors
+allow the same assignments, and loopy BP converges on them where it can
+cycle under At-Most-1. ConstraintGraph.value_constant reads the rule off
+the grid's shape and null row. The null row has no value factor.
+
+A local potential is a probability: the caller's score matrix holds either
+probabilities already (prediction's value-level pooled attention masses) or
+log-odds, whose sigmoid is taken (ConstraintGraph.from_scores).
 
 Messages are (true, false) pairs normalized to sum 1; we store only the
 true mass. The factor-to-variable update has the closed form
 
-    t_i = 1 / (1 + S_i),   S_i = sum_{j != i} mu_j / (1 - mu_j)
+    t_i = 1 / (c + S_i),   S_i = sum_{j != i} mu_j / (1 - mu_j)
 
-which equals prod_{j != i}(1 - mu_j) against sum_j mu_j prod_{l != i,j}
-(1 - mu_l) after normalization, but never under- or overflows.
+with c = 1 for Exactly-1 and c = 2 for At-Most-1, whose all-false
+assignment adds the leave-one-out product once more to the false mass.
+Normalized, it equals prod_{j != i}(1 - mu_j) against (c - 1) prod_{j !=
+i}(1 - mu_j) + sum_j mu_j prod_{l != i,j}(1 - mu_l), but never under- or
+overflows.
 
 All four message directions live in one 4 x V x S float64 array, stacked as
 [to_row, to_col, from_col, from_row]: the variable-to-factor messages first,
@@ -32,14 +46,13 @@ There is one BP implementation, and both callers build its grid from a
 score matrix with ConstraintGraph.from_scores. Prediction runs these rounds
 on its grid (run_bp; values sorted, null last, unscored cells at
 MISSING_PHI); training runs the same undamped rounds on the loss's score
-matrix (run_bp_tensor) and differentiates them with one closed-form
-backward that walks the kept message states in reverse.
+matrix (run_bp_tensor, sigmoid locals) and differentiates them with one
+closed-form backward that walks the kept message states in reverse.
 """
 
 from __future__ import annotations
 
 import csv
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -63,18 +76,30 @@ class ConstraintError(ValueError):
 class ConstraintGraph:
     values: tuple       # row labels; may contain the null pseudo-value
     slots: tuple        # column labels
-    local: np.ndarray   # V x S sigmoided potentials in (0,1)
+    local: np.ndarray   # V x S potentials in (0,1)
     null_row: int | None
 
     @classmethod
-    def from_scores(cls, phi, values, slots, null_row: int | None) -> "ConstraintGraph":
-        """The grid of a V x S score array: local = sigmoid(phi) clipped into [EPS, 1-EPS]."""
+    def from_scores(cls, phi, values, slots, null_row: int | None,
+                    masses: bool = False) -> "ConstraintGraph":
+        """The grid of a V x S score array: local = sigmoid(phi), or phi itself
+        when masses says the scores are probabilities already, clipped into
+        [EPS, 1-EPS]."""
+        local = np.asarray(phi, dtype=np.float64) if masses else _sigmoid(phi)
         return cls(values=tuple(values), slots=tuple(slots),
-                   local=np.clip(_sigmoid(phi), EPS, 1 - EPS), null_row=null_row)
+                   local=np.clip(local, EPS, 1 - EPS), null_row=null_row)
 
     @property
     def shape(self):
         return self.local.shape
+
+    @cached_property
+    def value_constant(self) -> float:
+        """c of the value factors' message 1 / (c + S_i): 2.0 for At-Most-1,
+        or 1.0 for Exactly-1 on a square grid without a null row, whose
+        support is the bijections either way."""
+        V, S = self.shape
+        return 1.0 if self.null_row is None and V == S else 2.0
 
     @cached_property
     def not_local(self) -> np.ndarray:
@@ -140,10 +165,11 @@ def _odds(mu: np.ndarray) -> np.ndarray:
     return mu / (1 - mu)
 
 
-def _exactly1(ratio: np.ndarray, axis: int, out=None) -> np.ndarray:
-    """1 / (1 + S_i) for every target of one factor family, from the odds."""
+def _factor_messages(ratio: np.ndarray, axis: int, c: float, out=None) -> np.ndarray:
+    """1 / (c + S_i) for every target of one factor family, from the odds:
+    c = 1 is Exactly-1, c = 2 At-Most-1."""
     rest = np.subtract(np.add.reduce(ratio, axis=axis, keepdims=True), ratio, out=out)
-    np.add(rest, 1.0, out=rest)
+    np.add(rest, c, out=rest)
     return np.divide(1.0, rest, out=rest)
 
 
@@ -153,7 +179,7 @@ def exactly1_all(mu: np.ndarray, axis: int) -> np.ndarray:
     mu is the V x S grid of incoming true masses; axis=0 treats each column
     (slot factor across values) as a factor, axis=1 each row.
     """
-    return _exactly1(_odds(mu), axis)
+    return _factor_messages(_odds(mu), axis, 1.0)
 
 
 def _combine(local: np.ndarray, other_t: np.ndarray, out=None, not_local=None) -> np.ndarray:
@@ -178,8 +204,8 @@ def bp_iterate(state: MessageState, graph: ConstraintGraph, damping: float = 0.0
     old = state.msgs
     new = np.empty_like(old)
     ratio = _odds(old[:2])
-    _exactly1(ratio[0], 0, out=new[3])   # slot factors: from_row
-    _exactly1(ratio[1], 1, out=new[2])   # value factors: from_col
+    _factor_messages(ratio[0], 0, 1.0, out=new[3])                   # slot factors: from_row
+    _factor_messages(ratio[1], 1, graph.value_constant, out=new[2])  # value factors: from_col
     if graph.null_row is not None:
         new[2, graph.null_row, :] = 0.5
     _combine(graph.local, new[2:], out=new[:2], not_local=graph.not_local)
@@ -227,7 +253,7 @@ def converge(graph: ConstraintGraph) -> tuple[MessageState, float]:
 def run_bp(graph: ConstraintGraph, iterations) -> np.ndarray:
     """Beliefs after a fixed number of rounds, or to convergence.
 
-    iterations=0 returns the sigmoided locals unchanged; CONVERGENCE runs
+    iterations=0 returns the locals unchanged; CONVERGENCE runs
     damped rounds until the largest message change is below 1e-6 (cap 100).
     """
     if iterations == 0:
@@ -260,33 +286,6 @@ def bp_trace(graph: ConstraintGraph, iterations: int, path):
                 state = bp_iterate(state, graph)
 
 
-def brute_force_oracle(local: np.ndarray) -> np.ndarray:
-    """Exact marginals by enumerating assignments valid under both families.
-
-    Every slot must select exactly one value and every value must be
-    selected by exactly one slot, so valid assignments are permutation
-    matrices; a non-square grid has empty support.
-    """
-    local = np.asarray(local, dtype=np.float64)
-    V, S = local.shape
-    if V * S > 20:
-        raise ConstraintError(f"grid {V}x{S} too large for enumeration")
-    weight_true = np.zeros((V, S))
-    total = 0.0
-    for choice in itertools.product(range(V), repeat=S):
-        counts = np.bincount(choice, minlength=V)
-        if np.any(counts != 1):
-            continue
-        x = np.zeros((V, S))
-        x[list(choice), range(S)] = 1.0
-        w = float(np.prod(np.where(x == 1, local, 1 - local)))
-        total += w
-        weight_true += w * x
-    if total <= 0:
-        raise ConstraintError("no assignment satisfies both Exactly-1 families")
-    return weight_true / total
-
-
 # ---------------------------------------------------------------------------
 # the same rounds with a gradient (for training with constraints in the loop)
 
@@ -295,7 +294,8 @@ def run_bp_tensor(phi: C.Tensor, null_col: int | None, iterations: int) -> C.Ten
     """Beliefs after undamped rounds, differentiable in the S x K score grid.
 
     phi is the slot x value grid, the transpose of the V x S layout: each
-    row is a slot's Exactly-1 factor and each column but null_col a value's.
+    row is a slot's Exactly-1 factor and each column but null_col a value's
+    factor. The locals are sigmoid(phi).
     The forward is init_messages, bp_iterate and beliefs on the transposed
     grid, so it equals run_bp there; the backward is one node whose closure
     walks the kept message states in reverse (_bp_adjoint).
@@ -338,7 +338,7 @@ def _bp_adjoint(graph: ConstraintGraph, states: list, g: np.ndarray) -> np.ndarr
         g_p = adj[:2] * ((p >= EPS) & (p <= 1 - EPS)) / (d * d)
         g_local += (g_p * other * (1 - other)).sum(axis=0)
         adj[2:] += g_p * local * (1 - local)
-        # Exactly-1 from the odds: d(1 / (1 + S_i)) / d ratio_j = -o_i^2 for j != i
+        # factors from the odds: d(1 / (c + S_i)) / d ratio_j = -o_i^2 for j != i
         if graph.null_row is not None:
             adj[2, graph.null_row, :] = 0.0
         w = new.msgs[2:] * new.msgs[2:] * adj[2:]

@@ -12,8 +12,9 @@ Prediction works on one S x V grid per cluster (prediction_scores): the
 same matrix with its columns in grid order, the mentioned values sorted and
 then null (ClusterIndex.grid_columns), or the mention-level baseline's
 pooled probabilities in that order, NaN where a cell has no score. BP runs
-on that grid (bp_graph), and decoding, ranking and the {slot: {value:
-score}} record are read off it once (prediction_record).
+on that grid (bp_graph): a value-level mass is its cell's local potential,
+a mention-level score the log-odds of it. Decoding, ranking and the {slot:
+{value: score}} record are read off the grid once (prediction_record).
 
 The prediction entry points encode with projected=True: they embed only the
 cluster's distinct rows (ClusterIndex.distinct_tokens, every mention token
@@ -218,12 +219,18 @@ def _mention_scores(model: ReaderModel, index: ClusterIndex,
     return values, scores
 
 
-def bp_graph(values, slots, scores: np.ndarray) -> K.ConstraintGraph:
-    """The V x S constraint grid of an S x V score matrix; a NaN cell reads
-    MISSING_PHI, so its local potential is effectively zero."""
+def bp_graph(values, slots, scores: np.ndarray, masses: bool = False) -> K.ConstraintGraph:
+    """The V x S constraint grid of an S x V score matrix.
+
+    A value-level grid (masses=True) holds pooled attention masses, already
+    probabilities on the model's own scale, and each is its cell's local
+    potential. The mention-level decodes' scores are read as log-odds, whose
+    sigmoid is the local. A NaN cell reads MISSING_PHI, so its local
+    potential is effectively zero on either scale.
+    """
     phi = np.where(np.isnan(scores), K.MISSING_PHI, scores).T
     null_row = values.index(NULL_VALUE) if NULL_VALUE in values else None
-    return K.ConstraintGraph.from_scores(phi, values, slots, null_row)
+    return K.ConstraintGraph.from_scores(phi, values, slots, null_row, masses=masses)
 
 
 def prediction_record(cluster_id: str, slots, values, scores: np.ndarray) -> dict:
@@ -249,7 +256,8 @@ def predict_cluster(model: ReaderModel, cluster: cp.Cluster,
                                  np.ones((len(slots), 1)))
     values, scores = prediction_scores(model, index, config, mention_decode)
     if bp_iterations != 0:
-        scores = K.run_bp(bp_graph(values, slots, scores), bp_iterations).T
+        graph = bp_graph(values, slots, scores, masses=mention_decode is None)
+        scores = K.run_bp(graph, bp_iterations).T
     return prediction_record(cluster.cluster_id, slots, values, scores)
 
 

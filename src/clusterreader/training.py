@@ -331,6 +331,12 @@ def load_model(path):
                                               for i in vocab.values()):
         raise C.ComputeError(f"{path}: checkpoint extra.vocab does not map strings to "
                              f"row ids in [0, {len(matrix)})")
+    _check_param_shapes(path, params, slots, matrix.shape[1])
+    arrays = [(f"params.{k}", v) for k, v in params.items()]
+    arrays += [("extra.embed_matrix", matrix), ("extra.unk_vector", unk_vector)]
+    bad = [name for name, v in arrays if not np.isfinite(v).all()]
+    if bad:
+        raise C.ComputeError(f"{path}: checkpoint {', '.join(bad)} holds non-finite values")
     table = E.EmbeddingTable(
         vocab=vocab, matrix=matrix,
         mask_vector=C.Tensor(params["mask_vector"], requires_grad=True),
@@ -356,6 +362,24 @@ def load_model(path):
     except (TrainingError, AggregationError) as exc:
         raise C.ComputeError(f"{path}: checkpoint extra.hyperparams: {exc}") from exc
     return model, hp.aggregation, hp.loss_mode
+
+
+def _check_param_shapes(path, params: dict, slots, embed_dim: int):
+    """Each encoder and slot parameter's shape against the embedding width
+    and the widths the earlier parameters fix (w1 fixes d1, w2 fixes r)."""
+    layout = [("enc.w1", ("width1", embed_dim, "d1")), ("enc.b1", ("d1",)),
+              ("enc.w2", ("width2", "d1", "r")), ("enc.b2", ("r",))]
+    layout += [(f"slot.{s}", ("r",)) for s in slots]
+    dims = {}
+    for name, axes in layout:
+        shape = params[name].shape
+        want = [dims.get(a, a) for a in axes]
+        if len(shape) != len(axes) or any(n < 1 or (isinstance(w, int) and w != n)
+                                           for w, n in zip(want, shape)):
+            want = ", ".join(map(str, want))
+            raise C.ComputeError(f"{path}: checkpoint params.{name} has shape "
+                                 f"{list(shape)}, expected [{want}]")
+        dims.update(zip(axes, shape))
 
 
 # ---------------------------------------------------------------------------

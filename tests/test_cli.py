@@ -176,6 +176,14 @@ def _no_scoring_slot(body):
     body["params"] = {k: v for k, v in body["params"].items() if not k.startswith("slot.")}
 
 
+def _set_param(name, shape, data):
+    return lambda body: body["params"].__setitem__(name, {"shape": shape, "data": data})
+
+
+def _nan_in_embed_matrix(body):
+    body["extra"]["embed_matrix"][0][0] = float("nan")
+
+
 def _set_hyperparam(name, value):
     return lambda body: body["extra"]["hyperparams"].__setitem__(name, value)
 
@@ -197,9 +205,27 @@ def _set_hyperparam(name, value):
     (_set_hyperparam("mode", "mean"), "extra.hyperparams: mode must be one of"),
     (lambda body: body["params"].__setitem__("enc.w1", 5),
      "checkpoint params.enc.w1 is not a float array"),
+    (_set_param("enc.w1", [1], [0.5]),
+     "checkpoint params.enc.w1 has shape [1], expected [width1, 12, d1]"),
+    (_set_param("enc.w1", [3, 11, 4], [0.5] * 132),
+     "checkpoint params.enc.w1 has shape [3, 11, 4], expected [width1, 12, d1]"),
+    (_set_param("enc.b1", [5], [0.5] * 5), "checkpoint params.enc.b1 has shape [5], expected [4]"),
+    (_set_param("enc.w2", [2, 5, 4], [0.5] * 40),
+     "checkpoint params.enc.w2 has shape [2, 5, 4], expected [width2, 4, r]"),
+    (_set_param("enc.b2", [4, 1], [0.5] * 4),
+     "checkpoint params.enc.b2 has shape [4, 1], expected [4]"),
+    (_set_param("slot.Crew", [3], [0.5] * 3),
+     "checkpoint params.slot.Crew has shape [3], expected [4]"),
+    (_set_param("enc.b2", [4], [0.5, "NaN", 0.5, 0.5]),
+     "checkpoint params.enc.b2 holds non-finite values"),
+    (_set_param("mask_vector", [12], [0.5] * 11 + ["Infinity"]),
+     "checkpoint params.mask_vector holds non-finite values"),
+    (_nan_in_embed_matrix, "checkpoint extra.embed_matrix holds non-finite values"),
 ], ids=["slots-int", "slots-item-int", "vocab-row-past-end", "vocab-row-str", "vocab-list",
         "embed-1d", "embed-object", "unk-narrow", "slots-none-scoring", "hyperparams-list",
-        "null-enabled-str", "hyperparams-unknown-key", "mode-unknown", "param-int"])
+        "null-enabled-str", "hyperparams-unknown-key", "mode-unknown", "param-int",
+        "w1-1d", "w1-narrow", "b1-wide", "w2-wrong-d1", "b2-2d", "slot-narrow", "b2-nan",
+        "mask-inf", "embed-nan"])
 def test_checkpoint_bad_field_value_exits_3(pipeline, tmp_path, capsys, edit, message):
     ckpt = _rewrite_checkpoint(pipeline["ckpt"], tmp_path / "bad.json", edit)
     code = cli.run(["predict", "--checkpoint", ckpt, "--corpus", pipeline["test"],
@@ -403,6 +429,56 @@ def test_unknown_aggregation_mode_exits_3(pipeline, tmp_path, capsys, command, m
     last = capsys.readouterr().err.strip().splitlines()[-1]
     assert f"mode must be one of max, sum, topic, per-doc, got {mode!r}" in last
     assert not out.exists()
+
+
+def _predictions(path):
+    with open(path) as fh:
+        return {r["cluster_id"]: r for r in json.load(fh)}
+
+
+@pytest.fixture(scope="module")
+def value_checkpoint(pipeline):
+    """A value-level checkpoint trained long enough that --bp 0 predicts values."""
+    root = pipeline["root"]
+    train, test, ckpt = (str(root / name) for name in ("vtrain.ndjson", "vtest.ndjson",
+                                                       "value.json"))
+    assert cli.run(["synth", "--out", train, "--clusters", "8", "--seed", "5"]) == 0
+    assert cli.run(["synth", "--out", test, "--clusters", "4", "--seed", "6",
+                    "--split", "test"]) == 0
+    assert cli.run(["train", "--corpus", train, "--checkpoint", ckpt, "--set", "embed_dim=16",
+                    "--set", "width1=3", "--set", "width2=3", "--set", "d1=8", "--set", "r=8",
+                    "--set", "max_epochs=15"]) == 0
+    return {"test": test, "ckpt": ckpt}
+
+
+def test_one_bp_round_keeps_the_values_bp_0_predicts(value_checkpoint, tmp_path):
+    # a value-level grid has more values than slots; one round must not push
+    # every slot of a cluster to null where the masses alone pick values
+    picked = {}
+    for bp in ("0", "1"):
+        out = tmp_path / f"bp{bp}.json"
+        assert cli.run(["predict", "--checkpoint", value_checkpoint["ckpt"], "--corpus",
+                        value_checkpoint["test"], "--out", str(out), "--bp", bp]) == 0
+        picked[bp] = {cid: [v for v in r["predictions"].values() if v is not None]
+                      for cid, r in _predictions(out).items()}
+    assert all(picked["0"].values())
+    for cid, values in picked["1"].items():
+        assert values, cid
+
+
+def test_bp_trace_of_value_level_checkpoint_starts_at_its_masses(pipeline, tmp_path):
+    # iteration 0 is the grid's locals, which for a value-level model are the
+    # pooled masses predict --bp 0 writes (clipped into [EPS, 1-EPS])
+    trace = tmp_path / "t.csv"
+    assert cli.run(["bp-trace", "--checkpoint", pipeline["ckpt"], "--corpus",
+                    pipeline["test"], "--iterations", "0", "--out", str(trace)]) == 0
+    cluster = cp.load_clusters(pipeline["test"])[0]
+    scores = _predictions(pipeline["pred"])[cluster.cluster_id]["scores"]
+    rows = [line.split(",") for line in trace.read_text().strip().splitlines()[1:]]
+    assert len(rows) == sum(len(by_value) for by_value in scores.values())
+    for it, value, slot, belief in rows:
+        assert it == "0"
+        assert abs(float(belief) - scores[slot][value]) <= K.EPS + 5e-11
 
 
 def test_bp_trace_of_mention_level_checkpoint_traces_its_sum_decode(pipeline,

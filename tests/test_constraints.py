@@ -12,7 +12,9 @@ from numpy.testing import assert_allclose
 from clusterreader import compute as C
 from clusterreader import constraints as K
 from clusterreader import model as M
-from clusterreader.aggregator import NULL_VALUE
+from clusterreader import synth as sy
+from clusterreader import training as T
+from clusterreader.aggregator import MODES, NULL_VALUE, AggregationConfig
 
 
 def logit(p):
@@ -26,6 +28,35 @@ def grid_graph(local):
     phi = np.vectorize(logit)(local)
     return K.ConstraintGraph.from_scores(phi, [f"v{i}" for i in range(V)],
                                          [f"s{j}" for j in range(S)], None)
+
+
+def brute_force_oracle(local, null_row=None):
+    """Exact marginals by enumerating every valid assignment of a small grid.
+
+    Every slot selects exactly one value and every value but the null row
+    fills at most one slot, which on a square grid with no null row leaves
+    the bijections, the support of Exactly-1 value factors there.
+    """
+    local = np.asarray(local, dtype=np.float64)
+    V, S = local.shape
+    if V * S > 20:
+        raise K.ConstraintError(f"grid {V}x{S} too large for enumeration")
+    weight_true = np.zeros((V, S))
+    total = 0.0
+    for choice in itertools.product(range(V), repeat=S):
+        counts = np.bincount(choice, minlength=V)
+        if null_row is not None:
+            counts[null_row] = 0
+        if np.any(counts > 1):
+            continue
+        x = np.zeros((V, S))
+        x[list(choice), range(S)] = 1.0
+        w = float(np.prod(np.where(x == 1, local, 1 - local)))
+        total += w
+        weight_true += w * x
+    if total <= 0:
+        raise K.ConstraintError("no assignment satisfies the slot and value factors")
+    return weight_true / total
 
 
 def oracle_factor_message(mu, i):
@@ -57,6 +88,15 @@ def test_bp_graph_zero_phi_and_missing_cells():
 def test_bp_graph_detects_null_row():
     g = M.bp_graph(["a", NULL_VALUE], ["s"], np.array([[0.1, 0.2]]))
     assert g.null_row == 1
+
+
+def test_bp_graph_reads_masses_as_locals():
+    # a value-level grid's pooled masses are its locals, clipped into [EPS, 1-EPS]
+    scores = np.array([[0.7, 0.0, 0.3], [0.25, 1.0, np.nan]])
+    g = M.bp_graph(["a", "b", NULL_VALUE], ["s0", "s1"], scores, masses=True)
+    assert_allclose(g.local, [[0.7, 0.25], [K.EPS, 1 - K.EPS], [0.3, K.EPS]], atol=0)
+    assert g.null_row == 2
+    assert np.array_equal(K.run_bp(g, 0), g.local)
 
 
 def test_init_messages():
@@ -98,6 +138,60 @@ def test_exactly1_message_matches_enumeration():
                 target = i if axis == 0 else j
                 want = oracle_factor_message(line, target) if line.size > 1 else (1.0, 0.0)
                 assert_allclose([got[i, j], 1 - got[i, j]], want, atol=1e-10)
+
+
+def oracle_at_most1_message(mu, i):
+    """At-Most-1 factor->variable message by enumerating the other neighbors."""
+    others = [j for j in range(len(mu)) if j != i]
+    t = f = 0.0
+    for bits in itertools.product((0, 1), repeat=len(others)):
+        w = 1.0
+        for j, b in zip(others, bits):
+            w *= mu[j] if b else 1 - mu[j]
+        if sum(bits) == 0:
+            t += w
+            f += w
+        elif sum(bits) == 1:
+            f += w
+    return t / (t + f), f / (t + f)
+
+
+def test_at_most1_value_messages_match_enumeration():
+    # the first round's value-factor messages of grids with a null row or more
+    # values than slots, on the locals the variables send first
+    rng = np.random.default_rng(79)
+    for _ in range(40):
+        V = int(rng.integers(1, 7))
+        S = int(rng.integers(1, 7))
+        null_row = int(rng.integers(V)) if V == S or rng.random() < 0.5 else None
+        values = [NULL_VALUE if i == null_row else f"v{i}" for i in range(V)]
+        mu = rng.uniform(0.01, 0.99, size=(V, S))
+        g = M.bp_graph(values, [f"s{j}" for j in range(S)], mu.T, masses=True)
+        assert g.value_constant == 2.0
+        got = K.bp_iterate(K.init_messages(g), g).from_col
+        for i, j in itertools.product(range(V), range(S)):
+            want = (0.5, 0.5) if i == null_row else oracle_at_most1_message(mu[i], j)
+            assert_allclose([got[i, j], 1 - got[i, j]], want, atol=1e-12)
+
+
+def test_value_factor_rule_follows_shape_and_null_row():
+    # At-Most-1 wherever a value may fill no slot; Exactly-1 only on a square
+    # grid without a null row, whose support is the bijections either way
+    rng = np.random.default_rng(80)
+    for V, S, null_row, c in ((4, 4, 3, 2.0), (4, 4, None, 1.0), (6, 4, None, 2.0),
+                              (6, 4, 5, 2.0), (3, 5, None, 2.0), (1, 1, None, 1.0)):
+        values = [NULL_VALUE if i == null_row else f"v{i}" for i in range(V)]
+        mu = rng.uniform(0.05, 0.95, size=(V, S))
+        g = M.bp_graph(values, [f"s{j}" for j in range(S)], mu.T, masses=True)
+        assert g.value_constant == c
+        from_col = K.bp_iterate(K.init_messages(g), g).from_col
+        if c == 1.0:
+            assert_allclose(from_col, K.exactly1_all(mu, axis=1), atol=1e-15)
+        else:
+            rest = mu / (1 - mu)
+            rest = rest.sum(axis=1, keepdims=True) - rest
+            want = np.where(np.arange(V)[:, None] == null_row, 0.5, 1 / (2 + rest))
+            assert_allclose(from_col, want, rtol=1e-14)
 
 
 def test_true_mass_closed_form_identity():
@@ -162,7 +256,7 @@ def test_2x2_selects_best_permutation():
     # the exact best permutation is v0->s0, v1->s1
     assert b[:, 0].argmax() == 0
     assert b[:, 1].argmax() == 1
-    marg = K.brute_force_oracle(local)
+    marg = brute_force_oracle(local)
     assert marg[:, 0].argmax() == 0 and marg[:, 1].argmax() == 1
 
 
@@ -186,6 +280,32 @@ def test_duplicate_prediction_broken_by_one_iteration():
     b1 = K.run_bp(g, 1)
     picks1 = [g.values[b1[:, j].argmax()] for j in range(2)]
     assert picks1 == ["A", "B"]
+
+
+@pytest.fixture(scope="module")
+def predict_corpus_grids():
+    """Value-level prediction grids of a small trained model on a fixed
+    synthetic corpus of 8-16-document clusters, under every mode."""
+    noise = dict(misinformation_rate=0.3, offtopic_rate=0.3, missing_slot_rate=0.2)
+    train, _ = sy.generate(sy.SynthConfig(n_clusters=8, seed=31, **noise))
+    test, _ = sy.generate(sy.SynthConfig(n_clusters=9, docs_min=8, docs_max=16, seed=32,
+                                         split="test", **noise))
+    hp = T.Hyperparams(embed_dim=16, width1=3, width2=3, d1=8, r=8, max_epochs=4, seed=5)
+    model = T.train(train, [], hp).model
+    grids = []
+    for mode in MODES:
+        config = AggregationConfig(mode=mode)
+        for cluster in test:
+            values, scores = M.prediction_scores(model, M.ClusterIndex.build(cluster), config)
+            grids.append(M.bp_graph(values, model.scoring_slots(), scores, masses=True))
+    return grids
+
+
+def test_converge_stops_below_the_cap_on_prediction_grids(predict_corpus_grids):
+    for graph in predict_corpus_grids:
+        assert graph.shape[0] > graph.shape[1] and graph.value_constant == 2.0
+        state, delta = K.converge(graph)
+        assert state.iteration < K.CONV_CAP and delta < K.CONV_TOL
 
 
 def test_convergence_mode_terminates_on_random_grids():
@@ -245,19 +365,60 @@ def test_converged_argmax_matches_best_permutation_usually():
 
 
 def test_brute_force_oracle_1x1_and_2x2():
-    assert_allclose(K.brute_force_oracle(np.array([[0.3]])), [[1.0]])
+    assert_allclose(brute_force_oracle(np.array([[0.3]])), [[1.0]])
     a, b, c, d = 0.9, 0.6, 0.4, 0.2
     w1 = a * (1 - b) * (1 - c) * d        # v0->s0, v1->s1
     w2 = (1 - a) * b * c * (1 - d)        # v0->s1, v1->s0
-    marg = K.brute_force_oracle(np.array([[a, b], [c, d]]))
+    marg = brute_force_oracle(np.array([[a, b], [c, d]]))
     assert_allclose(marg, np.array([[w1, w2], [w2, w1]]) / (w1 + w2), atol=1e-12)
 
 
 def test_brute_force_oracle_rejects_bad_grids():
     with pytest.raises(K.ConstraintError):
-        K.brute_force_oracle(np.full((3, 2), 0.5))  # no valid assignment
+        brute_force_oracle(np.full((2, 3), 0.5))  # fewer values than slots, no null
     with pytest.raises(K.ConstraintError):
-        K.brute_force_oracle(np.full((5, 5), 0.5))  # > 20 variables
+        brute_force_oracle(np.full((5, 5), 0.5))  # > 20 variables
+
+
+def test_brute_force_oracle_rectangular_and_null_rows():
+    # 3 values x 2 slots: a value may fill no slot; the null row may fill both
+    local = np.array([[0.7, 0.6], [0.2, 0.5], [0.4, 0.3]])
+    marg = brute_force_oracle(local)
+    w = {}
+    for a, b in itertools.permutations(range(3), 2):
+        x = np.zeros((3, 2))
+        x[[a, b], [0, 1]] = 1
+        w[a, b] = np.prod(np.where(x == 1, local, 1 - local))
+    z = sum(w.values())
+    assert_allclose(marg[0, 0], (w[0, 1] + w[0, 2]) / z, atol=1e-12)
+    assert_allclose(marg.sum(axis=0), 1.0, atol=1e-12)
+    assert np.all(marg.sum(axis=1) <= 1 + 1e-12)
+    marg = brute_force_oracle(np.full((2, 3), 0.5), null_row=1)
+    assert_allclose(marg.sum(axis=0), 1.0, atol=1e-12)
+    assert marg[1].sum() > 1
+
+
+def test_converged_decode_matches_exact_marginals_on_rectangular_grids():
+    # more values than slots, half the grids with a null row, masses drawn
+    # per slot as attention would pool them: loopy BP is approximate, so
+    # its per-slot argmax must agree with the enumerated marginals' on at
+    # least 95% of grids, not all
+    rng = np.random.default_rng(81)
+    hits = trials = 0
+    while trials < 300:
+        S = int(rng.integers(2, 4))
+        V = int(rng.integers(S + 1, 6))
+        if V * S > 20:
+            continue
+        values = [f"v{i}" for i in range(V - 1)]
+        values.append(NULL_VALUE if rng.random() < 0.5 else f"v{V - 1}")
+        masses = rng.dirichlet(np.full(V, 0.5), size=S)
+        g = M.bp_graph(values, [f"s{j}" for j in range(S)], masses, masses=True)
+        exact = brute_force_oracle(g.local, g.null_row)
+        beliefs = K.run_bp(g, K.CONVERGENCE)
+        hits += np.array_equal(exact.argmax(axis=0), beliefs.argmax(axis=0))
+        trials += 1
+    assert hits >= 0.95 * trials, f"only {hits}/{trials} matched"
 
 
 def test_prediction_record_reads_beliefs_by_slot_and_value():
@@ -401,22 +562,30 @@ def reference_init(graph):
 
 
 def reference_round(msgs, graph, damping=0.0):
-    """One BP round with each direction its own array, as written before the stack."""
-    local = graph.local
+    """One BP round with each direction its own array.
 
-    def exactly1(mu, axis):
+    Every slot factor is Exactly-1. A value factor is At-Most-1, so its
+    all-false assignment adds the leave-one-out product to the false mass a
+    second time, except on a square grid with no null row, where it is
+    Exactly-1. The null row has no value factor and reads 0.5.
+    """
+    local = graph.local
+    V, S = local.shape
+    value_may_fill_none = graph.null_row is not None or V != S
+
+    def factor(mu, axis, may_select_none):
         mu = np.clip(mu, K.EPS, 1 - K.EPS)
         ratio = mu / (1 - mu)
-        total = ratio.sum(axis=axis, keepdims=True)
-        return 1.0 / (1.0 + (total - ratio))
+        others = ratio.sum(axis=axis, keepdims=True) - ratio
+        return 1.0 / (others + (2.0 if may_select_none else 1.0))
 
     def combine(other_t):
         t = local * other_t
         f = (1 - local) * (1 - other_t)
         return np.clip(t / (t + f), K.EPS, 1 - K.EPS)
 
-    from_row = exactly1(msgs["to_row"], axis=0)
-    from_col = exactly1(msgs["to_col"], axis=1)
+    from_row = factor(msgs["to_row"], 0, False)
+    from_col = factor(msgs["to_col"], 1, value_may_fill_none)
     if graph.null_row is not None:
         from_col[graph.null_row, :] = 0.5
     out = {"to_row": combine(from_col), "to_col": combine(from_row),
@@ -438,10 +607,13 @@ def reference_converge(graph):
 
 
 def draw_grid(data, max_phi=8.0, missing=True, min_size=1):
-    """A prediction grid of 1-24 values x 1-8 slots, maybe with a null row
-    and with cells absent from the score matrix (NaN)."""
-    V = data.draw(st.integers(min_size, 24), label="values")
-    S = data.draw(st.integers(min_size, 8), label="slots")
+    """A prediction grid of 1-24 values x 1-8 slots, or a square one of up to
+    8, maybe with a null row and with cells absent from the score matrix (NaN)."""
+    if data.draw(st.booleans(), label="square"):
+        V = S = data.draw(st.integers(min_size, 8), label="values and slots")
+    else:
+        V = data.draw(st.integers(min_size, 24), label="values")
+        S = data.draw(st.integers(min_size, 8), label="slots")
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
     values = [f"v{i:02d}" for i in range(V)]
     if data.draw(st.booleans(), label="null row"):
