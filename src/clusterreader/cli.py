@@ -198,7 +198,7 @@ def cmd_bp_trace(args) -> int:
     if not index.groups:
         raise cp.CorpusError(f"cluster {cluster.cluster_id} has no mentions to trace")
     values, scores = M.prediction_scores(model, index, config, decode)
-    graph = M.bp_graph(values, model.scoring_slots(), scores, masses=decode is None)
+    graph = M.prediction_graph(model, index, config, values, scores, decode)
     K.bp_trace(graph, args.iterations, args.out)
     log(f"wrote {args.iterations}-iteration belief trace for "
         f"{cluster.cluster_id} to {args.out}")

@@ -16,8 +16,9 @@ cycle under At-Most-1. ConstraintGraph.value_constant reads the rule off
 the grid's shape and null row. The null row has no value factor.
 
 A local potential is a probability: the caller's score matrix holds either
-probabilities already (prediction's value-level pooled attention masses) or
-log-odds, whose sigmoid is taken (ConstraintGraph.from_scores).
+probabilities already (prediction's value-level pooled attention masses,
+as model.prediction_graph scales them) or log-odds, whose sigmoid is taken
+(ConstraintGraph.from_scores).
 
 Messages are (true, false) pairs normalized to sum 1; we store only the
 true mass. The factor-to-variable update has the closed form

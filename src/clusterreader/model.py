@@ -12,9 +12,10 @@ Prediction works on one S x V grid per cluster (prediction_scores): the
 same matrix with its columns in grid order, the mentioned values sorted and
 then null (ClusterIndex.grid_columns), or the mention-level baseline's
 pooled probabilities in that order, NaN where a cell has no score. BP runs
-on that grid (bp_graph): a value-level mass is its cell's local potential,
-a mention-level score the log-odds of it. Decoding, ranking and the {slot:
-{value: score}} record are read off the grid once (prediction_record).
+on that grid (prediction_graph): a value-level mass, as a share of its slot
+row, is its cell's local potential, a mention-level score the log-odds of
+it. Decoding, ranking and the {slot: {value: score}} record are read off
+the grid once (prediction_record).
 
 The prediction entry points encode with projected=True: they embed only the
 cluster's distinct rows (ClusterIndex.distinct_tokens, every mention token
@@ -222,15 +223,35 @@ def _mention_scores(model: ReaderModel, index: ClusterIndex,
 def bp_graph(values, slots, scores: np.ndarray, masses: bool = False) -> K.ConstraintGraph:
     """The V x S constraint grid of an S x V score matrix.
 
-    A value-level grid (masses=True) holds pooled attention masses, already
-    probabilities on the model's own scale, and each is its cell's local
-    potential. The mention-level decodes' scores are read as log-odds, whose
-    sigmoid is the local. A NaN cell reads MISSING_PHI, so its local
-    potential is effectively zero on either scale.
+    The scores are read as log-odds, whose sigmoid is the local potential,
+    or with masses=True as probabilities, each its cell's local. A NaN cell
+    reads MISSING_PHI, so its local potential is effectively zero on either
+    scale.
     """
     phi = np.where(np.isnan(scores), K.MISSING_PHI, scores).T
     null_row = values.index(NULL_VALUE) if NULL_VALUE in values else None
     return K.ConstraintGraph.from_scores(phi, values, slots, null_row, masses=masses)
+
+
+def prediction_graph(model: ReaderModel, index: ClusterIndex, config: agg.AggregationConfig,
+                     values, scores: np.ndarray,
+                     mention_decode: str | None = None) -> K.ConstraintGraph:
+    """The grid prediction's BP decodes, of prediction_scores' output.
+
+    A value-level score is a pooled attention mass. Every mode but per-doc
+    spreads each slot's attention over the cluster once, so its masses are
+    probabilities on the model's own scale. per-doc softmaxes each document
+    separately, so a slot row sums to up to the number of non-empty
+    documents (to exactly that with the null column); its masses are
+    divided by that number, their mean over the documents.
+    The mention-level decodes' scores are read as log-odds.
+    """
+    slots = model.scoring_slots()
+    if mention_decode is not None:
+        return bp_graph(values, slots, scores)
+    if config.mode == "per-doc":
+        scores = scores / np.count_nonzero(index.doc_lengths)
+    return bp_graph(values, slots, scores, masses=True)
 
 
 def prediction_record(cluster_id: str, slots, values, scores: np.ndarray) -> dict:
@@ -256,7 +277,7 @@ def predict_cluster(model: ReaderModel, cluster: cp.Cluster,
                                  np.ones((len(slots), 1)))
     values, scores = prediction_scores(model, index, config, mention_decode)
     if bp_iterations != 0:
-        graph = bp_graph(values, slots, scores, masses=mention_decode is None)
+        graph = prediction_graph(model, index, config, values, scores, mention_decode)
         scores = K.run_bp(graph, bp_iterations).T
     return prediction_record(cluster.cluster_id, slots, values, scores)
 

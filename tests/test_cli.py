@@ -20,6 +20,9 @@ from clusterreader.training import TrainingError
 
 TINY = ["--set", "embed_dim=12", "--set", "width1=3", "--set", "width2=2",
         "--set", "d1=4", "--set", "r=4", "--set", "max_epochs=2"]
+# long enough that --bp 0 predicts values
+VALUE_RECIPE = ["--set", "embed_dim=16", "--set", "width1=3", "--set", "width2=3",
+                "--set", "d1=8", "--set", "r=8", "--set", "max_epochs=15"]
 
 
 @pytest.fixture(scope="module")
@@ -445,10 +448,8 @@ def value_checkpoint(pipeline):
     assert cli.run(["synth", "--out", train, "--clusters", "8", "--seed", "5"]) == 0
     assert cli.run(["synth", "--out", test, "--clusters", "4", "--seed", "6",
                     "--split", "test"]) == 0
-    assert cli.run(["train", "--corpus", train, "--checkpoint", ckpt, "--set", "embed_dim=16",
-                    "--set", "width1=3", "--set", "width2=3", "--set", "d1=8", "--set", "r=8",
-                    "--set", "max_epochs=15"]) == 0
-    return {"test": test, "ckpt": ckpt}
+    assert cli.run(["train", "--corpus", train, "--checkpoint", ckpt] + VALUE_RECIPE) == 0
+    return {"train": train, "test": test, "ckpt": ckpt}
 
 
 def test_one_bp_round_keeps_the_values_bp_0_predicts(value_checkpoint, tmp_path):
@@ -464,6 +465,36 @@ def test_one_bp_round_keeps_the_values_bp_0_predicts(value_checkpoint, tmp_path)
     assert all(picked["0"].values())
     for cid, values in picked["1"].items():
         assert values, cid
+
+
+def _duplicate_winners(by_slot: dict) -> set:
+    winners = [v for v in by_slot.values() if v is not None]
+    return {v for v in winners if winners.count(v) > 1}
+
+
+def test_per_doc_converged_bp_keeps_the_top_1_of_bp_0(value_checkpoint, tmp_path):
+    # per-doc masses sum to the number of documents in each slot; BP must
+    # read them as the slot's shares, not clip every mass above 1 into a tie.
+    # Converged BP may move a slot off a value that also wins another slot,
+    # and no other
+    ckpt = str(tmp_path / "perdoc.json")
+    assert cli.run(["train", "--corpus", value_checkpoint["train"], "--checkpoint", ckpt,
+                    "--aggregation", "per-doc", "--set", "lr=0.01"]
+                   + VALUE_RECIPE + ["--set", "max_epochs=40"]) == 0
+    picked = {}
+    for bp in ("0", "conv"):
+        out = tmp_path / f"bp{bp}.json"
+        assert cli.run(["predict", "--checkpoint", ckpt, "--corpus", value_checkpoint["test"],
+                        "--out", str(out), "--bp", bp]) == 0
+        picked[bp] = {cid: r["predictions"] for cid, r in _predictions(out).items()}
+    for cid, by_slot in picked["0"].items():
+        assert any(v is not None for v in by_slot.values()), cid
+        duplicates = _duplicate_winners(by_slot)
+        converged = picked["conv"][cid]
+        assert len(_duplicate_winners(converged)) <= len(duplicates), cid
+        for slot, value in by_slot.items():
+            if value not in duplicates:
+                assert converged[slot] == value, (cid, slot)
 
 
 def test_bp_trace_of_value_level_checkpoint_starts_at_its_masses(pipeline, tmp_path):

@@ -296,16 +296,29 @@ def predict_corpus_grids():
     for mode in MODES:
         config = AggregationConfig(mode=mode)
         for cluster in test:
-            values, scores = M.prediction_scores(model, M.ClusterIndex.build(cluster), config)
-            grids.append(M.bp_graph(values, model.scoring_slots(), scores, masses=True))
+            index = M.ClusterIndex.build(cluster)
+            values, scores = M.prediction_scores(model, index, config)
+            grids.append((mode, M.prediction_graph(model, index, config, values, scores)))
     return grids
 
 
 def test_converge_stops_below_the_cap_on_prediction_grids(predict_corpus_grids):
-    for graph in predict_corpus_grids:
+    for _, graph in predict_corpus_grids:
         assert graph.shape[0] > graph.shape[1] and graph.value_constant == 2.0
         state, delta = K.converge(graph)
         assert state.iteration < K.CONV_CAP and delta < K.CONV_TOL
+
+
+def test_prediction_locals_are_each_slots_share_of_its_mass(predict_corpus_grids):
+    # per-doc sums one softmax per document, so its raw masses run above 1;
+    # its locals must still split each slot's mass with no cell clipped at
+    # 1 - EPS, or every value a slot scores above 1 would tie
+    for mode, graph in predict_corpus_grids:
+        assert graph.local.max() < 1 - K.EPS, mode
+        slot_mass = graph.local.sum(axis=0)
+        assert np.all(slot_mass <= 1 + 1e-9), mode
+        if mode in ("sum", "per-doc"):
+            assert_allclose(slot_mass, 1.0, atol=1e-9, err_msg=mode)
 
 
 def test_convergence_mode_terminates_on_random_grids():
