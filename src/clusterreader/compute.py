@@ -1,14 +1,15 @@
 """Dense float64 tensors with reverse-mode gradients, Adam, and checkpoints.
 
 This is deliberately small: just the operations the reader pipeline needs
-(1-D convolution, matrix products, softmax, dropout, gathers, reductions
-and segment pooling), recorded on a dynamic graph and differentiated by a
-single topological backward sweep. Everything is 64-bit so that
-finite-difference checks are tight.
+(a convolution read through a window index, matrix products, softmax,
+dropout, gathers, reductions and segment pooling), recorded on a dynamic
+graph and differentiated by a single topological backward sweep.
+Everything is 64-bit so that finite-difference checks are tight.
 
 A cluster's documents are consecutive blocks of one matrix, not separate
-tensors: conv1d and softmax take the block lengths and work block by block
-inside one node, so no window or normalization crosses a document.
+tensors: softmax takes the block lengths and normalizes block by block
+inside one node, and window_conv reads a window index in which no window
+crosses a document, so no window or normalization crosses a document.
 """
 
 from __future__ import annotations
@@ -315,45 +316,44 @@ def compose_embedding(base: np.ndarray, mask_vector: Tensor, mask_rows) -> Tenso
 # convolution and dropout
 
 
-def conv1d(x: Tensor, w: Tensor, b: Tensor, lengths=None) -> Tensor:
-    """Same-padded 1-D convolution over the rows of x, block by block.
+def window_conv(x: Tensor, w: Tensor, b: Tensor, windows) -> Tensor:
+    """A convolution read through a window index (an unrolled convolution).
 
-    x is (n, d_in), w is (width, d_in, d_out), b is (d_out,). lengths splits
-    the rows into consecutive blocks (default: one block). Each block is
-    padded on its own, width//2 zeros on the left and the remainder on the
-    right, so no window spans a block boundary and the output has exactly n
-    rows for any width. Forward and backward run block by block in order,
-    adding each block's w and b gradients in turn.
+    x is (m, d_in), w is (width, d_in, d_out), b is (d_out,) and windows is
+    (n, width): out[t] = b + sum over k of x~[windows[t, k]] . w[k], where x~
+    is x with a zero row appended at index m for padding. A row of x may sit
+    in many windows or in none, so x can hold only a cluster's distinct rows.
+
+    The forward projects x~ once by every w[k] and sums each output row's
+    gathered projections. The backward scatters g onto those projections,
+    then takes w's gradient as one batched product with x and x's as one
+    GEMM with w.
     """
     x, w, b = _lift(x), _lift(w), _lift(b)
-    if x.data.ndim != 2 or w.data.ndim != 3 or b.data.ndim != 1:
-        raise ComputeError("conv1d operand rank mismatch")
+    windows = np.asarray(windows, dtype=np.intp)
+    if x.data.ndim != 2 or w.data.ndim != 3 or b.data.ndim != 1 or windows.ndim != 2:
+        raise ComputeError("window_conv operand rank mismatch")
     width, d_in, d_out = w.data.shape
-    if x.data.shape[1] != d_in or b.data.shape[0] != d_out:
-        raise ComputeError(f"conv1d shape mismatch x={x.data.shape} w={w.data.shape} b={b.data.shape}")
-    blocks = _blocks(lengths, x.data.shape[0])
-    left = width // 2
-    out_data = np.zeros((x.data.shape[0], d_out))
-    windows = []
-    for lo, hi in blocks:
-        padded = np.zeros((hi - lo + width - 1, d_in))
-        padded[left:left + hi - lo] = x.data[lo:hi]
-        win = np.lib.stride_tricks.sliding_window_view(padded, width, axis=0)  # (n, d_in, width)
-        win = win.transpose(0, 2, 1)  # (n, width, d_in)
-        out_data[lo:hi] = np.tensordot(win, w.data, axes=((1, 2), (0, 1))) + b.data
-        windows.append(win)
+    m = x.data.shape[0]
+    if x.data.shape[1] != d_in or b.data.shape[0] != d_out or windows.shape[1] != width:
+        raise ComputeError(f"window_conv shape mismatch x={x.data.shape} w={w.data.shape} "
+                           f"b={b.data.shape} windows={windows.shape}")
+    if windows.size and (windows.min() < 0 or windows.max() > m):
+        raise ComputeError("window_conv index out of range")
+    proj = np.vstack([x.data, np.zeros(d_in)]) @ w.data     # width x (m + 1) x d_out
+    flat = windows.T + (m + 1) * np.arange(width)[:, None]   # rows of proj, width x n
+    out_data = np.take(proj.reshape(-1, d_out), flat, axis=0).sum(axis=0) + b.data
 
     def backward(g):
-        gx = np.zeros_like(x.data)
-        for (lo, hi), win in zip(blocks, windows):
-            gb = g[lo:hi]
-            w.accumulate(np.tensordot(win, gb, axes=((0,), (0,))))
-            b.accumulate(gb.sum(axis=0))
-            gpad = np.zeros((hi - lo + width - 1, d_in))
-            for k in range(width):
-                gpad[k:k + hi - lo] += gb @ w.data[k].T
-            gx[lo:hi] = gpad[left:left + hi - lo]
-        x.accumulate(gx)
+        # one flat scatter-add: numpy's fast path takes 1-D indices only
+        dproj = np.zeros(width * (m + 1) * d_out)
+        at = flat[..., None] * d_out + np.arange(d_out)
+        np.add.at(dproj, at.ravel(), np.broadcast_to(g, at.shape).ravel())
+        dproj = dproj.reshape(width, m + 1, d_out)[:, :m]
+        w.accumulate(x.data.T @ dproj)
+        b.accumulate(g.sum(axis=0))
+        x.accumulate(dproj.transpose(1, 0, 2).reshape(m, width * d_out)
+                     @ w.data.transpose(0, 2, 1).reshape(width * d_out, d_in))
 
     return node(out_data, (x, w, b), backward)
 
@@ -424,15 +424,26 @@ def adam_step(params: dict[str, Tensor], state: AdamState, lr: float, l2: float 
             raise ComputeError(f"non-finite gradient for parameter {name!r}")
         if l2:
             g = g + l2 * p.data
-        m = state.m.setdefault(name, np.zeros_like(p.data))
-        v = state.v.setdefault(name, np.zeros_like(p.data))
+        if name not in state.m:
+            state.m[name], state.v[name] = np.zeros_like(p.data), np.zeros_like(p.data)
+        m, v = state.m[name], state.v[name]
+        # p -= lr * m_hat / (sqrt(v_hat) + eps) in that order, in place
+        # through two buffers: a temporary the size of a large parameter can
+        # cost a page fault per page when the allocator maps it afresh
+        step = (1 - b1) * g
         m *= b1
-        m += (1 - b1) * g
+        m += step
+        np.multiply(g, g, out=step)
+        step *= 1 - b2
         v *= b2
-        v += (1 - b2) * (g * g)
-        m_hat = m / (1 - b1 ** state.t)
-        v_hat = v / (1 - b2 ** state.t)
-        p.data -= lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        v += step
+        denom = v / (1 - b2 ** state.t)
+        np.sqrt(denom, out=denom)
+        denom += state.eps
+        np.divide(m, 1 - b1 ** state.t, out=step)
+        step *= lr
+        step /= denom
+        p.data -= step
 
 
 # ---------------------------------------------------------------------------

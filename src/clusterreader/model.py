@@ -17,12 +17,10 @@ row, is its cell's local potential, a mention-level score the log-odds of
 it. Decoding, ranking and the {slot: {value: score}} record are read off
 the grid once (prediction_record).
 
-The prediction entry points encode with projected=True: they embed only the
-cluster's distinct rows (ClusterIndex.distinct_tokens, every mention token
-one mask row), and the encoder reads layer 1 from their projection and
-layer 2 through one window gather, with no conv1d. Training, and anything
-else that backpropagates, keeps the default conv1d path whatever its
-training flag.
+Training and prediction encode alike: they embed only the cluster's
+distinct rows (ClusterIndex.distinct_tokens, every mention token one mask
+row), and the encoder reads token t's row through the index those rows
+come with.
 """
 
 from __future__ import annotations
@@ -119,26 +117,20 @@ class ReaderModel:
         return [s for s in self.pi if s != NULL_SLOT]
 
     def representations(self, index: ClusterIndex, training: bool = False,
-                        keep_prob: float = 1.0, rng=None, projected: bool = False) -> C.Tensor:
-        """n x r token representations; projected (prediction only) reads
-        layer 1 from the projection of the cluster's distinct rows."""
-        if projected:
-            tokens, mask_rows, rows = index.distinct_tokens()
-            distinct = E.embed_cluster(tokens, mask_rows, self.table)
-            return E.encode(distinct, index.doc_lengths, self.enc, training=training, rows=rows)
-        embedded = E.embed_cluster(index.flat_tokens, index.mention_token_set, self.table)
-        return E.encode(embedded, index.doc_lengths, self.enc,
-                        training=training, keep_prob=keep_prob, rng=rng)
+                        keep_prob: float = 1.0, rng=None) -> C.Tensor:
+        """n x r token representations, encoded from the cluster's distinct rows."""
+        tokens, mask_rows, rows = index.distinct_tokens()
+        distinct = E.embed_cluster(tokens, mask_rows, self.table)
+        return E.encode(distinct, index.doc_lengths, self.enc, training=training,
+                        keep_prob=keep_prob, rng=rng, rows=rows)
 
     def token_scores(self, R: C.Tensor, slots) -> C.Tensor:
         return S.score_tokens(R, [self.pi[s] for s in slots])
 
     def value_scores(self, index: ClusterIndex, config: agg.AggregationConfig,
-                     training: bool = False, keep_prob: float = 1.0, rng=None,
-                     projected: bool = False) -> C.Tensor:
+                     training: bool = False, keep_prob: float = 1.0, rng=None) -> C.Tensor:
         """Differentiable S x K scores: scoring slots by index.columns(null_enabled)."""
-        R = self.representations(index, training=training, keep_prob=keep_prob, rng=rng,
-                                 projected=projected)
+        R = self.representations(index, training=training, keep_prob=keep_prob, rng=rng)
         U = self.token_scores(R, self.scoring_slots())
         if config.mode == "per-doc":
             A = agg.per_document_attention(U, index.doc_lengths)
@@ -152,11 +144,9 @@ class ReaderModel:
         return agg.aggregate_sum(A, segments, agg.weights_for(index.cluster, config.mode))
 
     def mention_slot_logits(self, index: ClusterIndex, training: bool = False,
-                            keep_prob: float = 1.0, rng=None,
-                            projected: bool = False) -> C.Tensor:
+                            keep_prob: float = 1.0, rng=None) -> C.Tensor:
         """m x |pi| raw slot scores at each mention's first token (mention-level mode)."""
-        R = self.representations(index, training=training, keep_prob=keep_prob, rng=rng,
-                                 projected=projected)
+        R = self.representations(index, training=training, keep_prob=keep_prob, rng=rng)
         U = self.token_scores(R, list(self.pi))
         return C.take(C.transpose(U), [k for _, _, k in index.mention_rows])
 
@@ -185,7 +175,7 @@ def prediction_scores(model: ReaderModel, index: ClusterIndex, config: agg.Aggre
         return _mention_scores(model, index, mention_decode)
     values = index.grid_columns(config.null_enabled)
     col = {v: k for k, v in enumerate(index.columns(config.null_enabled))}
-    scores = model.value_scores(index, config, projected=True).data
+    scores = model.value_scores(index, config).data
     return values, scores[:, [col[v] for v in values]]
 
 
@@ -201,7 +191,7 @@ def _mention_scores(model: ReaderModel, index: ClusterIndex,
     running total over the mentions does; segment_pool's pairwise sum would
     move the sums, and BP's beliefs after them, in the last bits.
     """
-    probs = C.softmax(model.mention_slot_logits(index, projected=True)).data
+    probs = C.softmax(model.mention_slot_logits(index)).data
     slot_order = list(model.pi)
     slots = model.scoring_slots()
     values = index.grid_columns(decode == "none")

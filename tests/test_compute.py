@@ -1,15 +1,17 @@
 """Gradient, optimizer, and checkpoint tests for the compute core.
 
 Every differentiable op is checked against central finite differences on
-random seeded inputs; dropout is checked against its expectation by Monte
-Carlo; Adam against a step-by-step reference implementation.
+random seeded inputs; window_conv also against reference_conv, a direct
+loop over the taps of a same-padded convolution that the encoder tests
+reuse; dropout is checked against its expectation by Monte Carlo; Adam
+against a step-by-step reference implementation.
 """
 
 import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -210,42 +212,121 @@ def test_transpose_grad():
     check_grads(lambda: C.tsum(C.scale(C.transpose(a), w)), [a])
 
 
-def test_conv1d_matches_direct_computation():
+def _taps(lengths, width):
+    """(t, k, s) for every tap of a same-padded convolution over documents
+    of the given lengths: output row t reads input row s at filter offset k,
+    s = t + k - width//2 inside t's document."""
+    at = 0
+    for length in lengths:
+        for t in range(at, at + length):
+            for k in range(width):
+                s = t + k - width // 2
+                if at <= s < at + length:
+                    yield t, k, s
+        at += length
+
+
+def reference_conv(x, w, b, lengths):
+    """Same-padded 1-D convolution over the rows of x, each document (block
+    of rows) padded on its own, as a direct loop: out[t] = b + the sum over
+    k of x[t + k - width//2] . w[k], a position outside t's document reading
+    zeros. w is (width, d_in, d_out)."""
+    out = np.tile(b, (len(x), 1))
+    for t, k, s in _taps(lengths, len(w)):
+        out[t] += x[s] @ w[k]
+    return out
+
+
+def reference_conv_grads(x, w, lengths, g):
+    """(dx, dw, db) of sum(g * reference_conv(x, w, b, lengths)), as a direct loop."""
+    dx, dw = np.zeros_like(x), np.zeros_like(w)
+    for t, k, s in _taps(lengths, len(w)):
+        dx[s] += w[k] @ g[t]
+        dw[k] += np.outer(x[s], g[t])
+    return dx, dw, g.sum(axis=0)
+
+
+def reference_windows(lengths, width, rows, pad):
+    """n x width window index of a same-padded convolution whose token t
+    reads row rows[t]: entry (t, k) is rows[t + k - width//2], or pad."""
+    windows = np.full((len(rows), width), pad)
+    for t, k, s in _taps(lengths, width):
+        windows[t, k] = rows[s]
+    return windows
+
+
+def assert_close(got, want, rel=1e-12):
+    """Equal up to rounding: within rel of want's largest magnitude (at least 1)."""
+    assert got.shape == want.shape
+    assert np.abs(got - want).max(initial=0.0) <= rel * max(1.0, np.abs(want).max(initial=0.0))
+
+
+def test_reference_conv_worked_example():
     # width 3 on 4 tokens: out[i] = sum_k w[k] . x[i+k-1] with zero pads
     x = np.arange(8.0).reshape(4, 2)
     w = np.zeros((3, 2, 1))
     w[0, 0, 0] = 1.0   # taps left neighbor's first feature
     w[1, 1, 0] = 2.0   # taps own second feature
-    out = C.conv1d(C.Tensor(x), C.Tensor(w), C.Tensor([0.5]))
+    out = reference_conv(x, w, np.array([0.5]), [4])
     expect = np.array([[0 + 2 * 1 + 0.5], [0 + 2 * 3 + 0.5], [2 + 2 * 5 + 0.5], [4 + 2 * 7 + 0.5]])
-    assert_allclose(out.data, expect)
+    assert_allclose(out, expect)
+    # two documents: token 2 no longer sees token 1
+    assert_allclose(reference_conv(x, w, np.array([0.5]), [2, 2])[2], [2 * 5 + 0.5])
 
 
-def test_conv1d_same_padding_lengths():
-    rng = np.random.default_rng(15)
-    for width in (1, 2, 3, 5, 10):
-        for n in (1, 2, 7):
-            x = C.Tensor(rng.normal(size=(n, 3)))
-            w = C.Tensor(rng.normal(size=(width, 3, 4)))
-            b = C.Tensor(rng.normal(size=(4,)))
-            assert C.conv1d(x, w, b).shape == (n, 4)
+def _window_case(lengths, width, m, d_in, d_out, seed):
+    """Random operands of a window convolution whose tokens read m rows with
+    repeats, as layer 1 reads a cluster's distinct rows."""
+    rng = np.random.default_rng(seed)
+    rows = rng.integers(0, m, size=sum(lengths))
+    x, w, b = rng.normal(size=(m, d_in)), rng.normal(size=(width, d_in, d_out)), rng.normal(size=d_out)
+    return rows, x, w, b, rng.normal(size=(rows.size, d_out))
 
 
-def test_conv1d_grads():
-    rng = np.random.default_rng(16)
-    x = C.Tensor(rng.normal(size=(6, 3)), requires_grad=True)
-    w = C.Tensor(rng.normal(size=(5, 3, 2)), requires_grad=True)
-    b = C.Tensor(rng.normal(size=(2,)), requires_grad=True)
-    weights = rng.normal(size=(6, 2))
-    check_grads(lambda: C.tsum(C.scale(C.conv1d(x, w, b), weights)), [x, w, b])
+@settings(max_examples=80, deadline=None)
+@given(lengths=st.lists(st.integers(0, 12), min_size=1, max_size=5),
+       width=st.integers(1, 10), m=st.integers(1, 6), d_in=st.integers(1, 3),
+       d_out=st.integers(1, 3), seed=st.integers(0, 2**16))
+@example(lengths=[0, 0], width=3, m=1, d_in=2, d_out=2, seed=0)      # no tokens
+@example(lengths=[2, 0, 1, 3], width=10, m=2, d_in=2, d_out=1, seed=1)  # shorter than the filter
+@example(lengths=[7], width=4, m=1, d_in=3, d_out=2, seed=2)         # every token one row
+def test_window_conv_equals_reference_convolution(lengths, width, m, d_in, d_out, seed):
+    # forward and every gradient equal the direct loop over each token's own
+    # copy of its row, x's gradient folded back onto the rows, up to rounding
+    rows, x0, w0, b0, g = _window_case(lengths, width, m, d_in, d_out, seed)
+    x, w, b = (C.Tensor(v, requires_grad=True) for v in (x0, w0, b0))
+    out = C.window_conv(x, w, b, reference_windows(lengths, width, rows, m))
+    C.backward(C.tsum(C.scale(out, g)))
+    tokens = x0[rows]
+    dx_tokens, dw, db = reference_conv_grads(tokens, w0, lengths, g)
+    dx = np.zeros_like(x0)
+    np.add.at(dx, rows, dx_tokens)
+    assert_close(out.data, reference_conv(tokens, w0, b0, lengths))
+    assert_close(x.grad, dx)
+    assert_close(w.grad, dw)
+    assert_close(b.grad, db)
 
 
-def test_conv1d_wide_kernel_grads():
-    rng = np.random.default_rng(17)
-    x = C.Tensor(rng.normal(size=(4, 2)), requires_grad=True)
-    w = C.Tensor(rng.normal(size=(10, 2, 3)), requires_grad=True)  # kernel wider than input
-    b = C.Tensor(rng.normal(size=(3,)), requires_grad=True)
-    check_grads(lambda: C.tsum(C.conv1d(x, w, b)), [x, w, b])
+@settings(max_examples=30, deadline=None)
+@given(lengths=st.lists(st.integers(0, 7), min_size=1, max_size=3).filter(sum),
+       width=st.integers(1, 10), m=st.integers(1, 4), seed=st.integers(0, 2**16))
+def test_window_conv_grads(lengths, width, m, seed):
+    rows, x0, w0, b0, g = _window_case(lengths, width, m, 2, 3, seed)
+    x, w, b = (C.Tensor(v, requires_grad=True) for v in (x0, w0, b0))
+    windows = reference_windows(lengths, width, rows, m)
+    check_grads(lambda: C.tsum(C.scale(C.window_conv(x, w, b, windows), g)), [x, w, b])
+
+
+def test_window_conv_rejects_bad_operands():
+    x, w, b = C.Tensor(np.ones((3, 2))), C.Tensor(np.ones((2, 2, 1))), C.Tensor(np.zeros(1))
+    C.window_conv(x, w, b, [[0, 3], [3, 2]])       # index 3 is the zero row
+    for windows in ([[0, 4]], [[-1, 0]]):
+        with pytest.raises(C.ComputeError, match="out of range"):
+            C.window_conv(x, w, b, windows)
+    with pytest.raises(C.ComputeError, match="shape mismatch"):
+        C.window_conv(x, w, b, [[0, 1, 2]])
+    with pytest.raises(C.ComputeError, match="rank"):
+        C.window_conv(x, w, b, [0, 1])
 
 
 def _grad(t):
@@ -255,35 +336,6 @@ def _grad(t):
 def _block_bounds(lengths):
     stops = np.cumsum(lengths, dtype=int)
     return [(int(s) - k, int(s)) for s, k in zip(stops, lengths) if k]
-
-
-@settings(max_examples=60, deadline=None)
-@given(lengths=st.lists(st.integers(0, 12), min_size=1, max_size=6),
-       width=st.integers(1, 10), d_in=st.integers(1, 3), d_out=st.integers(1, 3),
-       seed=st.integers(0, 2**16))
-def test_conv1d_blocks_equal_per_block_convolutions(lengths, width, d_in, d_out, seed):
-    # one block op is each block convolved on its own, concatenated; w and b
-    # gradients add block by block in order: equal to the last bit
-    rng = np.random.default_rng(seed)
-    n = sum(lengths)
-    x0, w0, b0 = rng.normal(size=(n, d_in)), rng.normal(size=(width, d_in, d_out)), rng.normal(size=d_out)
-    g = rng.normal(size=(n, d_out))
-    x, w, b = (C.Tensor(v, requires_grad=True) for v in (x0, w0, b0))
-    out = C.conv1d(x, w, b, lengths)
-    C.backward(C.tsum(C.scale(out, g)))
-
-    w_ref, b_ref = C.Tensor(w0, requires_grad=True), C.Tensor(b0, requires_grad=True)
-    outs, gxs = [np.zeros((0, d_out))], [np.zeros((0, d_in))]
-    for lo, hi in _block_bounds(lengths):
-        xb = C.Tensor(x0[lo:hi].copy(), requires_grad=True)
-        ob = C.conv1d(xb, w_ref, b_ref)
-        C.backward(C.tsum(C.scale(ob, g[lo:hi])))  # one sweep per block, in order
-        outs.append(ob.data)
-        gxs.append(_grad(xb))
-    assert np.array_equal(out.data, np.concatenate(outs))
-    assert np.array_equal(_grad(x), np.concatenate(gxs))
-    assert np.array_equal(_grad(w), _grad(w_ref))
-    assert np.array_equal(_grad(b), _grad(b_ref))
 
 
 @settings(max_examples=60, deadline=None)
@@ -309,13 +361,10 @@ def test_softmax_blocks_equal_per_block_softmax(lengths, rows, seed):
 
 
 def test_block_lengths_must_cover_the_axis():
-    x = C.Tensor(np.ones((5, 2)))
-    w, b = C.Tensor(np.ones((3, 2, 1))), C.Tensor(np.zeros(1))
+    x = C.Tensor(np.ones((2, 5)))
     for lengths in ([2, 2], [3, 3], [6, -1]):
         with pytest.raises(C.ComputeError, match="do not cover"):
-            C.conv1d(x, w, b, lengths)
-        with pytest.raises(C.ComputeError, match="do not cover"):
-            C.softmax(C.transpose(x), lengths)
+            C.softmax(x, lengths)
 
 
 def test_dropout_eval_mode_is_identity():

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy.optimize import linear_sum_assignment
 
 from clusterreader import compute as C
 from clusterreader import constraints as K
@@ -38,11 +39,22 @@ def brute_force_oracle(local, null_row=None):
     the bijections, the support of Exactly-1 value factors there.
     """
     local = np.asarray(local, dtype=np.float64)
+    weight_true = np.zeros(local.shape)
+    total = 0.0
+    for x, w in _valid_assignments(local, null_row):
+        total += w
+        weight_true += w * x
+    if total <= 0:
+        raise K.ConstraintError("no assignment satisfies the slot and value factors")
+    return weight_true / total
+
+
+def _valid_assignments(local, null_row):
+    """Each assignment the slot and value factors allow, as (V x S 0/1
+    matrix, its weight: the product of local or 1 - local over every cell)."""
     V, S = local.shape
     if V * S > 20:
         raise K.ConstraintError(f"grid {V}x{S} too large for enumeration")
-    weight_true = np.zeros((V, S))
-    total = 0.0
     for choice in itertools.product(range(V), repeat=S):
         counts = np.bincount(choice, minlength=V)
         if null_row is not None:
@@ -51,12 +63,30 @@ def brute_force_oracle(local, null_row=None):
             continue
         x = np.zeros((V, S))
         x[list(choice), range(S)] = 1.0
-        w = float(np.prod(np.where(x == 1, local, 1 - local)))
-        total += w
-        weight_true += w * x
-    if total <= 0:
-        raise K.ConstraintError("no assignment satisfies the slot and value factors")
-    return weight_true / total
+        yield x, float(np.prod(np.where(x == 1, local, 1 - local)))
+
+
+def brute_force_map(local, null_row=None):
+    """Each slot's value row in the most probable valid assignment, by enumeration."""
+    x, _ = max(_valid_assignments(np.asarray(local, dtype=np.float64), null_row),
+               key=lambda xw: xw[1])
+    return x.argmax(axis=0)
+
+
+def map_matching(local, null_row=None):
+    """Each slot's value row in the most probable valid assignment, as a
+    maximum-weight bipartite matching of slots to values on the log-odds.
+
+    An assignment weighs the product of (1 - local) over the grid times the
+    odds of the cells it picks, so its MAP maximizes the picked log-odds.
+    Each slot is matched once and each value at most once; the null row is
+    offered once per slot, so it may fill them all.
+    """
+    local = np.asarray(local, dtype=np.float64)
+    V, S = local.shape
+    columns = [i for i in range(V) if i != null_row] + ([null_row] * S if null_row is not None else [])
+    _, picks = linear_sum_assignment((np.log(local) - np.log1p(-local))[columns].T, maximize=True)
+    return np.asarray(columns)[picks]
 
 
 def oracle_factor_message(mu, i):
@@ -432,6 +462,49 @@ def test_converged_decode_matches_exact_marginals_on_rectangular_grids():
         hits += np.array_equal(exact.argmax(axis=0), beliefs.argmax(axis=0))
         trials += 1
     assert hits >= 0.95 * trials, f"only {hits}/{trials} matched"
+
+
+def _random_grid(rng, V, S, null_row, kind):
+    """A V x S prediction grid: per-slot attention masses (Dirichlet, read as
+    locals) or sigmoids of dispersed Gaussian scores, as mention decodes read."""
+    values = [NULL_VALUE if i == null_row else f"v{i}" for i in range(V)]
+    slots = [f"s{j}" for j in range(S)]
+    if kind == "masses":
+        return M.bp_graph(values, slots, rng.dirichlet(np.full(V, 0.5), size=S), masses=True)
+    return M.bp_graph(values, slots, rng.normal(scale=2.0, size=(S, V)))
+
+
+def test_matching_is_the_enumerated_map_on_small_grids():
+    # At-Most-1 value rows: the MAP is a maximum-weight bipartite matching
+    rng = np.random.default_rng(84)
+    trials = 0
+    while trials < 300:
+        S, V = int(rng.integers(1, 4)), int(rng.integers(1, 7))
+        null_row = int(rng.integers(V)) if rng.random() < 0.5 else None
+        if V * S > 20 or (null_row is None and V < S):
+            continue
+        g = _random_grid(rng, V, S, null_row, ("masses", "sigmoid")[trials % 2])
+        assert np.array_equal(map_matching(g.local, g.null_row),
+                              brute_force_map(g.local, g.null_row)), g.local
+        trials += 1
+
+
+@pytest.mark.parametrize("kind,floor", [("masses", 0.80), ("sigmoid", 0.85)])
+def test_converged_top1_agrees_with_map_matching_on_large_grids(kind, floor):
+    # 20 values (the last null) x 8 slots, 160 variables, past enumeration.
+    # Converged sum-product BP decodes each slot's largest marginal, not the
+    # joint MAP, so the two can part. Measured over these 200 grids: 84.1%
+    # of slots agree on masses and 89.4% on sigmoids, against 83.4% and
+    # 82.4% for the locals' own argmax; the floors leave a margin below that.
+    rng = np.random.default_rng(83)
+    agree = total = 0
+    for _ in range(200):
+        g = _random_grid(rng, 20, 8, 19, kind)
+        state, delta = K.converge(g)
+        assert delta < K.CONV_TOL
+        agree += int(np.sum(K.beliefs(state, g).argmax(axis=0) == map_matching(g.local, 19)))
+        total += 8
+    assert agree >= floor * total, f"{agree}/{total} slots agree with the MAP matching"
 
 
 def test_prediction_record_reads_beliefs_by_slot_and_value():

@@ -11,6 +11,7 @@ from clusterreader import compute as C
 from clusterreader import encoder as E
 from clusterreader import scorer as S
 from clusterreader.model import ClusterIndex
+from test_compute import assert_close, reference_conv, reference_conv_grads
 
 
 def small_table(rng, tokens=("a", "b", "c", "d"), dim=6):
@@ -130,61 +131,84 @@ def test_encode_gradients_reach_all_params():
         assert p.grad is not None and np.abs(p.grad).max() > 0, name
 
 
-def _encode_doc_by_doc(x0, doc_lengths, params, keep_prob, rng, g):
-    """Reference: each document encoded as its own matrix, masks drawn per
-    document (first layer, then second), one backward sweep per document so
-    that parameter gradients add in document order."""
-    outs, gxs = [np.zeros((0, params.out_dim))], [np.zeros((0, x0.shape[1]))]
-    at = 0
-    for length in doc_lengths:
-        if length == 0:
-            continue
-        x = C.Tensor(x0[at:at + length].copy(), requires_grad=True)
-        h = C.relu(C.conv1d(x, params.w1, params.b1))
-        h = C.scale(h, (rng.random(h.shape) < keep_prob) / keep_prob)
-        h = C.conv1d(h, params.w2, params.b2)
-        h = C.scale(h, (rng.random(h.shape) < keep_prob) / keep_prob)
-        C.backward(C.tsum(C.scale(h, g[at:at + length])))
-        outs.append(h.data)
-        gxs.append(x.grad)
-        at += length
-    return np.concatenate(outs), np.concatenate(gxs)
+def reference_encode(x0, doc_lengths, params, masks=(1.0, 1.0)):
+    """Both CNN layers of encode over one embedding row per token, as
+    reference convolutions: masks scale the rectified layer 1 and layer 2
+    (dropout). Returns the output and the backward function of
+    sum(g * output), giving the gradients of x0, w1, b1, w2 and b2."""
+    w1, b1, w2, b2 = (p.data for p in (params.w1, params.b1, params.w2, params.b2))
+    pre = reference_conv(x0, w1, b1, doc_lengths)
+    h = np.where(pre > 0, pre, 0.0) * masks[0]
+    out = reference_conv(h, w2, b2, doc_lengths) * masks[1]
+
+    def backward(g):
+        dh, dw2, db2 = reference_conv_grads(h, w2, doc_lengths, g * masks[1])
+        dx, dw1, db1 = reference_conv_grads(x0, w1, doc_lengths, dh * masks[0] * (pre > 0))
+        return dx, {"enc.w1": dw1, "enc.b1": db1, "enc.w2": dw2, "enc.b2": db2}
+
+    return out, backward
 
 
 @settings(max_examples=25, deadline=None)
 @given(doc_lengths=st.lists(st.integers(0, 14), min_size=1, max_size=5),
        seed=st.integers(0, 2**16))
 def test_training_encode_equals_doc_by_doc_encoding(doc_lengths, seed):
-    # one block-aware pass draws the same masks and gives the same output
-    # and gradients, to the last bit, as encoding each document on its own
+    # one pass over the cluster draws each document's masks, first layer then
+    # second, bit for bit as a document-by-document draw does, and gives the
+    # reference convolutions' output and gradients up to rounding
     rng = np.random.default_rng(seed)
     x0 = rng.normal(size=(sum(doc_lengths), 5))
     g = rng.normal(size=(sum(doc_lengths), 3))
-    block = E.init_encoder(5, np.random.default_rng(seed), width1=4, d1=4, width2=3, r=3)
-    ref = E.init_encoder(5, np.random.default_rng(seed), width1=4, d1=4, width2=3, r=3)
+    params = E.init_encoder(5, np.random.default_rng(seed), width1=4, d1=4, width2=3, r=3)
+    params.b1.data[:] = rng.normal(scale=0.05, size=4)  # rectifier on both sides
     x = C.Tensor(x0, requires_grad=True)
-    out = E.encode(x, doc_lengths, block, training=True, keep_prob=0.7,
-                   rng=np.random.default_rng(seed + 1))
+    drawn, dropout = [], C.dropout
+
+    def recording(h, keep_prob, uniforms=None):
+        drawn.append(uniforms)
+        return dropout(h, keep_prob, uniforms)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(C, "dropout", recording)
+        out = E.encode(x, doc_lengths, params, training=True, keep_prob=0.7,
+                       rng=np.random.default_rng(seed + 1))
     C.backward(C.tsum(C.scale(out, g)))
-    want, want_gx = _encode_doc_by_doc(x0, doc_lengths, ref, 0.7,
-                                       np.random.default_rng(seed + 1), g)
-    assert np.array_equal(out.data, want)
-    assert np.array_equal(x.grad if x.grad is not None else np.zeros_like(x0), want_gx)
-    for name, p in block.as_dict().items():
-        q = ref.as_dict()[name]
-        assert (p.grad is None) == (q.grad is None), name
-        assert p.grad is None or np.array_equal(p.grad, q.grad), name
+
+    draws = np.random.default_rng(seed + 1)
+    per_doc = [(draws.random((k, 4)), draws.random((k, 3))) for k in doc_lengths if k]
+    if per_doc:
+        assert all(np.array_equal(u, np.concatenate(layer)) for u, layer in zip(drawn, zip(*per_doc)))
+    masks = [(u < 0.7) / 0.7 if u is not None else 1.0 for u in drawn]
+    want, want_backward = reference_encode(x0, doc_lengths, params, masks)
+    want_dx, want_grads = want_backward(g)
+    assert_close(out.data, want)
+    assert_close(x.grad, want_dx)
+    for name, p in params.as_dict().items():
+        assert_close(p.grad, want_grads[name])
 
 
-def _conv_and_projected(tokens, mentions, doc_lengths, table, params):
-    """encode(embed_cluster(...)), the conv1d path, and the projected path
-    over the cluster's distinct rows, as prediction runs it."""
-    want = E.encode(E.embed_cluster(tokens, mentions, table), doc_lengths, params)
+def _reference_and_encoded(tokens, mentions, doc_lengths, table, params):
+    """(got, want) pairs: encode over the cluster's distinct rows, as
+    training and prediction run it, against the reference encoding of one
+    embedding row per token. First the output, then the gradients of
+    sum(g * output) for the mask vector and each encoder parameter."""
+    embedded = E.embed_cluster(tokens, mentions, table).data
+    want, want_backward = reference_encode(embedded, doc_lengths, params)
     index = ClusterIndex(cluster=None, flat_tokens=list(tokens),
                          doc_lengths=list(doc_lengths), mention_token_set=set(mentions))
     distinct_tokens, mask_rows, rows = index.distinct_tokens()
-    distinct = E.embed_cluster(distinct_tokens, mask_rows, table)
-    return want.data, E.encode(distinct, doc_lengths, params, rows=rows).data
+    for p in (table.mask_vector, *params.as_dict().values()):
+        p.zero_grad()
+    got = E.encode(E.embed_cluster(distinct_tokens, mask_rows, table), doc_lengths, params, rows=rows)
+    g = np.cos(np.arange(want.size)).reshape(want.shape)
+    C.backward(C.tsum(C.scale(got, g)))
+    want_dx, want_grads = want_backward(g)
+
+    def grad(t):
+        return np.zeros_like(t.data) if t.grad is None else t.grad
+
+    return ([(got.data, want), (grad(table.mask_vector), want_dx[sorted(mentions)].sum(axis=0))]
+            + [(grad(p), want_grads[name]) for name, p in params.as_dict().items()])
 
 
 def _assert_close_to_reference(got, want):
@@ -202,8 +226,9 @@ def _encoder(table, rng, width1, width2=3):
 @given(st.data())
 def test_projected_layer1_equals_conv1d_encoding(data):
     """Unknown tokens, masked mentions, repeated tokens, empty documents and
-    documents shorter than the filter: prediction's layer 1 read from the
-    projection gives the conv1d path's output up to rounding."""
+    documents shorter than the filter: encode over the cluster's distinct
+    rows gives the reference convolutions' output, and the mask vector and
+    encoder parameters their gradients, up to rounding."""
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     table = small_table(rng)
     doc_lengths = data.draw(st.lists(st.integers(0, 12), min_size=1, max_size=5))
@@ -212,8 +237,8 @@ def test_projected_layer1_equals_conv1d_encoding(data):
                                 min_size=n, max_size=n))
     mentions = data.draw(st.sets(st.integers(0, n - 1))) if n else set()
     params = _encoder(table, rng, data.draw(st.integers(1, 10)), data.draw(st.integers(1, 5)))
-    want, got = _conv_and_projected(tokens, mentions, doc_lengths, table, params)
-    _assert_close_to_reference(got, want)
+    for got, want in _reference_and_encoded(tokens, mentions, doc_lengths, table, params):
+        _assert_close_to_reference(got, want)
 
 
 @pytest.mark.parametrize("width1", range(1, 11))
@@ -223,12 +248,13 @@ def test_projected_layer1_every_width_on_edge_clusters(width1):
     table = small_table(rng)
     cases = [(["a"], set(), [1]),                       # one token
              (["zzz"], {0}, [0, 1, 0]),                 # one masked token
-             (["a", "a", "zzz", "b", "a", "", "c", "c"], {1, 6}, [0, 3, 1, 0, 4])]
+             (["a", "a", "zzz", "b", "a", "", "c", "c"], {1, 6}, [0, 3, 1, 0, 4]),
+             (["a", "b", "a", "c"], {0, 1, 2, 3}, [3, 1])]      # every token masked
     for width2 in range(1, 6):
         params = _encoder(table, rng, width1, width2)
         for tokens, mentions, doc_lengths in cases:
-            want, got = _conv_and_projected(tokens, mentions, doc_lengths, table, params)
-            _assert_close_to_reference(got, want)
+            for got, want in _reference_and_encoded(tokens, mentions, doc_lengths, table, params):
+                _assert_close_to_reference(got, want)
 
 
 def test_distinct_tokens_share_one_mask_row():
@@ -240,13 +266,15 @@ def test_distinct_tokens_share_one_mask_row():
     assert rows.tolist() == [0, 1, 0, 1, 1, 2]
 
 
-def test_projected_encode_refuses_training():
+def test_encode_block_lengths_must_cover_the_tokens():
     rng = np.random.default_rng(49)
-    table = small_table(rng)
-    params = E.init_encoder(table.dim, rng)
-    distinct = E.embed_cluster(["a", "b"], [], table)
-    with pytest.raises(C.ComputeError):
-        E.encode(distinct, [3], params, training=True, rows=[0, 1, 0])
+    params = E.init_encoder(4, rng)
+    x = C.Tensor(rng.normal(size=(5, 4)))
+    for lengths in ([2, 2], [3, 3], [6, -1]):
+        with pytest.raises(C.ComputeError, match="do not cover"):
+            E.encode(x, lengths, params)
+    with pytest.raises(C.ComputeError, match="do not cover"):
+        E.encode(x, [2, 2], params, rows=[0, 1, 0])
 
 
 def test_encode_deterministic_at_inference():

@@ -11,14 +11,13 @@ import clusterreader.compute as C
 import clusterreader.corpus as cp
 import clusterreader.encoder as E
 import clusterreader.model as M
-import clusterreader.scorer as S
 import clusterreader.synth as SY
 import clusterreader.training as T
-from clusterreader.aggregator import (MODES, NULL_VALUE, AggregationConfig, aggregate_sum,
-                                      rank_values)
+from clusterreader.aggregator import MODES, NULL_VALUE, AggregationConfig, rank_values
 from clusterreader.cli import _tiny_cluster
 from clusterreader.constraints import run_bp, run_bp_tensor
 from clusterreader.scorer import NULL_SLOT
+from test_encoder_scorer import reference_encode
 
 
 def make_doc(doc_id, order, tokens, mentions, dateline=None):
@@ -321,57 +320,33 @@ def test_mention_decode_modes():
             assert all(v is not None for v in rec["predictions"].values())
 
 
-def _count_conv1d(monkeypatch):
-    calls = []
-    conv1d = C.conv1d
-
-    def counting(*args, **kwargs):
-        calls.append(args[1].shape)
-        return conv1d(*args, **kwargs)
-
-    monkeypatch.setattr(C, "conv1d", counting)
-    return calls
-
-
-def test_eval_mode_loss_backpropagates_through_conv1d(monkeypatch):
-    # the training flag never picks the projected layer 1: a loss built with
-    # training=False, as gradient_check builds it, convolves both layers and
-    # gives the gradients of encode(embed_cluster(...)) bit for bit
-    hp = tiny_hp()
-    c = crash_cluster()
-    vocab = [t for d in c.documents for t in d.flat_tokens()]
-    model = M.init_model(vocab, hp, np.random.default_rng(21))
-    ref = M.init_model(vocab, hp, np.random.default_rng(21))
-    calls = _count_conv1d(monkeypatch)
-    C.backward(T.cluster_loss(model, c, hp, training=False))
-    assert calls == [model.enc.w1.shape, model.enc.w2.shape]
-
-    index = M.ClusterIndex.build(c)
-    R = E.encode(E.embed_cluster(index.flat_tokens, index.mention_token_set, ref.table),
-                 index.doc_lengths, ref.enc)
-    columns = index.columns(True)
-    scores = aggregate_sum(S.attend(ref.token_scores(R, ref.scoring_slots())),
-                           index.segments(columns))
-    loss, _ = T.value_loss(scores, ref.scoring_slots(), columns, c.gold)
-    C.backward(loss)
-    for name in ("enc.w1", "enc.b1", "mask_vector"):
-        got, want = model.params()[name].grad, ref.params()[name].grad
-        assert got is not None and np.abs(got).max() > 0, name
-        assert np.array_equal(got, want), name
-
-
 @pytest.mark.parametrize("loss_mode,decode", [("value_level", None), ("mention_level", "none"),
                                               ("mention_level", "sum")])
-def test_prediction_calls_no_conv1d(monkeypatch, loss_mode, decode):
-    # prediction reads both layers through window gathers
+def test_one_encoder_op_for_training_and_prediction(monkeypatch, loss_mode, decode):
+    # a training step and a prediction each run the two CNN layers through
+    # compute.window_conv, layer 1 then layer 2, and no other convolution exists
+    assert not hasattr(C, "conv1d")
     hp = tiny_hp(loss_mode=loss_mode)
     c = crash_cluster()
     model = M.init_model([t for d in c.documents for t in d.flat_tokens()],
                          hp, np.random.default_rng(22))
-    calls = _count_conv1d(monkeypatch)
+    calls, window_conv = [], C.window_conv
+
+    def counting(x, w, b, windows):
+        calls.append(w.shape)
+        return window_conv(x, w, b, windows)
+
+    monkeypatch.setattr(C, "window_conv", counting)
+    layers = [model.enc.w1.shape, model.enc.w2.shape]
+    C.backward(T.cluster_loss(model, c, hp, rng=np.random.default_rng(0)))
+    assert calls == layers
+    for name in ("enc.w1", "enc.b1", "mask_vector"):
+        grad = model.params()[name].grad
+        assert grad is not None and np.abs(grad).max() > 0, name
+    calls.clear()
     rec = M.predict_cluster(model, c, hp.aggregation, bp_iterations=1, mention_decode=decode)
     assert set(rec["predictions"]) == set(cp.EVAL_SLOTS)
-    assert calls == []
+    assert calls == layers
 
 
 def _synth_clusters(n, seed):
@@ -400,6 +375,8 @@ def test_predict_records_do_not_read_gold(dated_model_and_clusters, mode):
     ("value_level", 0, None), ("value_level", 1, None), ("value_level", "conv", None),
     ("mention_level", 0, "none"), ("mention_level", 0, "max"), ("mention_level", 0, "sum")])
 def test_projected_predictions_match_conv1d_reference(monkeypatch, loss_mode, bp, decode):
+    # encoding the distinct rows predicts what the test-only reference
+    # encoder, one embedding row per token, predicts
     clusters = _synth_clusters(6, 31)
     hp = tiny_hp(loss_mode=loss_mode, embed_dim=12, width1=5, max_epochs=10, lr=0.03)
     model = T.train(clusters, [], hp).model
@@ -408,11 +385,11 @@ def test_projected_predictions_match_conv1d_reference(monkeypatch, loss_mode, bp
         assert any(v is not None for r in got for v in r["predictions"].values())
     representations = M.ReaderModel.representations
 
-    def conv_only(self, index, training=False, keep_prob=1.0, rng=None, projected=False):
-        return E.encode(E.embed_cluster(index.flat_tokens, index.mention_token_set, self.table),
-                        index.doc_lengths, self.enc)
+    def reference(self, index, training=False, keep_prob=1.0, rng=None):
+        embedded = E.embed_cluster(index.flat_tokens, index.mention_token_set, self.table)
+        return C.Tensor(reference_encode(embedded.data, index.doc_lengths, self.enc)[0])
 
-    monkeypatch.setattr(M.ReaderModel, "representations", conv_only)
+    monkeypatch.setattr(M.ReaderModel, "representations", reference)
     want = M.predict_clusters(model, clusters, hp.aggregation, bp, decode)
     monkeypatch.setattr(M.ReaderModel, "representations", representations)
     assert M.predictions_map(got) == M.predictions_map(want)
