@@ -338,6 +338,86 @@ def _block_bounds(lengths):
     return [(int(s) - k, int(s)) for s, k in zip(stops, lengths) if k]
 
 
+# The test_conv1d_* tests check the same-padded 1-D convolution over
+# documents that both encoder layers compute: window_conv with one row of x
+# per token, each token's window from reference_windows.
+
+def conv1d(x, w, b, lengths=None):
+    """Same-padded convolution over the rows of x through window_conv; each
+    block of lengths rows (default: all of x) is padded on its own."""
+    n = x.data.shape[0]
+    lengths = [n] if lengths is None else lengths
+    return C.window_conv(x, w, b, reference_windows(lengths, w.data.shape[0], np.arange(n), n))
+
+
+def test_conv1d_matches_direct_computation():
+    # width 3 on 4 tokens: out[i] = sum_k w[k] . x[i+k-1] with zero pads
+    x = np.arange(8.0).reshape(4, 2)
+    w = np.zeros((3, 2, 1))
+    w[0, 0, 0] = 1.0   # taps left neighbor's first feature
+    w[1, 1, 0] = 2.0   # taps own second feature
+    out = conv1d(C.Tensor(x), C.Tensor(w), C.Tensor([0.5]))
+    expect = np.array([[0 + 2 * 1 + 0.5], [0 + 2 * 3 + 0.5], [2 + 2 * 5 + 0.5], [4 + 2 * 7 + 0.5]])
+    assert_allclose(out.data, expect)
+
+
+def test_conv1d_same_padding_lengths():
+    rng = np.random.default_rng(15)
+    for width in (1, 2, 3, 5, 10):
+        for n in (1, 2, 7):
+            x = C.Tensor(rng.normal(size=(n, 3)))
+            w = C.Tensor(rng.normal(size=(width, 3, 4)))
+            b = C.Tensor(rng.normal(size=(4,)))
+            assert conv1d(x, w, b).shape == (n, 4)
+
+
+def test_conv1d_grads():
+    rng = np.random.default_rng(16)
+    x = C.Tensor(rng.normal(size=(6, 3)), requires_grad=True)
+    w = C.Tensor(rng.normal(size=(5, 3, 2)), requires_grad=True)
+    b = C.Tensor(rng.normal(size=(2,)), requires_grad=True)
+    weights = rng.normal(size=(6, 2))
+    check_grads(lambda: C.tsum(C.scale(conv1d(x, w, b), weights)), [x, w, b])
+
+
+def test_conv1d_wide_kernel_grads():
+    rng = np.random.default_rng(17)
+    x = C.Tensor(rng.normal(size=(4, 2)), requires_grad=True)
+    w = C.Tensor(rng.normal(size=(10, 2, 3)), requires_grad=True)  # kernel wider than input
+    b = C.Tensor(rng.normal(size=(3,)), requires_grad=True)
+    check_grads(lambda: C.tsum(conv1d(x, w, b)), [x, w, b])
+
+
+@settings(max_examples=60, deadline=None)
+@given(lengths=st.lists(st.integers(0, 12), min_size=1, max_size=6),
+       width=st.integers(1, 10), d_in=st.integers(1, 3), d_out=st.integers(1, 3),
+       seed=st.integers(0, 2**16))
+def test_conv1d_blocks_equal_per_block_convolutions(lengths, width, d_in, d_out, seed):
+    # one block op is each block convolved on its own, concatenated; w and b
+    # gradients add block by block; up to rounding, as w's gradient is one
+    # product over all blocks' rows
+    rng = np.random.default_rng(seed)
+    n = sum(lengths)
+    x0, w0, b0 = rng.normal(size=(n, d_in)), rng.normal(size=(width, d_in, d_out)), rng.normal(size=d_out)
+    g = rng.normal(size=(n, d_out))
+    x, w, b = (C.Tensor(v, requires_grad=True) for v in (x0, w0, b0))
+    out = conv1d(x, w, b, lengths)
+    C.backward(C.tsum(C.scale(out, g)))
+
+    w_ref, b_ref = C.Tensor(w0, requires_grad=True), C.Tensor(b0, requires_grad=True)
+    outs, gxs = [np.zeros((0, d_out))], [np.zeros((0, d_in))]
+    for lo, hi in _block_bounds(lengths):
+        xb = C.Tensor(x0[lo:hi].copy(), requires_grad=True)
+        ob = conv1d(xb, w_ref, b_ref)
+        C.backward(C.tsum(C.scale(ob, g[lo:hi])))  # one sweep per block, in order
+        outs.append(ob.data)
+        gxs.append(_grad(xb))
+    assert_close(out.data, np.concatenate(outs))
+    assert_close(_grad(x), np.concatenate(gxs))
+    assert_close(_grad(w), _grad(w_ref))
+    assert_close(_grad(b), _grad(b_ref))
+
+
 @settings(max_examples=60, deadline=None)
 @given(lengths=st.lists(st.integers(0, 9), min_size=1, max_size=6).filter(sum),
        rows=st.integers(1, 4), seed=st.integers(0, 2**16))

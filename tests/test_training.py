@@ -11,12 +11,15 @@ import clusterreader.compute as C
 import clusterreader.corpus as cp
 import clusterreader.encoder as E
 import clusterreader.model as M
+import clusterreader.scorer as S
 import clusterreader.synth as SY
 import clusterreader.training as T
-from clusterreader.aggregator import MODES, NULL_VALUE, AggregationConfig, rank_values
+from clusterreader.aggregator import (MODES, NULL_VALUE, AggregationConfig, aggregate_sum,
+                                      rank_values)
 from clusterreader.cli import _tiny_cluster
 from clusterreader.constraints import run_bp, run_bp_tensor
 from clusterreader.scorer import NULL_SLOT
+from test_compute import assert_close
 from test_encoder_scorer import reference_encode
 
 
@@ -320,33 +323,76 @@ def test_mention_decode_modes():
             assert all(v is not None for v in rec["predictions"].values())
 
 
-@pytest.mark.parametrize("loss_mode,decode", [("value_level", None), ("mention_level", "none"),
-                                              ("mention_level", "sum")])
-def test_one_encoder_op_for_training_and_prediction(monkeypatch, loss_mode, decode):
-    # a training step and a prediction each run the two CNN layers through
-    # compute.window_conv, layer 1 then layer 2, and no other convolution exists
-    assert not hasattr(C, "conv1d")
-    hp = tiny_hp(loss_mode=loss_mode)
-    c = crash_cluster()
-    model = M.init_model([t for d in c.documents for t in d.flat_tokens()],
-                         hp, np.random.default_rng(22))
-    calls, window_conv = [], C.window_conv
+def _count_window_conv(monkeypatch):
+    calls = []
+    window_conv = C.window_conv
 
     def counting(x, w, b, windows):
         calls.append(w.shape)
         return window_conv(x, w, b, windows)
 
     monkeypatch.setattr(C, "window_conv", counting)
-    layers = [model.enc.w1.shape, model.enc.w2.shape]
+    return calls
+
+
+@pytest.mark.parametrize("loss_mode,decode", [("value_level", None), ("mention_level", "none"),
+                                              ("mention_level", "sum")])
+def test_training_step_calls_window_conv_per_layer(monkeypatch, loss_mode, decode):
+    # a training step runs the two CNN layers through compute.window_conv,
+    # layer 1 then layer 2, and its gradients reach layer 1 and the mask vector
+    hp = tiny_hp(loss_mode=loss_mode)
+    c = crash_cluster()
+    model = M.init_model([t for d in c.documents for t in d.flat_tokens()],
+                         hp, np.random.default_rng(22))
+    calls = _count_window_conv(monkeypatch)
     C.backward(T.cluster_loss(model, c, hp, rng=np.random.default_rng(0)))
-    assert calls == layers
+    assert calls == [model.enc.w1.shape, model.enc.w2.shape]
     for name in ("enc.w1", "enc.b1", "mask_vector"):
         grad = model.params()[name].grad
         assert grad is not None and np.abs(grad).max() > 0, name
-    calls.clear()
+
+
+def test_eval_mode_loss_backpropagates_through_conv1d(monkeypatch):
+    # a loss built with training=False, as gradient_check builds it, convolves
+    # both layers through window_conv and gives the gradients of the same loss
+    # over one embedding row per token up to rounding
+    hp = tiny_hp()
+    c = crash_cluster()
+    vocab = [t for d in c.documents for t in d.flat_tokens()]
+    model = M.init_model(vocab, hp, np.random.default_rng(21))
+    ref = M.init_model(vocab, hp, np.random.default_rng(21))
+    calls = _count_window_conv(monkeypatch)
+    C.backward(T.cluster_loss(model, c, hp, training=False))
+    assert calls == [model.enc.w1.shape, model.enc.w2.shape]
+
+    index = M.ClusterIndex.build(c)
+    R = E.encode(E.embed_cluster(index.flat_tokens, index.mention_token_set, ref.table),
+                 index.doc_lengths, ref.enc)
+    columns = index.columns(True)
+    scores = aggregate_sum(S.attend(ref.token_scores(R, ref.scoring_slots())),
+                           index.segments(columns))
+    loss, _ = T.value_loss(scores, ref.scoring_slots(), columns, c.gold)
+    C.backward(loss)
+    for name in ("enc.w1", "enc.b1", "mask_vector"):
+        got, want = model.params()[name].grad, ref.params()[name].grad
+        assert got is not None and np.abs(got).max() > 0, name
+        assert_close(got, want)
+
+
+@pytest.mark.parametrize("loss_mode,decode", [("value_level", None), ("mention_level", "none"),
+                                              ("mention_level", "sum")])
+def test_prediction_calls_no_conv1d(monkeypatch, loss_mode, decode):
+    # compute has one convolution, window_conv, and prediction reads both
+    # layers through it, layer 1 then layer 2
+    assert not hasattr(C, "conv1d")
+    hp = tiny_hp(loss_mode=loss_mode)
+    c = crash_cluster()
+    model = M.init_model([t for d in c.documents for t in d.flat_tokens()],
+                         hp, np.random.default_rng(22))
+    calls = _count_window_conv(monkeypatch)
     rec = M.predict_cluster(model, c, hp.aggregation, bp_iterations=1, mention_decode=decode)
     assert set(rec["predictions"]) == set(cp.EVAL_SLOTS)
-    assert calls == layers
+    assert calls == [model.enc.w1.shape, model.enc.w2.shape]
 
 
 def _synth_clusters(n, seed):
