@@ -157,6 +157,9 @@ def cmd_train(args) -> int:
 
 def cmd_predict(args) -> int:
     model, config, default_decode = load_for_prediction(args)
+    if args.mention_decode and default_decode is None:
+        raise T.TrainingError("--mention-decode needs a loss_mode=mention_level checkpoint: "
+                              "a value-level model's slot vectors were trained for attention")
     decode = args.mention_decode or default_decode
     bp = parse_bp(args.bp)
     log(f"predict config: aggregation={config} bp={bp} mention_decode={decode}")
@@ -293,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "kept either way); not for a mention_level checkpoint")
     p.add_argument("--bp", default="0", help="constraint iterations: 0, 1, 2, ... or conv")
     p.add_argument("--mention-decode", choices=("none", "max", "sum"), default=None,
-                   help="default: sum for a mention_level checkpoint")
+                   help="default: sum; only for a mention_level checkpoint")
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("eval", help="score predictions against gold")

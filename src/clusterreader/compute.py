@@ -2,9 +2,10 @@
 
 This is deliberately small: just the operations the reader pipeline needs
 (a convolution read through a window index, matrix products, softmax,
-dropout, gathers, reductions and segment pooling), recorded on a dynamic
-graph and differentiated by a single topological backward sweep.
-Everything is 64-bit so that finite-difference checks are tight.
+dropout, gathers, reductions and segment pooling), each recorded on a
+dynamic graph whenever it runs, and differentiated by a single topological
+backward sweep. Everything is 64-bit so that finite-difference checks are
+tight.
 
 A cluster's documents are consecutive blocks of one matrix, not separate
 tensors: softmax takes the block lengths and normalizes block by block
@@ -34,19 +35,18 @@ class Tensor:
     """A float64 array plus the bookkeeping needed for reverse mode.
 
     ``_backward`` is a closure that takes the output gradient and accumulates
-    into the parents' ``grad`` fields. An op records its parents and closure
-    only when some parent requires a gradient. Model parameters always do, so
-    prediction records the same graph as training and never runs it backward.
+    into the parents' ``grad`` fields. Every op records its parents and
+    closure, so prediction records the same graph as training and never runs
+    it backward.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "_parents", "_backward")
 
-    def __init__(self, data, requires_grad=False, _parents=(), _backward=None):
+    def __init__(self, data, _parents=(), _backward=None):
         self.data = _as_f64(data)
         if not np.all(np.isfinite(self.data)):
             raise ComputeError("non-finite values entered the graph")
         self.grad = None
-        self.requires_grad = bool(requires_grad) or any(p.requires_grad for p in _parents)
         self._parents = _parents
         self._backward = _backward
 
@@ -66,7 +66,7 @@ class Tensor:
         self.grad = None
 
     def __repr__(self):
-        return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
+        return f"Tensor(shape={self.data.shape})"
 
 
 def _lift(x) -> Tensor:
@@ -74,10 +74,8 @@ def _lift(x) -> Tensor:
 
 
 def node(data, parents, backward) -> Tensor:
-    """Record an op only when a gradient can flow through it."""
-    if any(p.requires_grad for p in parents):
-        return Tensor(data, _parents=tuple(parents), _backward=backward)
-    return Tensor(data)
+    """Record an op: its output, its parents and its backward closure."""
+    return Tensor(data, _parents=tuple(parents), _backward=backward)
 
 
 # ---------------------------------------------------------------------------
@@ -402,13 +400,15 @@ def backward(loss: Tensor):
 # Adam
 
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class AdamState:
     """Per-parameter first/second moment accumulators with a shared step count."""
 
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     t: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
@@ -417,7 +417,7 @@ class AdamState:
 def adam_step(params: dict[str, Tensor], state: AdamState, lr: float, l2: float = 0.0):
     """One Adam update with bias correction; l2 adds l2*param to each gradient."""
     state.t += 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     for name, p in params.items():
         g = p.grad if p.grad is not None else np.zeros_like(p.data)
         if not np.all(np.isfinite(g)):
@@ -439,7 +439,7 @@ def adam_step(params: dict[str, Tensor], state: AdamState, lr: float, l2: float 
         v += step
         denom = v / (1 - b2 ** state.t)
         np.sqrt(denom, out=denom)
-        denom += state.eps
+        denom += ADAM_EPS
         np.divide(m, 1 - b1 ** state.t, out=step)
         step *= lr
         step /= denom

@@ -174,15 +174,6 @@ def _factor_messages(ratio: np.ndarray, axis: int, c: float, out=None) -> np.nda
     return np.divide(1.0, rest, out=rest)
 
 
-def exactly1_all(mu: np.ndarray, axis: int) -> np.ndarray:
-    """True-mass of factor->variable messages for every target at once.
-
-    mu is the V x S grid of incoming true masses; axis=0 treats each column
-    (slot factor across values) as a factor, axis=1 each row.
-    """
-    return _factor_messages(_odds(mu), axis, 1.0)
-
-
 def _combine(local: np.ndarray, other_t: np.ndarray, out=None, not_local=None) -> np.ndarray:
     """Variable -> factor message: the local potential times the other factor's.
 

@@ -17,6 +17,7 @@ layer-1 rows.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,10 +38,6 @@ class EmbeddingTable:
     def dim(self) -> int:
         return self.matrix.shape[1]
 
-    def row(self, token: str) -> np.ndarray:
-        i = self.vocab.get(token)
-        return self.unk_vector if i is None else self.matrix[i]
-
 
 def load_embeddings(path) -> EmbeddingTable:
     """Read a text table, one `token v1 v2 ... ve` line per word."""
@@ -57,15 +54,21 @@ def load_embeddings(path) -> EmbeddingTable:
                 dim = len(vals)
             elif len(vals) != dim:
                 raise C.ComputeError(f"{path}: line {lineno}: expected {dim} values, got {len(vals)}")
+            try:
+                row = [float(v) for v in vals]
+            except ValueError as exc:
+                raise C.ComputeError(f"{path}: line {lineno}: {exc}") from exc
+            if not all(map(math.isfinite, row)):
+                raise C.ComputeError(f"{path}: line {lineno}: non-finite value")
             if token in vocab:
                 continue
             vocab[token] = len(rows)
-            rows.append([float(v) for v in vals])
+            rows.append(row)
     if not rows:
         raise C.ComputeError(f"{path}: no embedding rows")
     matrix = np.asarray(rows, dtype=np.float64)
     return EmbeddingTable(vocab=vocab, matrix=matrix,
-                          mask_vector=C.Tensor(matrix.mean(axis=0), requires_grad=True),
+                          mask_vector=C.Tensor(matrix.mean(axis=0)),
                           unk_vector=matrix.mean(axis=0))
 
 
@@ -74,7 +77,7 @@ def random_table(tokens, dim: int, rng: np.random.Generator) -> EmbeddingTable:
     vocab = {t: i for i, t in enumerate(dict.fromkeys(tokens))}
     matrix = rng.normal(scale=0.5, size=(max(len(vocab), 1), dim))
     return EmbeddingTable(vocab=vocab, matrix=matrix,
-                          mask_vector=C.Tensor(rng.normal(scale=0.5, size=dim), requires_grad=True),
+                          mask_vector=C.Tensor(rng.normal(scale=0.5, size=dim)),
                           unk_vector=matrix.mean(axis=0))
 
 
@@ -96,12 +99,12 @@ class EncoderParams:
 def init_encoder(embed_dim: int, rng: np.random.Generator,
                  width1: int = 10, d1: int = 10, width2: int = 5, r: int = 10) -> EncoderParams:
     def u(*shape):
-        return C.Tensor(rng.uniform(-0.05, 0.05, size=shape), requires_grad=True)
+        return C.Tensor(rng.uniform(-0.05, 0.05, size=shape))
 
     return EncoderParams(w1=u(width1, embed_dim, d1),
-                         b1=C.Tensor(np.zeros(d1), requires_grad=True),
+                         b1=C.Tensor(np.zeros(d1)),
                          w2=u(width2, d1, r),
-                         b2=C.Tensor(np.zeros(r), requires_grad=True))
+                         b2=C.Tensor(np.zeros(r)))
 
 
 def embed_cluster(tokens, mask_rows, table: EmbeddingTable) -> C.Tensor:
@@ -109,7 +112,7 @@ def embed_cluster(tokens, mask_rows, table: EmbeddingTable) -> C.Tensor:
     mask_vector.
 
     One gather of vocabulary rows; tokens outside the vocabulary (id -1) get
-    unk_vector, as table.row gives them.
+    unk_vector.
     """
     ids = np.fromiter((table.vocab.get(tok, -1) for tok in tokens),
                       dtype=np.intp, count=len(tokens))
@@ -135,11 +138,12 @@ def _windows(lengths: np.ndarray, width: int, rows: np.ndarray, pad: int) -> np.
     return padded[at[:, None] + np.arange(width)]
 
 
-def encode(embedded: C.Tensor, doc_lengths, params: EncoderParams,
-           training: bool = False, keep_prob: float = 1.0,
+def encode(embedded: C.Tensor, doc_lengths, params: EncoderParams, keep_prob: float = 1.0,
            rng: np.random.Generator | None = None, rows=None) -> C.Tensor:
-    """Two CNN layers over a cluster's tokens, rectifier between them,
-    dropout on each.
+    """Two CNN layers over a cluster's tokens, rectifier between them.
+
+    Dropout follows each layer exactly when an rng is given, as in training;
+    without one (prediction, gradient checks) both layers pass through.
 
     embedded holds m embedding rows and token t reads row rows[t] (default:
     row t, one row per token). doc_lengths gives the per-document token
@@ -155,9 +159,7 @@ def encode(embedded: C.Tensor, doc_lengths, params: EncoderParams,
     if np.any(lengths < 0) or lengths.sum() != n:
         raise C.ComputeError(f"block lengths {list(doc_lengths)} do not cover {n} entries")
     u1 = u2 = None
-    if training and keep_prob < 1.0 and n:
-        if rng is None:
-            raise C.ComputeError("dropout in training mode needs an rng")
+    if rng is not None and keep_prob < 1.0 and n:
         widths = (params.w1.shape[2], params.out_dim)
         draws = [rng.random((k, d)) for k in doc_lengths for d in widths]
         u1, u2 = np.concatenate(draws[0::2]), np.concatenate(draws[1::2])

@@ -47,7 +47,7 @@ class ClusterIndex:
     cluster: cp.Cluster
     flat_tokens: list = field(default_factory=list)
     doc_lengths: list = field(default_factory=list)
-    mention_rows: list = field(default_factory=list)   # (mention, doc_pos, global_first_token)
+    mention_rows: list = field(default_factory=list)   # (mention, global_first_token)
     mention_token_set: set = field(default_factory=set)
     groups: dict = field(default_factory=dict)         # value_id -> [global_first_token]
 
@@ -55,12 +55,12 @@ class ClusterIndex:
     def build(cls, cluster: cp.Cluster) -> "ClusterIndex":
         idx = cls(cluster=cluster)
         offset = 0
-        for pos, doc in enumerate(cluster.documents):
+        for doc in cluster.documents:
             idx.flat_tokens.extend(doc.flat_tokens())
             idx.doc_lengths.append(doc.n_tokens)
             for m in doc.mentions:
                 k = offset + m.start
-                idx.mention_rows.append((m, pos, k))
+                idx.mention_rows.append((m, k))
                 idx.mention_token_set.update(range(offset + m.start, offset + m.end))
                 idx.groups.setdefault(m.value_id, []).append(k)
             offset += doc.n_tokens
@@ -105,7 +105,6 @@ class ReaderModel:
     table: E.EmbeddingTable
     enc: E.EncoderParams
     pi: dict                      # slot name -> embedding tensor
-    slots: tuple = cp.EVAL_SLOTS
 
     def params(self) -> dict:
         out = dict(self.enc.as_dict())
@@ -116,21 +115,22 @@ class ReaderModel:
     def scoring_slots(self) -> list:
         return [s for s in self.pi if s != NULL_SLOT]
 
-    def representations(self, index: ClusterIndex, training: bool = False,
-                        keep_prob: float = 1.0, rng=None) -> C.Tensor:
-        """n x r token representations, encoded from the cluster's distinct rows."""
+    def representations(self, index: ClusterIndex, keep_prob: float = 1.0,
+                        rng=None) -> C.Tensor:
+        """n x r token representations, encoded from the cluster's distinct
+        rows; dropout exactly when an rng is given."""
         tokens, mask_rows, rows = index.distinct_tokens()
         distinct = E.embed_cluster(tokens, mask_rows, self.table)
-        return E.encode(distinct, index.doc_lengths, self.enc, training=training,
-                        keep_prob=keep_prob, rng=rng, rows=rows)
+        return E.encode(distinct, index.doc_lengths, self.enc, keep_prob=keep_prob,
+                        rng=rng, rows=rows)
 
     def token_scores(self, R: C.Tensor, slots) -> C.Tensor:
         return S.score_tokens(R, [self.pi[s] for s in slots])
 
     def value_scores(self, index: ClusterIndex, config: agg.AggregationConfig,
-                     training: bool = False, keep_prob: float = 1.0, rng=None) -> C.Tensor:
+                     keep_prob: float = 1.0, rng=None) -> C.Tensor:
         """Differentiable S x K scores: scoring slots by index.columns(null_enabled)."""
-        R = self.representations(index, training=training, keep_prob=keep_prob, rng=rng)
+        R = self.representations(index, keep_prob=keep_prob, rng=rng)
         U = self.token_scores(R, self.scoring_slots())
         if config.mode == "per-doc":
             A = agg.per_document_attention(U, index.doc_lengths)
@@ -143,12 +143,12 @@ class ReaderModel:
             return agg.aggregate_max(A, segments, null_col)
         return agg.aggregate_sum(A, segments, agg.weights_for(index.cluster, config.mode))
 
-    def mention_slot_logits(self, index: ClusterIndex, training: bool = False,
-                            keep_prob: float = 1.0, rng=None) -> C.Tensor:
+    def mention_slot_logits(self, index: ClusterIndex, keep_prob: float = 1.0,
+                            rng=None) -> C.Tensor:
         """m x |pi| raw slot scores at each mention's first token (mention-level mode)."""
-        R = self.representations(index, training=training, keep_prob=keep_prob, rng=rng)
+        R = self.representations(index, keep_prob=keep_prob, rng=rng)
         U = self.token_scores(R, list(self.pi))
-        return C.take(C.transpose(U), [k for _, _, k in index.mention_rows])
+        return C.take(C.transpose(U), [k for _, k in index.mention_rows])
 
 
 def init_model(vocab_tokens, hp, rng: np.random.Generator,
@@ -196,7 +196,7 @@ def _mention_scores(model: ReaderModel, index: ClusterIndex,
     slots = model.scoring_slots()
     values = index.grid_columns(decode == "none")
     col = {v: k for k, v in enumerate(values)}
-    owner = np.array([col[m.value_id] for m, _, _ in index.mention_rows])
+    owner = np.array([col[m.value_id] for m, _ in index.mention_rows])
     scores = np.full((len(slots), len(values)), 0.0 if decode == "sum" else np.nan)
     if decode == "none":
         scores[:, -1] = 0.0

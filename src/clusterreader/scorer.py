@@ -21,8 +21,7 @@ NULL_SLOT = "null"
 def init_slot_embeddings(slots, r: int, rng: np.random.Generator,
                          include_null_slot: bool = False) -> dict[str, C.Tensor]:
     names = list(slots) + ([NULL_SLOT] if include_null_slot else [])
-    return {s: C.Tensor(rng.uniform(-0.05, 0.05, size=r), requires_grad=True)
-            for s in names}
+    return {s: C.Tensor(rng.uniform(-0.05, 0.05, size=r)) for s in names}
 
 
 def slot_params(pi: dict[str, C.Tensor]) -> dict[str, C.Tensor]:

@@ -156,7 +156,7 @@ def mention_labels(index: ClusterIndex, gold: dict, slots=cp.EVAL_SLOTS) -> list
     distant-supervision noise this mode is meant to exhibit.
     """
     out = []
-    for i, (m, _, _) in enumerate(index.mention_rows):
+    for i, (m, _) in enumerate(index.mention_rows):
         matched = [s for s in slots if m.value_id in gold.get(s, ())]
         if matched:
             out.extend((i, s) for s in matched)
@@ -192,17 +192,15 @@ class TrainState:
     history: list = field(default_factory=list)   # (epoch, mean_loss, dev_f1)
 
 
-def cluster_loss(model: ReaderModel, cluster: cp.Cluster, hp: Hyperparams,
-                 rng=None, training: bool = True):
+def cluster_loss(model: ReaderModel, cluster: cp.Cluster, hp: Hyperparams, rng=None):
+    """The cluster's loss; with an rng, dropout runs as in training."""
     index = ClusterIndex.build(cluster)
     if index.n_tokens == 0:
         return None
     if hp.loss_mode == "mention_level":
-        logits = model.mention_slot_logits(index, training=training,
-                                           keep_prob=hp.keep_prob, rng=rng)
+        logits = model.mention_slot_logits(index, keep_prob=hp.keep_prob, rng=rng)
         return mention_loss(logits, index, cluster.gold, list(model.pi))
-    scores = model.value_scores(index, hp.aggregation, training=training,
-                                keep_prob=hp.keep_prob, rng=rng)
+    scores = model.value_scores(index, hp.aggregation, keep_prob=hp.keep_prob, rng=rng)
     columns = index.columns(hp.aggregation.null_enabled)
     if hp.bp_train_iters > 0:
         null_col = columns.index(NULL_VALUE) if NULL_VALUE in columns else None
@@ -339,13 +337,11 @@ def load_model(path):
         raise C.ComputeError(f"{path}: checkpoint {', '.join(bad)} holds non-finite values")
     table = E.EmbeddingTable(
         vocab=vocab, matrix=matrix,
-        mask_vector=C.Tensor(params["mask_vector"], requires_grad=True),
+        mask_vector=C.Tensor(params["mask_vector"]),
         unk_vector=unk_vector)
-    enc = E.EncoderParams(w1=C.Tensor(params["enc.w1"], requires_grad=True),
-                          b1=C.Tensor(params["enc.b1"], requires_grad=True),
-                          w2=C.Tensor(params["enc.w2"], requires_grad=True),
-                          b2=C.Tensor(params["enc.b2"], requires_grad=True))
-    pi = {s: C.Tensor(params[f"slot.{s}"], requires_grad=True) for s in slots}
+    enc = E.EncoderParams(w1=C.Tensor(params["enc.w1"]), b1=C.Tensor(params["enc.b1"]),
+                          w2=C.Tensor(params["enc.w2"]), b2=C.Tensor(params["enc.b2"]))
+    pi = {s: C.Tensor(params[f"slot.{s}"]) for s in slots}
     model = ReaderModel(table=table, enc=enc, pi=pi)
     bits = extra.get("hyperparams", {})
     if not isinstance(bits, dict):
@@ -386,9 +382,12 @@ def _check_param_shapes(path, params: dict, slots, embed_dim: int):
 # gradient checking
 
 
-def gradient_check(hp: Hyperparams, cluster: cp.Cluster, tol: float = 1e-4,
-                   h: float = 1e-5) -> dict:
-    """Analytic vs central-difference gradients of the cluster loss.
+GRAD_CHECK_STEP = 1e-5
+
+
+def gradient_check(hp: Hyperparams, cluster: cp.Cluster, tol: float = 1e-4) -> dict:
+    """Analytic vs central-difference gradients of the cluster loss, with
+    steps of GRAD_CHECK_STEP.
 
     Meant for shrunken dimensions and tiny clusters (a few dozen tokens).
     Raises GradientCheckError naming the worst parameter above tol.
@@ -398,18 +397,15 @@ def gradient_check(hp: Hyperparams, cluster: cp.Cluster, tol: float = 1e-4,
     model = init_model(vocab, hp, rng)
     params = model.params()
 
-    def forward() -> float:
-        loss = cluster_loss(model, cluster, hp, rng=None, training=False)
+    def forward() -> C.Tensor:
+        loss = cluster_loss(model, cluster, hp)
         if loss is None:
             raise GradientCheckError("cluster produced no loss terms")
-        return loss.item()
+        return loss
 
     for p in params.values():
         p.zero_grad()
-    loss = cluster_loss(model, cluster, hp, rng=None, training=False)
-    if loss is None:
-        raise GradientCheckError("cluster produced no loss terms")
-    C.backward(loss)
+    C.backward(forward())
 
     report = {}
     worst = ("", 0.0)
@@ -419,12 +415,12 @@ def gradient_check(hp: Hyperparams, cluster: cp.Cluster, tol: float = 1e-4,
         err = 0.0
         for i in range(flat.size):
             keep = flat[i]
-            flat[i] = keep + h
-            up = forward()
-            flat[i] = keep - h
-            down = forward()
+            flat[i] = keep + GRAD_CHECK_STEP
+            up = forward().item()
+            flat[i] = keep - GRAD_CHECK_STEP
+            down = forward().item()
             flat[i] = keep
-            numeric = (up - down) / (2 * h)
+            numeric = (up - down) / (2 * GRAD_CHECK_STEP)
             a = analytic.ravel()[i]
             rel = abs(a - numeric) / max(abs(a), abs(numeric), 1e-6)
             err = max(err, rel)

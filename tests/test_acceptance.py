@@ -22,6 +22,7 @@ from clusterreader import training as T
 from clusterreader.aggregator import NULL_VALUE, AggregationConfig, decode_top1
 from clusterreader.evaluation import (EvalInstance, evaluate, instance_from_cluster,
                                       modified_prf, mrr, null_prf, render_report)
+from test_constraints import exactly1_all
 
 
 def check(name: str, ok: bool, detail: str = ""):
@@ -62,7 +63,7 @@ def test_exactly1_messages_match_enumeration():
         for _ in range(3):
             mu = rng.uniform(0.05, 0.95, size=(k, int(rng.integers(1, 9))))
             for axis in (0, 1):
-                got = K.exactly1_all(mu, axis=axis)
+                got = exactly1_all(mu, axis=axis)
                 lines = mu.T if axis == 0 else mu
                 for j, line in enumerate(lines):
                     for i in range(line.size):

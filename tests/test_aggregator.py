@@ -176,7 +176,7 @@ def test_segment_pool_equals_naive_mention_loop(data):
         groups.setdefault(v, []).append(k)
     columns = sorted(list(groups) + ([agg.NULL_VALUE] if null_enabled else []))
     segments = [outside(n, inside) if v == agg.NULL_VALUE else groups[v] for v in columns]
-    A = C.Tensor(a, requires_grad=True)
+    A = C.Tensor(a)
     if mode == "max":
         null_col = columns.index(agg.NULL_VALUE) if null_enabled else None
         pooled = agg.aggregate_max(A, segments, null_col)
@@ -226,7 +226,7 @@ def test_topic_weights_zero_in_offtopic_segment():
 
 def test_per_document_attention_normalizes_each_doc():
     rng = np.random.default_rng(64)
-    u = C.Tensor(rng.normal(size=(2, 10)), requires_grad=True)
+    u = C.Tensor(rng.normal(size=(2, 10)))
     a = agg.per_document_attention(u, [4, 0, 6])
     assert_allclose(a.data[:, :4].sum(axis=1), [1.0, 1.0], atol=1e-12)
     assert_allclose(a.data[:, 4:].sum(axis=1), [1.0, 1.0], atol=1e-12)

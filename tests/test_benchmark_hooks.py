@@ -1,16 +1,29 @@
-"""The names the benchmark hooks must exist in the program.
+"""The names the benchmark hooks must exist in the program, and what its
+hooks read from them.
 
 perfbench wraps clusterreader's functions by "module:qualname" from outside
 (perfbench/spans.py's LAYERS, plus the counter hooks perfbench/run.py
 installs). A renamed or deleted target makes the benchmark silently record
-nothing for it, so a change that drops one fails here, in tier 1, first.
+nothing for it, so a change that drops one fails here, in tier 1, first. A
+hook also reads the arguments and results of its target (the cluster of a
+loss call, the loss backward gets, the beliefs BP returns), so a changed
+signature fails here too.
 """
 
 import importlib
 import runpy
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from clusterreader import compute as C
+from clusterreader import constraints as K
+from clusterreader import corpus as cp
+from clusterreader import model as M
+from clusterreader import synth as sy
+from clusterreader import training as T
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -47,3 +60,68 @@ def test_benchmark_target_exists(target):
 
 def test_known_stale_targets_are_only_those_the_benchmark_lists():
     assert KNOWN_STALE <= set(_span_targets())
+
+
+def _hook(monkeypatch, target: str) -> list:
+    """Wrap target as spans.Tracer.install does, in every clusterreader module
+    that holds the function; returns the (positional args, result) calls."""
+    modname, name = target.split(":")
+    raw = getattr(importlib.import_module(f"clusterreader.{modname}"), name)
+    calls = []
+
+    def wrapper(*args, **kwargs):
+        result = raw(*args, **kwargs)
+        calls.append((args, result))
+        return result
+
+    for modname_, module in list(sys.modules.items()):
+        if modname_ == "clusterreader" or modname_.startswith("clusterreader."):
+            for key, value in list(vars(module).items()):
+                if value is raw:
+                    monkeypatch.setattr(module, key, wrapper)
+    return calls
+
+
+_CLUSTERS, _ = sy.generate(sy.SynthConfig(n_clusters=3, docs_min=2, docs_max=3, seed=4,
+                                          misinformation_rate=0.3, offtopic_rate=0.3))
+
+
+@pytest.mark.parametrize("bp_train_iters", [0, 2])
+def test_training_hooks_read_what_they_expect(monkeypatch, bp_train_iters):
+    # run.py's train hooks: the step clock after adam_step, the cluster id
+    # from cluster_loss's second argument and its loss's item(), the graph
+    # size from backward's first argument, and the beliefs run_bp_tensor returns
+    calls = {t: _hook(monkeypatch, t) for t in ("compute:adam_step", "compute:backward",
+                                                "training:cluster_loss",
+                                                "constraints:run_bp_tensor")}
+    hp = T.Hyperparams(embed_dim=8, width1=3, width2=2, d1=4, r=4, max_epochs=1,
+                       bp_train_iters=bp_train_iters)
+    T.train(_CLUSTERS, [], hp)
+    losses = calls["training:cluster_loss"]
+    assert all(isinstance(args[1], cp.Cluster) and isinstance(loss, C.Tensor)
+               for args, loss in losses)
+    assert sorted(args[1].cluster_id for args, _ in losses) == sorted(c.cluster_id
+                                                                     for c in _CLUSTERS)
+    backward = calls["compute:backward"]
+    assert [args[0] for args, _ in backward] == [loss for _, loss in losses]
+    assert all(isinstance(args[0], C.Tensor) and args[0].data.ndim == 0
+               for args, _ in backward)
+    assert len(calls["compute:adam_step"]) == len(backward) == len(_CLUSTERS)   # one per step
+    beliefs = [result for _, result in calls["constraints:run_bp_tensor"]]
+    assert len(beliefs) == (len(_CLUSTERS) if bp_train_iters else 0)
+    assert all(isinstance(b, C.Tensor) and np.all((b.data >= 0) & (b.data <= 1))
+               for b in beliefs)
+
+
+def test_prediction_hooks_read_what_they_expect(monkeypatch):
+    # run.py's predict hooks: one count per bp_iterate round, and records it
+    # checks for every scoring slot and beliefs in [0, 1]
+    rounds = _hook(monkeypatch, "constraints:bp_iterate")
+    hp = T.Hyperparams(embed_dim=8, width1=3, width2=2, d1=4, r=4)
+    vocab = [t for c in _CLUSTERS for d in c.documents for t in d.flat_tokens()]
+    model = M.init_model(vocab, hp, np.random.default_rng(3))
+    record = M.predict_clusters(model, _CLUSTERS[:1], hp.aggregation,
+                                bp_iterations=K.CONVERGENCE)[0]
+    assert rounds and all(isinstance(args[0], K.MessageState) for args, _ in rounds)
+    assert set(record["predictions"]) == set(model.scoring_slots())
+    assert all(0.0 <= v <= 1.0 for vals in record["scores"].values() for v in vals.values())

@@ -129,6 +129,21 @@ def test_invalid_hyperparameter_exits_3(pipeline, tmp_path, capsys, setting):
     assert want in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value,detail", [("x", "could not convert string to float: 'x'"),
+                                          ("nan", "non-finite value"),
+                                          ("1e400", "non-finite value")])
+def test_malformed_embedding_value_exits_3_naming_its_line(pipeline, tmp_path, capsys,
+                                                           value, detail):
+    emb = tmp_path / "emb.txt"
+    emb.write_text(f"the 0.1 0.2\ncrash 0.5 {value}\n")
+    ckpt = tmp_path / "m.json"
+    code = cli.run(["train", "--corpus", pipeline["train"], "--checkpoint", str(ckpt),
+                    "--embeddings", str(emb)] + TINY)
+    assert code == 3
+    assert f"{emb}: line 2: {detail}" in capsys.readouterr().err.strip().splitlines()[-1]
+    assert not ckpt.exists()
+
+
 def test_checkpoint_has_no_optimizer_state(pipeline):
     with open(pipeline["ckpt"]) as fh:
         fh.readline()
@@ -393,6 +408,22 @@ def test_aggregation_on_mention_level_checkpoint_exits_3(pipeline, mention_check
     assert code == 3
     assert "--aggregation" in capsys.readouterr().err.strip().splitlines()[-1]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("decode", ["none", "max", "sum"])
+def test_mention_decode_on_value_level_checkpoint_exits_3(pipeline, tmp_path, capsys, decode):
+    # a value-level model's slot vectors were trained for attention, not to
+    # classify mentions; the library still decodes them when asked
+    out = tmp_path / "p.json"
+    code = cli.run(["predict", "--checkpoint", pipeline["ckpt"], "--corpus", pipeline["test"],
+                    "--out", str(out), "--mention-decode", decode])
+    assert code == 3
+    assert "--mention-decode" in capsys.readouterr().err.strip().splitlines()[-1]
+    assert not out.exists()
+    model, config, _ = T.load_model(pipeline["ckpt"])
+    records = M.predict_clusters(model, cp.load_clusters(pipeline["test"]), config,
+                                 mention_decode=decode)
+    assert all(set(r["predictions"]) == set(cp.EVAL_SLOTS) for r in records)
 
 
 def test_aggregation_with_mention_level_training_exits_3(pipeline, tmp_path, capsys):

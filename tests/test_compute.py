@@ -48,15 +48,15 @@ def check_grads(build, tensors, h=1e-5, tol=1e-4):
 
 def test_matmul_grad_matrix_vector():
     rng = np.random.default_rng(3)
-    w = C.Tensor(rng.normal(size=(4, 6)), requires_grad=True)
-    x = C.Tensor(rng.normal(size=(6,)), requires_grad=True)
+    w = C.Tensor(rng.normal(size=(4, 6)))
+    x = C.Tensor(rng.normal(size=(6,)))
     check_grads(lambda: C.tsum(C.matmul(w, x)), [w, x])
 
 
 def test_matmul_grad_matrix_matrix():
     rng = np.random.default_rng(4)
-    a = C.Tensor(rng.normal(size=(3, 5)), requires_grad=True)
-    b = C.Tensor(rng.normal(size=(5, 2)), requires_grad=True)
+    a = C.Tensor(rng.normal(size=(3, 5)))
+    b = C.Tensor(rng.normal(size=(5, 2)))
     # the product feeds the loss twice, so each operand's gradient is quadratic
     check_grads(lambda: C.tsum(C.matmul(C.transpose(C.matmul(a, b)), C.matmul(a, b))), [a, b])
 
@@ -65,13 +65,13 @@ def test_relu_grad_away_from_kink():
     rng = np.random.default_rng(5)
     x = rng.normal(size=(7, 3))
     x[np.abs(x) < 0.05] += 0.1  # keep clear of the nondifferentiable point
-    a = C.Tensor(x, requires_grad=True)
+    a = C.Tensor(x)
     check_grads(lambda: C.tsum(C.relu(a)), [a])
 
 
 def test_log_grad_and_domain():
     rng = np.random.default_rng(7)
-    a = C.Tensor(rng.uniform(0.2, 3.0, size=(5,)), requires_grad=True)
+    a = C.Tensor(rng.uniform(0.2, 3.0, size=(5,)))
     check_grads(lambda: C.tsum(C.log(a)), [a])
     with pytest.raises(C.ComputeError):
         C.log(C.Tensor([1.0, 0.0]))
@@ -79,7 +79,7 @@ def test_log_grad_and_domain():
 
 def test_softmax_vector_grad_and_simplex():
     rng = np.random.default_rng(8)
-    a = C.Tensor(rng.normal(size=(6,)), requires_grad=True)
+    a = C.Tensor(rng.normal(size=(6,)))
     w = rng.normal(size=(6,))
     check_grads(lambda: C.tsum(C.scale(C.softmax(a), w)), [a])
     p = C.softmax(a).data
@@ -88,7 +88,7 @@ def test_softmax_vector_grad_and_simplex():
 
 def test_softmax_rows_grad():
     rng = np.random.default_rng(9)
-    a = C.Tensor(rng.normal(size=(4, 5)), requires_grad=True)
+    a = C.Tensor(rng.normal(size=(4, 5)))
     w = rng.normal(size=(4, 5))
     check_grads(lambda: C.tsum(C.scale(C.softmax(a), w)), [a])
     assert_allclose(C.softmax(a).data.sum(axis=1), np.ones(4), atol=1e-12)
@@ -101,7 +101,7 @@ def test_softmax_shift_invariance():
 
 
 def test_segment_pool_max_grad_routes_to_argmax():
-    a = C.Tensor([[0.3, 2.0, -1.0, 2.0]], requires_grad=True)
+    a = C.Tensor([[0.3, 2.0, -1.0, 2.0]])
     out = C.segment_pool(a, [[0, 1, 2, 3]], take_max=[True])
     C.backward(C.tsum(out))
     assert_allclose(a.grad, [[0.0, 1.0, 0.0, 0.0]])  # first of the tied maxima
@@ -110,7 +110,7 @@ def test_segment_pool_max_grad_routes_to_argmax():
 
 def test_segment_pool_sum_and_weighted_grads():
     rng = np.random.default_rng(15)
-    a = C.Tensor(rng.normal(size=(3, 7)), requires_grad=True)
+    a = C.Tensor(rng.normal(size=(3, 7)))
     segments = [[4, 0], [], [6, 2, 5]]
     weights = rng.uniform(0.0, 2.0, size=7)
     g = rng.normal(size=(3, 3))
@@ -137,7 +137,7 @@ def test_segment_pool_equals_per_row_reduction(data):
     take_max = [bool(seg) and data.draw(st.booleans()) for seg in segments]
     weights = rng.uniform(0.0, 2.0, size=width) if data.draw(st.booleans()) else None
     w = np.ones(width) if weights is None else weights
-    a_t = C.Tensor(a, requires_grad=True)
+    a_t = C.Tensor(a)
     out = C.segment_pool(a_t, segments, weights, take_max)
     C.backward(C.tsum(out))
     want = np.empty((n_rows, len(segments)))
@@ -165,7 +165,7 @@ def test_segment_pool_rejects_bad_groups():
 
 
 def test_clamp_grad_pass_through_inside():
-    a = C.Tensor([0.2, -0.5, 1.5], requires_grad=True)
+    a = C.Tensor([0.2, -0.5, 1.5])
     out = C.tsum(C.clamp(a, 0.0, 1.0))
     C.backward(out)
     assert_allclose(out.data, 0.2 + 0.0 + 1.0)
@@ -174,16 +174,16 @@ def test_clamp_grad_pass_through_inside():
 
 def test_take_and_take_pairs_grads():
     rng = np.random.default_rng(11)
-    a = C.Tensor(rng.normal(size=(7,)), requires_grad=True)
+    a = C.Tensor(rng.normal(size=(7,)))
     idx = [1, 4, 4, 0]
     check_grads(lambda: C.tsum(C.take(a, idx)), [a])
-    m = C.Tensor(rng.normal(size=(4, 5)), requires_grad=True)
+    m = C.Tensor(rng.normal(size=(4, 5)))
     check_grads(lambda: C.tsum(C.take_pairs(m, [0, 2, 2], [1, 3, 3])), [m])
 
 
 def test_take_rows_grad():
     rng = np.random.default_rng(18)
-    m = C.Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+    m = C.Tensor(rng.normal(size=(4, 3)))
     w = rng.normal(size=(5, 3))
     check_grads(lambda: C.tsum(C.scale(C.take(m, [2, 0, 2, 3, 1]), w)), [m])
 
@@ -195,19 +195,19 @@ def test_take_out_of_range():
 
 
 def test_stack_grad():
-    xs = [C.Tensor(0.5, requires_grad=True), C.Tensor(-1.0, requires_grad=True)]
+    xs = [C.Tensor(0.5), C.Tensor(-1.0)]
     out = C.tsum(C.scale(C.stack(xs), [2.0, -3.0]))
     C.backward(out)
     assert_allclose([float(x.grad) for x in xs], [2.0, -3.0])
     rng = np.random.default_rng(17)
-    rows = [C.Tensor(rng.normal(size=4), requires_grad=True) for _ in range(3)]
+    rows = [C.Tensor(rng.normal(size=4)) for _ in range(3)]
     w = rng.normal(size=(3, 4))
     check_grads(lambda: C.tsum(C.scale(C.stack(rows), w)), rows)
 
 
 def test_transpose_grad():
     rng = np.random.default_rng(14)
-    a = C.Tensor(rng.normal(size=(3, 5)), requires_grad=True)
+    a = C.Tensor(rng.normal(size=(3, 5)))
     w = rng.normal(size=(5, 3))
     check_grads(lambda: C.tsum(C.scale(C.transpose(a), w)), [a])
 
@@ -294,7 +294,7 @@ def test_window_conv_equals_reference_convolution(lengths, width, m, d_in, d_out
     # forward and every gradient equal the direct loop over each token's own
     # copy of its row, x's gradient folded back onto the rows, up to rounding
     rows, x0, w0, b0, g = _window_case(lengths, width, m, d_in, d_out, seed)
-    x, w, b = (C.Tensor(v, requires_grad=True) for v in (x0, w0, b0))
+    x, w, b = (C.Tensor(v) for v in (x0, w0, b0))
     out = C.window_conv(x, w, b, reference_windows(lengths, width, rows, m))
     C.backward(C.tsum(C.scale(out, g)))
     tokens = x0[rows]
@@ -312,7 +312,7 @@ def test_window_conv_equals_reference_convolution(lengths, width, m, d_in, d_out
        width=st.integers(1, 10), m=st.integers(1, 4), seed=st.integers(0, 2**16))
 def test_window_conv_grads(lengths, width, m, seed):
     rows, x0, w0, b0, g = _window_case(lengths, width, m, 2, 3, seed)
-    x, w, b = (C.Tensor(v, requires_grad=True) for v in (x0, w0, b0))
+    x, w, b = (C.Tensor(v) for v in (x0, w0, b0))
     windows = reference_windows(lengths, width, rows, m)
     check_grads(lambda: C.tsum(C.scale(C.window_conv(x, w, b, windows), g)), [x, w, b])
 
@@ -373,18 +373,18 @@ def test_conv1d_same_padding_lengths():
 
 def test_conv1d_grads():
     rng = np.random.default_rng(16)
-    x = C.Tensor(rng.normal(size=(6, 3)), requires_grad=True)
-    w = C.Tensor(rng.normal(size=(5, 3, 2)), requires_grad=True)
-    b = C.Tensor(rng.normal(size=(2,)), requires_grad=True)
+    x = C.Tensor(rng.normal(size=(6, 3)))
+    w = C.Tensor(rng.normal(size=(5, 3, 2)))
+    b = C.Tensor(rng.normal(size=(2,)))
     weights = rng.normal(size=(6, 2))
     check_grads(lambda: C.tsum(C.scale(conv1d(x, w, b), weights)), [x, w, b])
 
 
 def test_conv1d_wide_kernel_grads():
     rng = np.random.default_rng(17)
-    x = C.Tensor(rng.normal(size=(4, 2)), requires_grad=True)
-    w = C.Tensor(rng.normal(size=(10, 2, 3)), requires_grad=True)  # kernel wider than input
-    b = C.Tensor(rng.normal(size=(3,)), requires_grad=True)
+    x = C.Tensor(rng.normal(size=(4, 2)))
+    w = C.Tensor(rng.normal(size=(10, 2, 3)))  # kernel wider than input
+    b = C.Tensor(rng.normal(size=(3,)))
     check_grads(lambda: C.tsum(conv1d(x, w, b)), [x, w, b])
 
 
@@ -400,14 +400,14 @@ def test_conv1d_blocks_equal_per_block_convolutions(lengths, width, d_in, d_out,
     n = sum(lengths)
     x0, w0, b0 = rng.normal(size=(n, d_in)), rng.normal(size=(width, d_in, d_out)), rng.normal(size=d_out)
     g = rng.normal(size=(n, d_out))
-    x, w, b = (C.Tensor(v, requires_grad=True) for v in (x0, w0, b0))
+    x, w, b = (C.Tensor(v) for v in (x0, w0, b0))
     out = conv1d(x, w, b, lengths)
     C.backward(C.tsum(C.scale(out, g)))
 
-    w_ref, b_ref = C.Tensor(w0, requires_grad=True), C.Tensor(b0, requires_grad=True)
+    w_ref, b_ref = C.Tensor(w0), C.Tensor(b0)
     outs, gxs = [np.zeros((0, d_out))], [np.zeros((0, d_in))]
     for lo, hi in _block_bounds(lengths):
-        xb = C.Tensor(x0[lo:hi].copy(), requires_grad=True)
+        xb = C.Tensor(x0[lo:hi].copy())
         ob = conv1d(xb, w_ref, b_ref)
         C.backward(C.tsum(C.scale(ob, g[lo:hi])))  # one sweep per block, in order
         outs.append(ob.data)
@@ -425,13 +425,13 @@ def test_softmax_blocks_equal_per_block_softmax(lengths, rows, seed):
     rng = np.random.default_rng(seed)
     n = sum(lengths)
     u0, g = rng.normal(scale=3.0, size=(rows, n)), rng.normal(size=(rows, n))
-    u = C.Tensor(u0, requires_grad=True)
+    u = C.Tensor(u0)
     out = C.softmax(u, lengths)
     C.backward(C.tsum(C.scale(out, g)))
 
     outs, grads = [], []
     for lo, hi in _block_bounds(lengths):
-        ub = C.Tensor(u0[:, lo:hi].copy(), requires_grad=True)
+        ub = C.Tensor(u0[:, lo:hi].copy())
         ob = C.softmax(ub)
         C.backward(C.tsum(C.scale(ob, g[:, lo:hi].copy())))
         outs.append(ob.data)
@@ -473,7 +473,7 @@ def test_dropout_zero_or_scaled():
 
 def test_dropout_grad_masks_match_forward():
     rng = np.random.default_rng(20)
-    x = C.Tensor(np.ones(50), requires_grad=True)
+    x = C.Tensor(np.ones(50))
     out = C.dropout(x, 0.5, rng.random(50))
     C.backward(C.tsum(out))
     assert_allclose(x.grad, out.data)  # grad is the same mask/scale
@@ -481,7 +481,7 @@ def test_dropout_grad_masks_match_forward():
 
 def test_compose_embedding_routes_grad_to_mask_rows():
     base = np.arange(12.0).reshape(4, 3)
-    mv = C.Tensor([9.0, 9.0, 9.0], requires_grad=True)
+    mv = C.Tensor([9.0, 9.0, 9.0])
     table = C.compose_embedding(base, mv, [1, 3])
     assert_allclose(table.data[1], mv.data)
     assert_allclose(table.data[0], base[0])
@@ -491,7 +491,7 @@ def test_compose_embedding_routes_grad_to_mask_rows():
 
 
 def test_backward_accumulates_through_shared_node():
-    a = C.Tensor(3.0, requires_grad=True)
+    a = C.Tensor(3.0)
     b = C.log(a)                           # log a
     out = C.tsum(C.stack([b, b]))          # 2 log a, d/da = 2/a
     C.backward(out)
@@ -499,15 +499,9 @@ def test_backward_accumulates_through_shared_node():
 
 
 def test_backward_requires_scalar():
-    a = C.Tensor(np.ones(3), requires_grad=True)
+    a = C.Tensor(np.ones(3))
     with pytest.raises(C.ComputeError):
         C.backward(C.relu(a))
-
-
-def test_no_graph_without_requires_grad():
-    a = C.Tensor(np.ones((3, 3)))
-    out = C.matmul(a, a)
-    assert out._parents == () and not out.requires_grad
 
 
 def test_nonfinite_input_rejected():
@@ -516,7 +510,7 @@ def test_nonfinite_input_rejected():
 
 
 def test_deep_chain_no_recursion_limit():
-    x = C.Tensor(1.0, requires_grad=True)
+    x = C.Tensor(1.0)
     out = x
     for _ in range(5000):
         out = C.tsum(C.stack([out, x]))
@@ -542,7 +536,7 @@ def test_adam_matches_reference_with_l2():
     rng = np.random.default_rng(21)
     init = {"w": rng.normal(size=(3, 2)), "b": rng.normal(size=(2,))}
     grads = {"w": rng.normal(size=(3, 2)), "b": rng.normal(size=(2,))}
-    params = {k: C.Tensor(v.copy(), requires_grad=True) for k, v in init.items()}
+    params = {k: C.Tensor(v.copy()) for k, v in init.items()}
     state = C.AdamState()
     for _ in range(7):
         for k, p in params.items():
@@ -556,14 +550,14 @@ def test_adam_matches_reference_with_l2():
 
 def test_adam_first_step_size_is_lr():
     # with bias correction the first update has magnitude ~lr regardless of g
-    p = C.Tensor(np.array([5.0]), requires_grad=True)
+    p = C.Tensor(np.array([5.0]))
     p.accumulate(np.array([1e-3]))
     C.adam_step({"p": p}, C.AdamState(), lr=0.1)
     assert abs(float(p.data[0]) - (5.0 - 0.1)) < 1e-4
 
 
 def test_adam_rejects_nan_grad():
-    p = C.Tensor(np.array([1.0]), requires_grad=True)
+    p = C.Tensor(np.array([1.0]))
     p.grad = np.array([np.nan])
     with pytest.raises(C.ComputeError):
         C.adam_step({"p": p}, C.AdamState(), lr=0.1)
@@ -571,8 +565,8 @@ def test_adam_rejects_nan_grad():
 
 def test_checkpoint_roundtrip(tmp_path):
     rng = np.random.default_rng(22)
-    params = {"w": C.Tensor(rng.normal(size=(4, 3)), requires_grad=True),
-              "pi": C.Tensor(rng.normal(size=(8, 5)), requires_grad=True)}
+    params = {"w": C.Tensor(rng.normal(size=(4, 3))),
+              "pi": C.Tensor(rng.normal(size=(8, 5)))}
     path = tmp_path / "model.rac"
     C.save_checkpoint(path, params, seed=17, extra={"slots": ["a", "b"]})
     loaded = C.load_checkpoint(path)

@@ -138,9 +138,17 @@ def test_init_messages():
     assert_allclose(st.from_col, 0.5)
 
 
+def exactly1_all(mu: np.ndarray, axis: int) -> np.ndarray:
+    """True-mass of Exactly-1 factor->variable messages for every target at
+    once, as bp_iterate computes them. mu is the V x S grid of incoming true
+    masses; axis=0 treats each column (slot factor across values) as a
+    factor, axis=1 each row."""
+    return K._factor_messages(K._odds(mu), axis, 1.0)
+
+
 def column_message(mu, i):
     """Message an Exactly-1 factor over the entries of mu sends to entry i."""
-    return K.exactly1_all(np.asarray(mu, dtype=np.float64)[:, None], axis=0)[i, 0]
+    return exactly1_all(np.asarray(mu, dtype=np.float64)[:, None], axis=0)[i, 0]
 
 
 def test_exactly1_message_worked_example():
@@ -162,7 +170,7 @@ def test_exactly1_message_matches_enumeration():
         V, S = (int(k) for k in rng.integers(1, 7, size=2))
         mu = rng.uniform(0.01, 0.99, size=(V, S))
         for axis in (0, 1):
-            got = K.exactly1_all(mu, axis=axis)
+            got = exactly1_all(mu, axis=axis)
             for i, j in itertools.product(range(V), range(S)):
                 line = mu[:, j] if axis == 0 else mu[i, :]
                 target = i if axis == 0 else j
@@ -216,7 +224,7 @@ def test_value_factor_rule_follows_shape_and_null_row():
         assert g.value_constant == c
         from_col = K.bp_iterate(K.init_messages(g), g).from_col
         if c == 1.0:
-            assert_allclose(from_col, K.exactly1_all(mu, axis=1), atol=1e-15)
+            assert_allclose(from_col, exactly1_all(mu, axis=1), atol=1e-15)
         else:
             rest = mu / (1 - mu)
             rest = rest.sum(axis=1, keepdims=True) - rest
@@ -271,7 +279,7 @@ def test_single_row_factor_sharpens_dominant_value():
     local = np.array([0.8, 0.3, 0.1])
     weights = np.array([local[i] * np.prod(np.delete(1 - local, i)) for i in range(3)])
     exact = weights / weights.sum()  # (0.8811, 0.0944, 0.0245)
-    fr = K.exactly1_all(local[:, None], axis=0)[:, 0]
+    fr = exactly1_all(local[:, None], axis=0)[:, 0]
     t = local * fr
     f = (1 - local) * (1 - fr)
     got = t / (t + f)
@@ -535,7 +543,7 @@ def test_tensor_bp_matches_numpy_path():
             phi = np.vectorize(logit)(local).T
             g = M.bp_graph(values, [f"s{j}" for j in range(4)], phi)
             want = K.run_bp(g, iters)
-            phi = C.Tensor(np.log(local / (1 - local)).T, requires_grad=True)
+            phi = C.Tensor(np.log(local / (1 - local)).T)
             got = K.run_bp_tensor(phi, null_row, iters)
             assert np.array_equal(got.data.T, want)
 
@@ -549,7 +557,7 @@ def test_tensor_bp_gradients_flow_and_check():
         def build(phi_t):
             return C.tsum(C.scale(K.run_bp_tensor(phi_t, null_col, 2), weights))
 
-        phi = C.Tensor(phi0.copy(), requires_grad=True)
+        phi = C.Tensor(phi0.copy())
         C.backward(build(phi))
         assert phi.grad is not None
         num = np.zeros(phi0.size)
@@ -582,7 +590,7 @@ def test_tensor_bp_forward_is_the_numpy_rounds(data):
     state = K.init_messages(graph)
     for _ in range(rounds):
         state = K.bp_iterate(state, graph)
-    got = K.run_bp_tensor(C.Tensor(phi, requires_grad=True), null_col, rounds)
+    got = K.run_bp_tensor(C.Tensor(phi), null_col, rounds)
     assert np.array_equal(got.data, K.beliefs(state, graph).T)
 
 
@@ -592,7 +600,7 @@ def check_tensor_bp_gradient(phi0, null_col, rounds, weights, h=1e-6, rtol=1e-4)
     def loss(phi):
         return float((K.run_bp_tensor(C.Tensor(phi), null_col, rounds).data * weights).sum())
 
-    phi = C.Tensor(phi0.copy(), requires_grad=True)
+    phi = C.Tensor(phi0.copy())
     C.backward(C.tsum(C.scale(K.run_bp_tensor(phi, null_col, rounds), weights)))
     assert np.all(np.isfinite(phi.grad))
     num = np.zeros_like(phi0)

@@ -234,7 +234,7 @@ def test_mention_labels_multi_slot_value_duplicated():
     gold["Passengers"] = ("fifty",)   # fifty now gold for two slots
     index = M.ClusterIndex.build(c)
     labels = T.mention_labels(index, gold)
-    fifty_rows = [i for i, (m, _, _) in enumerate(index.mention_rows)
+    fifty_rows = [i for i, (m, _) in enumerate(index.mention_rows)
                   if m.value_id == "fifty"]
     for i in fifty_rows:
         assert {s for j, s in labels if j == i} == {"Fatalities", "Passengers"}
@@ -244,7 +244,7 @@ def test_mention_loss_uniform_is_log9():
     c = crash_cluster()
     index = M.ClusterIndex.build(c)
     slots = list(cp.EVAL_SLOTS) + [NULL_SLOT]
-    logits = C.Tensor(np.zeros((len(index.mention_rows), 9)), requires_grad=True)
+    logits = C.Tensor(np.zeros((len(index.mention_rows), 9)))
     loss = T.mention_loss(logits, index, c.gold, slots)
     assert abs(loss.item() - math.log(9)) < 1e-12
 
@@ -257,7 +257,7 @@ def test_mention_loss_confident_correct_is_small():
     rows = np.zeros((len(index.mention_rows), 9))
     for i in range(len(index.mention_rows)):
         rows[i, slots.index(label_of[i])] = 30.0
-    logits = C.Tensor(rows, requires_grad=True)
+    logits = C.Tensor(rows)
     loss = T.mention_loss(logits, index, c.gold, slots)
     assert loss.item() < 1e-9
 
@@ -353,7 +353,7 @@ def test_training_step_calls_window_conv_per_layer(monkeypatch, loss_mode, decod
 
 
 def test_eval_mode_loss_backpropagates_through_conv1d(monkeypatch):
-    # a loss built with training=False, as gradient_check builds it, convolves
+    # a loss built without an rng, as gradient_check builds it, convolves
     # both layers through window_conv and gives the gradients of the same loss
     # over one embedding row per token up to rounding
     hp = tiny_hp()
@@ -362,7 +362,7 @@ def test_eval_mode_loss_backpropagates_through_conv1d(monkeypatch):
     model = M.init_model(vocab, hp, np.random.default_rng(21))
     ref = M.init_model(vocab, hp, np.random.default_rng(21))
     calls = _count_window_conv(monkeypatch)
-    C.backward(T.cluster_loss(model, c, hp, training=False))
+    C.backward(T.cluster_loss(model, c, hp))
     assert calls == [model.enc.w1.shape, model.enc.w2.shape]
 
     index = M.ClusterIndex.build(c)
@@ -431,7 +431,7 @@ def test_projected_predictions_match_conv1d_reference(monkeypatch, loss_mode, bp
         assert any(v is not None for r in got for v in r["predictions"].values())
     representations = M.ReaderModel.representations
 
-    def reference(self, index, training=False, keep_prob=1.0, rng=None):
+    def reference(self, index, keep_prob=1.0, rng=None):
         embedded = E.embed_cluster(index.flat_tokens, index.mention_token_set, self.table)
         return C.Tensor(reference_encode(embedded.data, index.doc_lengths, self.enc)[0])
 
@@ -453,8 +453,7 @@ def test_bp_sharpened_table_matches_numpy_bp():
     slots = ["Crew", "Operator"]
     columns = sorted(["a", "b", NULL_VALUE])
     phi = rng.uniform(-1, 1, size=(2, 3))
-    sharpened = run_bp_tensor(C.Tensor(phi, requires_grad=True),
-                              columns.index(NULL_VALUE), 2)
+    sharpened = run_bp_tensor(C.Tensor(phi), columns.index(NULL_VALUE), 2)
 
     want = run_bp(M.bp_graph(columns, slots, phi), 2).T
     assert np.array_equal(sharpened.data, want)
@@ -519,12 +518,12 @@ def test_single_small_step_decreases_loss():
     model = M.init_model([t for d in c.documents for t in d.flat_tokens()],
                          hp, np.random.default_rng(9))
     params = model.params()
-    loss1 = T.cluster_loss(model, c, hp, training=False)
+    loss1 = T.cluster_loss(model, c, hp)
     for p in params.values():
         p.zero_grad()
     C.backward(loss1)
     C.adam_step(params, C.AdamState(), lr=1e-5, l2=0.0)
-    loss2 = T.cluster_loss(model, c, hp, training=False)
+    loss2 = T.cluster_loss(model, c, hp)
     assert loss2.item() < loss1.item()
 
 
@@ -559,8 +558,8 @@ def test_value_loss_invariant_to_document_order():
     hp = tiny_hp()
     model = M.init_model([t for d in c.documents for t in d.flat_tokens()],
                          hp, np.random.default_rng(4))
-    a = T.cluster_loss(model, c, hp, training=False).item()
-    b = T.cluster_loss(model, flipped, hp, training=False).item()
+    a = T.cluster_loss(model, c, hp).item()
+    b = T.cluster_loss(model, flipped, hp).item()
     assert abs(a - b) < 1e-9
 
 
@@ -688,7 +687,7 @@ def test_embedding_matrix_is_frozen_and_mask_trains():
     assert isinstance(model.table.matrix, np.ndarray)   # plain array, no grad
     before = model.table.matrix.copy()
 
-    loss = T.cluster_loss(model, c, hp, training=False)
+    loss = T.cluster_loss(model, c, hp)
     C.backward(loss)
     assert np.array_equal(model.table.matrix, before)
     assert model.table.mask_vector.grad is not None
