@@ -15,12 +15,16 @@ crosses a document, so no window or normalization crosses a document.
 
 from __future__ import annotations
 
+import base64
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
-CHECKPOINT_MAGIC = "RACv1"
+CHECKPOINT_MAGIC = "RACv2"
+# RACv1 files store arrays as number lists; they still load
+READABLE_MAGICS = ("RACv1", CHECKPOINT_MAGIC)
 
 
 class ComputeError(ValueError):
@@ -63,7 +67,9 @@ class Tensor:
         self.grad += g
 
     def zero_grad(self):
-        self.grad = None
+        """Zero the gradient in place, so a grad that is a view stays one."""
+        if self.grad is not None:
+            self.grad[...] = 0.0
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape})"
@@ -397,7 +403,43 @@ def backward(loss: Tensor):
 
 
 # ---------------------------------------------------------------------------
-# Adam
+# the flat parameter vector and Adam
+
+
+class FlatParams:
+    """Named parameters whose values and gradients are views into one data
+    vector and one grad vector.
+
+    Building it copies each tensor's values, and its gradient if it has
+    one, into the two vectors and points the tensor's data and grad at its
+    slices of them. Zeroing, the finiteness check, Adam and snapshots then
+    each act once on a whole vector. Nothing may rebind a parameter's data
+    or grad afterwards, or it leaves the vectors: write into them instead.
+    """
+
+    def __init__(self, tensors: dict[str, Tensor]):
+        self.tensors = dict(tensors)
+        self.data = np.concatenate([p.data.ravel() for p in self.tensors.values()])
+        self.grad = np.zeros_like(self.data)
+        at = 0
+        for p in self.tensors.values():
+            shape, size = p.data.shape, p.data.size
+            grad = self.grad[at:at + size].reshape(shape)
+            if p.grad is not None:
+                grad[...] = p.grad
+            p.data, p.grad = self.data[at:at + size].reshape(shape), grad
+            at += size
+
+    def zero_grad(self):
+        self.grad[...] = 0.0
+
+    def check_grad(self):
+        """Raise ComputeError naming the first parameter whose gradient is
+        not finite; the search runs only when the whole vector fails."""
+        if np.isfinite(self.grad).all():
+            return
+        name = next(k for k, p in self.tensors.items() if not np.isfinite(p.grad).all())
+        raise ComputeError(f"non-finite gradient for parameter {name!r}")
 
 
 ADAM_BETA1 = 0.9
@@ -407,58 +449,85 @@ ADAM_EPS = 1e-8
 
 @dataclass
 class AdamState:
-    """Per-parameter first/second moment accumulators with a shared step count."""
+    """First/second moment vectors (allocated on the first step) and the step count."""
 
     t: int = 0
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
+    m: np.ndarray | None = None
+    v: np.ndarray | None = None
 
 
-def adam_step(params: dict[str, Tensor], state: AdamState, lr: float, l2: float = 0.0):
-    """One Adam update with bias correction; l2 adds l2*param to each gradient."""
+def adam_step(params: FlatParams, state: AdamState, lr: float, l2: float = 0.0):
+    """One Adam update of the whole vector with bias correction; l2 adds
+    l2*param to each gradient. Elementwise, so it equals one update per
+    tensor bit for bit."""
     state.t += 1
     b1, b2 = ADAM_BETA1, ADAM_BETA2
-    for name, p in params.items():
-        g = p.grad if p.grad is not None else np.zeros_like(p.data)
-        if not np.all(np.isfinite(g)):
-            raise ComputeError(f"non-finite gradient for parameter {name!r}")
-        if l2:
-            g = g + l2 * p.data
-        if name not in state.m:
-            state.m[name], state.v[name] = np.zeros_like(p.data), np.zeros_like(p.data)
-        m, v = state.m[name], state.v[name]
-        # p -= lr * m_hat / (sqrt(v_hat) + eps) in that order, in place
-        # through two buffers: a temporary the size of a large parameter can
-        # cost a page fault per page when the allocator maps it afresh
-        step = (1 - b1) * g
-        m *= b1
-        m += step
-        np.multiply(g, g, out=step)
-        step *= 1 - b2
-        v *= b2
-        v += step
-        denom = v / (1 - b2 ** state.t)
-        np.sqrt(denom, out=denom)
-        denom += ADAM_EPS
-        np.divide(m, 1 - b1 ** state.t, out=step)
-        step *= lr
-        step /= denom
-        p.data -= step
+    params.check_grad()
+    g = params.grad
+    if l2:
+        g = g + l2 * params.data
+    if state.m is None:
+        state.m, state.v = np.zeros_like(params.data), np.zeros_like(params.data)
+    m, v = state.m, state.v
+    # p -= lr * m_hat / (sqrt(v_hat) + eps) in that order, in place
+    # through two buffers
+    step = (1 - b1) * g
+    m *= b1
+    m += step
+    np.multiply(g, g, out=step)
+    step *= 1 - b2
+    v *= b2
+    v += step
+    denom = v / (1 - b2 ** state.t)
+    np.sqrt(denom, out=denom)
+    denom += ADAM_EPS
+    np.divide(m, 1 - b1 ** state.t, out=step)
+    step *= lr
+    step /= denom
+    params.data -= step
 
 
 # ---------------------------------------------------------------------------
 # checkpoints
 
 
+def encode_array(a: np.ndarray) -> dict:
+    """A checkpoint array: its shape and its little-endian float64 bytes in base64."""
+    a = np.ascontiguousarray(a, dtype="<f8")
+    return {"shape": list(a.shape), "base64": base64.b64encode(a.tobytes()).decode("ascii")}
+
+
+def decode_array(entry) -> np.ndarray:
+    """The array of a {"shape", "base64"} entry, or of RACv1's {"shape", "data"}
+    number list. The entry holds exactly one of the two, and as many floats
+    as the product of its shape, a list of non-negative integers. A base64
+    array is read-only. Raises ComputeError on any defect."""
+    if not isinstance(entry, dict) or ("data" in entry) == ("base64" in entry):
+        raise ComputeError("expected an object with a shape and one of data or base64")
+    shape = entry.get("shape")
+    if not isinstance(shape, list) or not all(type(n) is int and n >= 0 for n in shape):
+        raise ComputeError("shape is not a list of non-negative integers")
+    size = math.prod(shape)
+    try:
+        if "base64" in entry:
+            flat = np.frombuffer(base64.b64decode(entry["base64"], validate=True), dtype="<f8")
+        else:
+            flat = _as_f64(entry["data"])
+        if flat.size == size:
+            return flat.reshape(shape)
+    except (TypeError, ValueError, OverflowError) as exc:   # Overflow: an int past float range
+        raise ComputeError(str(exc)) from exc
+    raise ComputeError(f"{flat.size} floats for shape {shape}")
+
+
 def save_checkpoint(path, params: dict[str, Tensor], seed: int = 0, extra: dict | None = None):
     """Write parameters as a versioned JSON file.
 
     The first line is the magic string; the rest is one JSON object with
-    row-major float arrays per parameter.
+    one encode_array entry per parameter.
     """
     body = {
-        "params": {k: {"shape": list(p.data.shape), "data": p.data.ravel().tolist()}
-                   for k, p in params.items()},
+        "params": {k: encode_array(p.data) for k, p in params.items()},
         "seed": int(seed),
         "extra": extra or {},
     }
@@ -468,12 +537,14 @@ def save_checkpoint(path, params: dict[str, Tensor], seed: int = 0, extra: dict 
 
 
 def load_checkpoint(path) -> dict:
-    """Read a checkpoint; returns params (as ndarrays), seed, extra. An
-    optimizer-state section, which older files carry, is ignored."""
+    """Read a RACv2 or RACv1 checkpoint; returns params (as ndarrays, read-only
+    when base64), seed, extra. An optimizer-state section, which older files
+    carry, is ignored."""
     with open(path) as fh:
         magic = fh.readline().rstrip("\n")
-        if magic != CHECKPOINT_MAGIC:
-            raise ComputeError(f"bad checkpoint magic {magic!r}, expected {CHECKPOINT_MAGIC!r}")
+        if magic not in READABLE_MAGICS:
+            raise ComputeError(f"bad checkpoint magic {magic!r}, expected one of "
+                               f"{', '.join(map(repr, READABLE_MAGICS))}")
         try:
             body = json.load(fh)
         except RecursionError as exc:
@@ -485,7 +556,8 @@ def load_checkpoint(path) -> dict:
     params = {}
     for k, v in body["params"].items():
         try:
-            params[k] = _as_f64(v["data"]).reshape(v["shape"])
-        except (TypeError, ValueError, KeyError) as exc:
-            raise ComputeError(f"{path}: checkpoint params.{k} is not a float array") from exc
+            params[k] = decode_array(v)
+        except ComputeError as exc:
+            raise ComputeError(f"{path}: checkpoint params.{k} is not a float array: "
+                               f"{exc}") from exc
     return {"params": params, "seed": body.get("seed", 0), "extra": body.get("extra", {})}

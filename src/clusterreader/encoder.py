@@ -44,9 +44,13 @@ def load_embeddings(path) -> EmbeddingTable:
     vocab: dict[str, int] = {}
     rows = []
     dim = None
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            parts = line.rstrip("\n").split(" ")
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError:
+                raise C.ComputeError(f"{path}: line {lineno}: not UTF-8") from None
+            parts = line.rstrip("\r\n").split(" ")
             if len(parts) < 2:
                 continue
             token, vals = parts[0], parts[1:]
@@ -67,9 +71,12 @@ def load_embeddings(path) -> EmbeddingTable:
     if not rows:
         raise C.ComputeError(f"{path}: no embedding rows")
     matrix = np.asarray(rows, dtype=np.float64)
-    return EmbeddingTable(vocab=vocab, matrix=matrix,
-                          mask_vector=C.Tensor(matrix.mean(axis=0)),
-                          unk_vector=matrix.mean(axis=0))
+    with np.errstate(over="ignore"):
+        mean = matrix.mean(axis=0)
+    if not np.isfinite(mean).all():
+        raise C.ComputeError(f"{path}: the column mean of the embedding rows overflows")
+    return EmbeddingTable(vocab=vocab, matrix=matrix, mask_vector=C.Tensor(mean.copy()),
+                          unk_vector=mean)
 
 
 def random_table(tokens, dim: int, rng: np.random.Generator) -> EmbeddingTable:

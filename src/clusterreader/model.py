@@ -102,9 +102,16 @@ class ClusterIndex:
 
 @dataclass
 class ReaderModel:
+    """The reader's parameters: the encoder, the slot vectors and the mask
+    vector, whose data and grads are views into flat.data and flat.grad."""
+
     table: E.EmbeddingTable
     enc: E.EncoderParams
     pi: dict                      # slot name -> embedding tensor
+    flat: C.FlatParams = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.flat = C.FlatParams(self.params())
 
     def params(self) -> dict:
         out = dict(self.enc.as_dict())

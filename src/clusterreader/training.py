@@ -239,23 +239,22 @@ def train(train_clusters, dev_clusters, hp: Hyperparams,
     init_rng, shuffle_rng, dropout_rng = (np.random.default_rng(s) for s in seeds)
     vocab = [t for c in train_clusters for d in c.documents for t in d.flat_tokens()]
     model = init_model(vocab, hp, init_rng, table)
-    params = model.params()
+    params, flat = model.params(), model.flat
     state = TrainState(model=model, adam=C.AdamState())
-    best_snapshot = {k: p.data.copy() for k, p in params.items()}
+    best_snapshot = flat.data.copy()
 
     for epoch in range(1, hp.max_epochs + 1):
         order = shuffle_rng.permutation(len(train_clusters))
         losses = []
         for ci in order:
             cluster = train_clusters[int(ci)]
-            for p in params.values():
-                p.zero_grad()
+            flat.zero_grad()
             try:
                 loss = cluster_loss(model, cluster, hp, rng=dropout_rng)
                 if loss is None:
                     continue
                 C.backward(loss)
-                C.adam_step(params, state.adam, lr=hp.lr, l2=hp.l2)
+                C.adam_step(flat, state.adam, lr=hp.lr, l2=hp.l2)
             except C.ComputeError as exc:
                 norms = {k: float(np.abs(p.data).max()) for k, p in params.items()}
                 raise DivergenceError(
@@ -272,14 +271,13 @@ def train(train_clusters, dev_clusters, hp: Hyperparams,
         if metric > state.best_dev_metric:
             state.best_dev_metric = metric
             state.epochs_since_best = 0
-            best_snapshot = {k: p.data.copy() for k, p in params.items()}
+            best_snapshot = flat.data.copy()
         else:
             state.epochs_since_best += 1
             if state.epochs_since_best > hp.patience:
                 break
     if dev_clusters:
-        for k, p in params.items():
-            p.data = best_snapshot[k].copy()
+        flat.data[:] = best_snapshot
     return state
 
 
@@ -291,8 +289,8 @@ def save_model(path, model: ReaderModel, hp: Hyperparams):
     extra = {
         "slots": list(model.pi),
         "vocab": model.table.vocab,
-        "embed_matrix": model.table.matrix.tolist(),
-        "unk_vector": model.table.unk_vector.tolist(),
+        "embed_matrix": C.encode_array(model.table.matrix),
+        "unk_vector": C.encode_array(model.table.unk_vector),
         "hyperparams": {"loss_mode": hp.loss_mode, **asdict(hp.aggregation)},
     }
     C.save_checkpoint(path, model.params(), seed=hp.seed, extra=extra)
@@ -317,9 +315,9 @@ def load_model(path):
     if missing:
         raise C.ComputeError(f"{path}: checkpoint lacks {', '.join(missing)}")
     try:
-        matrix = np.asarray(extra["embed_matrix"], dtype=np.float64)
-        unk_vector = np.asarray(extra["unk_vector"], dtype=np.float64)
-    except (TypeError, ValueError):     # not numbers: fails the shape check below
+        matrix = _extra_array(extra["embed_matrix"])
+        unk_vector = _extra_array(extra["unk_vector"])
+    except (TypeError, ValueError, OverflowError):   # not floats: fails the shape check below
         matrix = unk_vector = np.zeros(0)
     if matrix.ndim != 2 or not (unk_vector.shape == params["mask_vector"].shape
                                 == matrix.shape[1:]):
@@ -360,6 +358,13 @@ def load_model(path):
     return model, hp.aggregation, hp.loss_mode
 
 
+def _extra_array(value) -> np.ndarray:
+    """An array of extra: an encode_array entry, or RACv1's nested number list."""
+    if isinstance(value, dict):
+        return C.decode_array(value)
+    return np.asarray(value, dtype=np.float64)
+
+
 def _check_param_shapes(path, params: dict, slots, embed_dim: int):
     """Each encoder and slot parameter's shape against the embedding width
     and the widths the earlier parameters fix (w1 fixes d1, w2 fixes r)."""
@@ -395,7 +400,6 @@ def gradient_check(hp: Hyperparams, cluster: cp.Cluster, tol: float = 1e-4) -> d
     rng = np.random.default_rng(hp.seed)
     vocab = [t for d in cluster.documents for t in d.flat_tokens()]
     model = init_model(vocab, hp, rng)
-    params = model.params()
 
     def forward() -> C.Tensor:
         loss = cluster_loss(model, cluster, hp)
@@ -403,14 +407,12 @@ def gradient_check(hp: Hyperparams, cluster: cp.Cluster, tol: float = 1e-4) -> d
             raise GradientCheckError("cluster produced no loss terms")
         return loss
 
-    for p in params.values():
-        p.zero_grad()
     C.backward(forward())
 
     report = {}
     worst = ("", 0.0)
-    for name, p in params.items():
-        analytic = p.grad if p.grad is not None else np.zeros_like(p.data)
+    for name, p in model.params().items():
+        analytic = p.grad
         flat = p.data.ravel()
         err = 0.0
         for i in range(flat.size):

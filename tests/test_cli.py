@@ -1,5 +1,6 @@
 """End-to-end checks of the command-line pipeline and its exit codes."""
 
+import base64
 import json
 import os
 import re
@@ -7,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from clusterreader import cli
@@ -150,6 +152,22 @@ def test_checkpoint_has_no_optimizer_state(pipeline):
         assert "adam" not in json.load(fh)
 
 
+@pytest.mark.parametrize("content,detail", [
+    (b"a 1e308 1\nb 1e308 1\n", "the column mean of the embedding rows overflows"),
+    (b"the 0.1 0.2\ncr\xe9sh 0.5 0.5\n", "line 2: not UTF-8")],
+    ids=["mean-overflows", "not-utf8"])
+def test_malformed_embedding_table_exits_3_naming_the_file(pipeline, tmp_path, capsys,
+                                                           content, detail):
+    emb = tmp_path / "emb.txt"
+    emb.write_bytes(content)
+    ckpt = tmp_path / "m.json"
+    code = cli.run(["train", "--corpus", pipeline["train"], "--checkpoint", str(ckpt),
+                    "--embeddings", str(emb)] + TINY)
+    assert code == 3
+    assert f"{emb}: {detail}" in capsys.readouterr().err.strip().splitlines()[-1]
+    assert not ckpt.exists()
+
+
 @pytest.mark.parametrize("field", ["extra.vocab", "extra.slots", "extra.embed_matrix",
                                    "extra.unk_vector", "params.enc.w2", "params.slot.Crew",
                                    "params"])
@@ -180,13 +198,24 @@ def _set_extra(name, value):
     return lambda body: body["extra"].__setitem__(name, value)
 
 
+def _decoded(entry) -> np.ndarray:
+    """The array of a checkpoint's {"shape", "base64"} entry, writable."""
+    raw = base64.b64decode(entry["base64"])
+    return np.frombuffer(raw, dtype="<f8").reshape(entry["shape"]).copy()
+
+
+def _encoded(a: np.ndarray) -> dict:
+    return {"shape": list(a.shape),
+            "base64": base64.b64encode(a.astype("<f8").tobytes()).decode("ascii")}
+
+
 def _vocab_past_end(body):
-    rows = len(body["extra"]["embed_matrix"])
+    rows = body["extra"]["embed_matrix"]["shape"][0]
     body["extra"]["vocab"] = {token: rows for token in body["extra"]["vocab"]}
 
 
 def _narrow_unk_vector(body):
-    body["extra"]["unk_vector"] = body["extra"]["unk_vector"][:-1]
+    body["extra"]["unk_vector"] = _encoded(_decoded(body["extra"]["unk_vector"])[:-1])
 
 
 def _no_scoring_slot(body):
@@ -199,7 +228,9 @@ def _set_param(name, shape, data):
 
 
 def _nan_in_embed_matrix(body):
-    body["extra"]["embed_matrix"][0][0] = float("nan")
+    matrix = _decoded(body["extra"]["embed_matrix"])
+    matrix[0][0] = float("nan")
+    body["extra"]["embed_matrix"] = _encoded(matrix)
 
 
 def _set_hyperparam(name, value):
@@ -246,6 +277,61 @@ def _set_hyperparam(name, value):
         "mask-inf", "embed-nan"])
 def test_checkpoint_bad_field_value_exits_3(pipeline, tmp_path, capsys, edit, message):
     ckpt = _rewrite_checkpoint(pipeline["ckpt"], tmp_path / "bad.json", edit)
+    code = cli.run(["predict", "--checkpoint", ckpt, "--corpus", pipeline["test"],
+                    "--out", str(tmp_path / "p.json")])
+    assert code == 3
+    assert message in capsys.readouterr().err
+
+
+def _as_racv1(src, dest) -> str:
+    """The list-form RACv1 file of a RACv2 checkpoint: the same body with
+    every array written as numbers."""
+    with open(src) as fh:
+        assert fh.readline() == "RACv2\n"
+        body = json.load(fh)
+    body["params"] = {k: {"shape": v["shape"], "data": _decoded(v).ravel().tolist()}
+                      for k, v in body["params"].items()}
+    for name in ("embed_matrix", "unk_vector"):
+        body["extra"][name] = _decoded(body["extra"][name]).tolist()
+    dest.write_text("RACv1\n" + json.dumps(body))
+    return str(dest)
+
+
+def test_racv1_checkpoint_loads_and_predicts_as_its_racv2_source(pipeline, tmp_path):
+    v1 = _as_racv1(pipeline["ckpt"], tmp_path / "v1.json")
+    (new, *settings_new), (old, *settings_old) = T.load_model(pipeline["ckpt"]), T.load_model(v1)
+    assert settings_new == settings_old and new.table.vocab == old.table.vocab
+    assert list(new.params()) == list(old.params())
+    for a, b in [(new.flat.data, old.flat.data), (new.table.matrix, old.table.matrix),
+                 (new.table.unk_vector, old.table.unk_vector)]:
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    outputs = []
+    for ckpt in (pipeline["ckpt"], v1):
+        out = tmp_path / "p.json"
+        assert cli.run(["predict", "--checkpoint", ckpt, "--corpus", pipeline["test"],
+                        "--out", str(out), "--bp", "conv"]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
+def test_unknown_checkpoint_magic_exits_3(pipeline, tmp_path, capsys):
+    body = Path(pipeline["ckpt"]).read_text().split("\n", 1)[1]
+    ckpt = tmp_path / "v3.json"
+    ckpt.write_text("RACv3\n" + body)
+    code = cli.run(["predict", "--checkpoint", str(ckpt), "--corpus", pipeline["test"],
+                    "--out", str(tmp_path / "p.json")])
+    assert code == 3
+    assert "bad checkpoint magic 'RACv3'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edit,message", [
+    (_set_param("enc.b1", [4], [10 ** 400] * 4), "checkpoint params.enc.b1 is not a float array"),
+    (_set_extra("unk_vector", [10 ** 400] * 12),
+     "extra.embed_matrix is not a 2-D matrix as wide as extra.unk_vector")],
+    ids=["param", "unk-vector"])
+def test_checkpoint_number_too_large_for_a_float_exits_3(pipeline, tmp_path, capsys, edit,
+                                                         message):
+    ckpt = _rewrite_checkpoint(pipeline["ckpt"], tmp_path / "huge.json", edit)
     code = cli.run(["predict", "--checkpoint", ckpt, "--corpus", pipeline["test"],
                     "--out", str(tmp_path / "p.json")])
     assert code == 3

@@ -542,7 +542,7 @@ def test_adam_matches_reference_with_l2():
         for k, p in params.items():
             p.zero_grad()
             p.accumulate(grads[k].copy())
-        C.adam_step(params, state, lr=0.003, l2=0.01)
+        C.adam_step(C.FlatParams(params), state, lr=0.003, l2=0.01)
     expect = reference_adam(init, grads, lr=0.003, steps=7, l2=0.01)
     for k in init:
         assert_allclose(params[k].data, expect[k], atol=1e-12)
@@ -552,7 +552,7 @@ def test_adam_first_step_size_is_lr():
     # with bias correction the first update has magnitude ~lr regardless of g
     p = C.Tensor(np.array([5.0]))
     p.accumulate(np.array([1e-3]))
-    C.adam_step({"p": p}, C.AdamState(), lr=0.1)
+    C.adam_step(C.FlatParams({"p": p}), C.AdamState(), lr=0.1)
     assert abs(float(p.data[0]) - (5.0 - 0.1)) < 1e-4
 
 
@@ -560,7 +560,55 @@ def test_adam_rejects_nan_grad():
     p = C.Tensor(np.array([1.0]))
     p.grad = np.array([np.nan])
     with pytest.raises(C.ComputeError):
-        C.adam_step({"p": p}, C.AdamState(), lr=0.1)
+        C.adam_step(C.FlatParams({"p": p}), C.AdamState(), lr=0.1)
+
+
+def per_tensor_adam_step(params: dict, grads: dict, m: dict, v: dict, t: int, lr: float,
+                         l2: float):
+    """The per-tensor Adam update that the flat-vector step replaced, in its
+    in-place order: the reference the flat step must equal bit for bit."""
+    b1, b2 = C.ADAM_BETA1, C.ADAM_BETA2
+    for name, data in params.items():
+        g = grads[name]
+        if l2:
+            g = g + l2 * data
+        m.setdefault(name, np.zeros_like(data))
+        v.setdefault(name, np.zeros_like(data))
+        step = (1 - b1) * g
+        m[name] *= b1
+        m[name] += step
+        np.multiply(g, g, out=step)
+        step *= 1 - b2
+        v[name] *= b2
+        v[name] += step
+        denom = v[name] / (1 - b2 ** t)
+        np.sqrt(denom, out=denom)
+        denom += C.ADAM_EPS
+        np.divide(m[name], 1 - b1 ** t, out=step)
+        step *= lr
+        step /= denom
+        data -= step
+
+
+@pytest.mark.parametrize("l2", [0.0, 0.01])
+def test_flat_adam_equals_the_per_tensor_loop_bit_for_bit(l2):
+    rng = np.random.default_rng(23)
+    shapes = {"w1": (3, 5, 4), "b1": (4,), "w2": (2, 4, 3), "slot": (3,), "mask": (5,)}
+    init = {k: rng.normal(size=s) for k, s in shapes.items()}
+    flat = C.FlatParams({k: C.Tensor(x.copy()) for k, x in init.items()})
+    want = {k: x.copy() for k, x in init.items()}
+    state, m, v = C.AdamState(), {}, {}
+    for t in range(1, 51):
+        grads = {k: rng.normal(scale=10.0 ** rng.integers(-6, 3), size=s)
+                 for k, s in shapes.items()}
+        flat.zero_grad()
+        for k, p in flat.tensors.items():
+            p.accumulate(grads[k])
+        C.adam_step(flat, state, lr=0.003, l2=l2)
+        per_tensor_adam_step(want, grads, m, v, t, lr=0.003, l2=l2)
+        for k, p in flat.tensors.items():
+            assert p.data.tobytes() == want[k].tobytes(), (t, k)
+    assert state.t == 50
 
 
 def test_checkpoint_roundtrip(tmp_path):
@@ -575,7 +623,7 @@ def test_checkpoint_roundtrip(tmp_path):
     assert loaded["seed"] == 17 and loaded["extra"]["slots"] == ["a", "b"]
     assert set(loaded) == {"params", "seed", "extra"}
     with open(path) as fh:
-        assert fh.readline().strip() == "RACv1"
+        assert fh.readline().strip() == "RACv2"
         assert "adam" not in json.load(fh)
 
 

@@ -72,6 +72,43 @@ def test_mutated_checkpoints_raise_only_compute_errors(tmp_path_factory, data):
         pass
 
 
+_ARRAYS = [("params", k) for k in _MODEL.params()] + [("extra", "embed_matrix"),
+                                                      ("extra", "unk_vector")]
+# negative, zero, huge and everyday extents, so most shapes have the wrong product
+_SHAPES = st.lists(st.one_of(st.integers(-3, 8), st.sampled_from([2 ** 31, 2 ** 63, 10 ** 30])),
+                   max_size=4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_corrupt_base64_arrays_raise_only_compute_errors(tmp_path_factory, data):
+    # one {"shape", "base64"} array with its text spliced, its shape replaced,
+    # a "data" list beside its base64, or its base64 deleted
+    path = tmp_path_factory.getbasetemp() / "fuzz-b64.ckpt"
+    T.save_model(path, _MODEL, _HP)
+    magic, body = path.read_text().split("\n", 1)
+    body = json.loads(body)
+    section, name = data.draw(st.sampled_from(_ARRAYS), label="array")
+    entry = body[section][name]
+    fault = data.draw(st.sampled_from(["text", "shape", "both", "neither"]), label="fault")
+    if fault == "text":
+        text = entry["base64"]
+        i = data.draw(st.integers(0, len(text)), label="from")
+        j = data.draw(st.integers(i, len(text)), label="to")
+        entry["base64"] = text[:i] + data.draw(st.text(max_size=8), label="splice") + text[j:]
+    elif fault == "shape":
+        entry["shape"] = data.draw(_SHAPES, label="shape")
+    elif fault == "both":
+        entry["data"] = data.draw(st.lists(st.floats(-1.0, 1.0), max_size=4), label="data")
+    else:
+        del entry["base64"]
+    path.write_text(magic + "\n" + json.dumps(body))
+    try:
+        T.load_model(path)
+    except C.ComputeError:
+        pass
+
+
 def _parses(text: str) -> bool:
     try:
         float(text)

@@ -522,7 +522,7 @@ def test_single_small_step_decreases_loss():
     for p in params.values():
         p.zero_grad()
     C.backward(loss1)
-    C.adam_step(params, C.AdamState(), lr=1e-5, l2=0.0)
+    C.adam_step(model.flat, C.AdamState(), lr=1e-5, l2=0.0)
     loss2 = T.cluster_loss(model, c, hp)
     assert loss2.item() < loss1.item()
 
@@ -692,3 +692,97 @@ def test_embedding_matrix_is_frozen_and_mask_trains():
     assert np.array_equal(model.table.matrix, before)
     assert model.table.mask_vector.grad is not None
     assert np.abs(model.table.mask_vector.grad).max() > 0
+
+
+# ---------------------------------------------------------------------------
+# the flat parameter vector
+
+
+def assert_flat_views(model):
+    """Every parameter's data and grad are views into the model's two flat
+    vectors, and together the views tile each vector once in order."""
+    flat = model.flat
+    at = 0
+    for name, p in model.params().items():
+        assert p is flat.tensors[name], name
+        for view, vector in ((p.data, flat.data), (p.grad, flat.grad)):
+            assert view.base is vector, name
+            assert view.ctypes.data == vector.ctypes.data + at * vector.itemsize, name
+        at += p.data.size
+    assert at == flat.data.size == flat.grad.size
+
+
+@pytest.mark.parametrize("loss_mode", ["value_level", "mention_level"])
+def test_init_model_params_are_flat_views(loss_mode):
+    c = crash_cluster()
+    model = M.init_model([t for d in c.documents for t in d.flat_tokens()],
+                         tiny_hp(loss_mode=loss_mode), np.random.default_rng(16))
+    assert_flat_views(model)
+    assert not model.flat.grad.any()
+
+
+def test_load_model_params_are_flat_views(tmp_path):
+    c = crash_cluster()
+    hp = tiny_hp()
+    model = M.init_model([t for d in c.documents for t in d.flat_tokens()],
+                         hp, np.random.default_rng(17))
+    T.save_model(tmp_path / "m.ckpt", model, hp)
+    loaded, _, _ = T.load_model(tmp_path / "m.ckpt")
+    assert_flat_views(loaded)
+    assert loaded.flat.data.flags.writeable
+    assert loaded.flat.data.tobytes() == model.flat.data.tobytes()
+
+
+def test_training_with_dev_keeps_flat_views_and_restores_the_best():
+    rng = np.random.default_rng(18)
+    clusters = small_corpus(5, rng)
+    hp = tiny_hp(max_epochs=4, lr=0.01, patience=1)
+    state = T.train(clusters[:4], clusters[4:], hp)
+    assert_flat_views(state.model)
+    # the restored parameters are those of the best dev epoch, which is not
+    # the last: a run without dev clusters that stops there ends on them
+    best = max(range(len(state.history)), key=lambda i: (state.history[i][2], -i))
+    assert best + 1 < state.epoch
+    plain = T.train(clusters[:4], [], replace(hp, max_epochs=best + 1))
+    assert state.model.flat.data.tobytes() == plain.model.flat.data.tobytes()
+
+
+def _keeping(models: list):
+    """init_model that also appends each model it builds to models."""
+    def init_and_keep(*args, **kwargs):
+        models.append(M.init_model(*args, **kwargs))
+        return models[-1]
+    return init_and_keep
+
+
+def test_gradient_check_keeps_flat_views(monkeypatch):
+    models = []
+    monkeypatch.setattr(T, "init_model", _keeping(models))
+    T.gradient_check(tiny_hp(), crash_cluster())
+    assert_flat_views(models[0])
+    assert models[0].flat.grad.any()
+
+
+def test_zero_grad_on_a_parameter_keeps_its_view():
+    c = crash_cluster()
+    hp = tiny_hp()
+    model = M.init_model([t for d in c.documents for t in d.flat_tokens()],
+                         hp, np.random.default_rng(19))
+    C.backward(T.cluster_loss(model, c, hp))
+    model.params()["enc.w1"].zero_grad()
+    assert_flat_views(model)
+    assert not model.params()["enc.w1"].grad.any() and model.flat.grad.any()
+
+
+def test_non_finite_gradient_diverges_naming_the_parameter(monkeypatch):
+    models = []
+    monkeypatch.setattr(T, "init_model", _keeping(models))
+    backward = C.backward
+
+    def poisoned(loss):
+        backward(loss)
+        models[0].params()["slot.Crew"].grad[1] = np.nan
+
+    monkeypatch.setattr(C, "backward", poisoned)
+    with pytest.raises(T.DivergenceError, match="non-finite gradient for parameter 'slot.Crew'"):
+        T.train(small_corpus(2, np.random.default_rng(20)), [], tiny_hp(max_epochs=1))
