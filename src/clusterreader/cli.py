@@ -128,8 +128,7 @@ def cmd_train(args) -> int:
     if args.dev:
         dev_clusters = cp.load_clusters(args.dev)
     elif args.auto_dev:
-        train_clusters, dev_clusters = cp.split_dev(train_clusters,
-                                                    extra_dev_clusters=args.extra_dev)
+        train_clusters, dev_clusters = cp.split_dev(train_clusters)
     else:
         dev_clusters = []
     log(f"{len(train_clusters)} train / {len(dev_clusters)} dev clusters")
@@ -274,7 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dev", default=None)
     p.add_argument("--auto-dev", action="store_true",
                    help="hold out every fifth document as dev clusters")
-    p.add_argument("--extra-dev", type=int, default=0)
     p.add_argument("--config", default=None, help="key = value settings file")
     p.add_argument("--set", action="append", metavar="KEY=VALUE",
                    help="override a setting (repeatable; wins over --config)")

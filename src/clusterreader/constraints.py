@@ -12,12 +12,14 @@ bipartite matching, and a grid with more values than slots still has valid
 assignments. The one exception is a square grid with no null row: there
 the slot factors already leave only bijections, so Exactly-1 value factors
 allow the same assignments, and loopy BP converges on them where it can
-cycle under At-Most-1. ConstraintGraph.value_constant reads the rule off
-the grid's shape and null row. The null row has no value factor.
+cycle under At-Most-1. A grid with fewer values than slots and no null row
+cannot fill every slot, so its slot factors are At-Most-1 too.
+ConstraintGraph.slot_constant and value_constant read the rules off the
+grid's shape and null row. The null row has no value factor.
 
 A local potential is a probability: the caller's score matrix holds either
-probabilities already (prediction's value-level pooled attention masses,
-as model.prediction_graph scales them) or log-odds, whose sigmoid is taken
+probabilities already (value-level pooled attention masses, as
+model.mass_divisor scales them) or log-odds, whose sigmoid is taken
 (ConstraintGraph.from_scores).
 
 Messages are (true, false) pairs normalized to sum 1; we store only the
@@ -43,12 +45,12 @@ stack): converge stops on it, and since it is NaN or inf exactly when a
 message is, it is also the round's finiteness check; the four directions
 are scanned for the culprit's name only when it fails.
 
-There is one BP implementation, and both callers build its grid from a
-score matrix with ConstraintGraph.from_scores. Prediction runs these rounds
-on its grid (run_bp; values sorted, null last, unscored cells at
-MISSING_PHI); training runs the same undamped rounds on the loss's score
-matrix (run_bp_tensor, sigmoid locals) and differentiates them with one
-closed-form backward that walks the kept message states in reverse.
+There is one BP implementation and one grid rule: both callers build the
+grid of a score matrix with model.bp_graph. Prediction runs these rounds on
+its grid (run_bp; values sorted, null last, unscored cells at MISSING_PHI);
+training runs the same undamped rounds on the mass grid of the loss's score
+matrix (run_bp_tensor) and differentiates them with one closed-form
+backward that walks the kept message states in reverse.
 """
 
 from __future__ import annotations
@@ -93,6 +95,13 @@ class ConstraintGraph:
     @property
     def shape(self):
         return self.local.shape
+
+    @cached_property
+    def slot_constant(self) -> float:
+        """c of the slot factors' message: 1.0 for Exactly-1, or 2.0 for At-Most-1
+        where fewer values than slots and no null row cannot fill every slot."""
+        V, S = self.shape
+        return 2.0 if self.null_row is None and V < S else 1.0
 
     @cached_property
     def value_constant(self) -> float:
@@ -196,7 +205,7 @@ def bp_iterate(state: MessageState, graph: ConstraintGraph, damping: float = 0.0
     old = state.msgs
     new = np.empty_like(old)
     ratio = _odds(old[:2])
-    _factor_messages(ratio[0], 0, 1.0, out=new[3])                   # slot factors: from_row
+    _factor_messages(ratio[0], 0, graph.slot_constant, out=new[3])   # slot factors: from_row
     _factor_messages(ratio[1], 1, graph.value_constant, out=new[2])  # value factors: from_col
     if graph.null_row is not None:
         new[2, graph.null_row, :] = 0.5
@@ -282,35 +291,34 @@ def bp_trace(graph: ConstraintGraph, iterations: int, path):
 # the same rounds with a gradient (for training with constraints in the loop)
 
 
-def run_bp_tensor(phi: C.Tensor, null_col: int | None, iterations: int) -> C.Tensor:
-    """Beliefs after undamped rounds, differentiable in the S x K score grid.
+def run_bp_tensor(scores: C.Tensor, graph: ConstraintGraph, iterations: int) -> C.Tensor:
+    """Beliefs after undamped rounds on graph, in the S x V layout of scores
+    and differentiable in them.
 
-    phi is the slot x value grid, the transpose of the V x S layout: each
-    row is a slot's Exactly-1 factor and each column but null_col a value's
-    factor. The locals are sigmoid(phi).
-    The forward is init_messages, bp_iterate and beliefs on the transposed
-    grid, so it equals run_bp there; the backward is one node whose closure
-    walks the kept message states in reverse (_bp_adjoint).
+    graph is the V x S mass grid of scores (model.bp_graph with masses=True),
+    whose locals are the scores clipped into [EPS, 1-EPS]. The forward is
+    init_messages, bp_iterate and beliefs, so it equals run_bp there; the
+    backward is one node whose closure walks the kept message states in
+    reverse (_bp_adjoint).
     """
-    graph = ConstraintGraph.from_scores(phi.data.T, range(phi.shape[1]),
-                                        range(phi.shape[0]), null_col)
     states = [init_messages(graph)]
     for _ in range(iterations):
         states.append(bp_iterate(states[-1], graph))
 
     def backward(g):
-        phi.accumulate(_bp_adjoint(graph, states, g.T).T)
+        scores.accumulate(_bp_adjoint(graph, states, g.T).T)
 
-    return C.node(beliefs(states[-1], graph).T, (phi,), backward)
+    return C.node(beliefs(states[-1], graph).T, (scores,), backward)
 
 
 def _bp_adjoint(graph: ConstraintGraph, states: list, g: np.ndarray) -> np.ndarray:
-    """Gradient of beliefs(states[-1]) in the V x S scores, given g on the beliefs.
+    """Gradient of beliefs(states[-1]) in the V x S locals, given g on the beliefs.
 
     Every step uses the direct quotient-rule derivative: d(lo / D)/do =
     l(1-l) / D^2 with D = lo + (1-l)(1-o). It stays finite where a factor over
     a single variable sends a message of exactly 1, which the logit-additive
-    form b(1-b) / (o(1-o)) turns into 0/0. Clipped entries pass no gradient.
+    form b(1-b) / (o(1-o)) turns into 0/0. Clipped entries, messages and
+    locals alike, pass no gradient.
     """
     local = graph.local
     col, row = states[-1].msgs[2], states[-1].msgs[3]
@@ -342,5 +350,4 @@ def _bp_adjoint(graph: ConstraintGraph, states: list, g: np.ndarray) -> np.ndarr
         adj[:2] *= inside / ((1 - mu) * (1 - mu))
         adj[2:] = 0.0                                      # a round reads no old from_*
     g_local += adj[0] + adj[1]
-    # sigmoid: local is sigmoid(phi) wherever the clip left it alone
-    return g_local * local * (1 - local) * ((local > EPS) & (local < 1 - EPS))
+    return g_local * ((local > EPS) & (local < 1 - EPS))

@@ -286,14 +286,11 @@ def save_clusters(path, clusters):
             fh.write(json.dumps(cluster_to_record(c)) + "\n")
 
 
-def split_dev(train_clusters, extra_dev_clusters: int = 0):
+def split_dev(train_clusters):
     """Move every fifth document of each training cluster into a dev twin.
 
     Documents at positions 4, 9, 14, ... (0-based) leave the training
-    cluster and form a dev cluster sharing the gold labels. When
-    extra_dev_clusters > 0, the remaining training documents are also
-    round-robined into that many additional dev clusters (copies; the
-    originals stay in train) to enlarge the development set.
+    cluster and form a dev cluster sharing the gold labels.
     """
     train_out, dev_out = [], []
     for cluster in train_clusters:
@@ -307,11 +304,6 @@ def split_dev(train_clusters, extra_dev_clusters: int = 0):
         if held:
             dev_out.append(replace(cluster, cluster_id=cluster.cluster_id + "/dev",
                                    split="dev", documents=tuple(held)))
-        for j in range(extra_dev_clusters):
-            group = tuple(kept[j::extra_dev_clusters])
-            if group:
-                dev_out.append(replace(cluster, cluster_id=f"{cluster.cluster_id}/dev+{j}",
-                                       split="dev", documents=group))
     return train_out, dev_out
 
 

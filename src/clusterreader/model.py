@@ -13,9 +13,10 @@ same matrix with its columns in grid order, the mentioned values sorted and
 then null (ClusterIndex.grid_columns), or the mention-level baseline's
 pooled probabilities in that order, NaN where a cell has no score. BP runs
 on that grid (prediction_graph): a value-level mass, as a share of its slot
-row, is its cell's local potential, a mention-level score the log-odds of
-it. Decoding, ranking and the {slot: {value: score}} record are read off
-the grid once (prediction_record).
+row (mass_divisor), is its cell's local potential, a mention-level score
+the log-odds of it; training's BP runs on the same mass grid. Decoding,
+ranking and the {slot: {value: score}} record are read off the grid once
+(prediction_record).
 
 Training and prediction encode alike: they embed only the cluster's
 distinct rows (ClusterIndex.distinct_tokens, every mention token one mask
@@ -230,25 +231,23 @@ def bp_graph(values, slots, scores: np.ndarray, masses: bool = False) -> K.Const
     return K.ConstraintGraph.from_scores(phi, values, slots, null_row, masses=masses)
 
 
+def mass_divisor(index: ClusterIndex, config: agg.AggregationConfig) -> int:
+    """A value-level grid's masses over this are probabilities: per-doc
+    softmaxes each document alone, so a slot row sums to up to the number of
+    non-empty documents; every other mode spreads attention once (1)."""
+    return np.count_nonzero(index.doc_lengths) if config.mode == "per-doc" else 1
+
+
 def prediction_graph(model: ReaderModel, index: ClusterIndex, config: agg.AggregationConfig,
                      values, scores: np.ndarray,
                      mention_decode: str | None = None) -> K.ConstraintGraph:
-    """The grid prediction's BP decodes, of prediction_scores' output.
-
-    A value-level score is a pooled attention mass. Every mode but per-doc
-    spreads each slot's attention over the cluster once, so its masses are
-    probabilities on the model's own scale. per-doc softmaxes each document
-    separately, so a slot row sums to up to the number of non-empty
-    documents (to exactly that with the null column); its masses are
-    divided by that number, their mean over the documents.
-    The mention-level decodes' scores are read as log-odds.
-    """
+    """The grid prediction's BP decodes, of prediction_scores' output: a
+    value-level score is a pooled attention mass, scaled by mass_divisor; a
+    mention-level decode's score is read as log-odds."""
     slots = model.scoring_slots()
     if mention_decode is not None:
         return bp_graph(values, slots, scores)
-    if config.mode == "per-doc":
-        scores = scores / np.count_nonzero(index.doc_lengths)
-    return bp_graph(values, slots, scores, masses=True)
+    return bp_graph(values, slots, scores / mass_divisor(index, config), masses=True)
 
 
 def prediction_record(cluster_id: str, slots, values, scores: np.ndarray) -> dict:

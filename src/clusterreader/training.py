@@ -21,8 +21,8 @@ from . import scorer as S
 from .aggregator import NULL_VALUE, AggregationConfig, AggregationError
 from .constraints import run_bp_tensor
 from .evaluation import evaluate, instance_from_cluster
-from .model import (ClusterIndex, ReaderModel, init_model, predict_clusters,
-                    predictions_map)
+from .model import (ClusterIndex, ReaderModel, bp_graph, init_model, mass_divisor,
+                    predict_clusters, predictions_map)
 from .scorer import NULL_SLOT
 
 LOSS_MODES = ("value_level", "mention_level")
@@ -118,14 +118,13 @@ def _typed(key: str, raw, kind: type, text: bool):
 # losses
 
 
-def value_loss(scores: C.Tensor, slots, columns, gold: dict, use_softmax: bool = False):
+def value_loss(scores: C.Tensor, slots, columns, gold: dict):
     """Mean negative log gold mass over evaluable slots.
 
     scores: the S x K value score matrix, rows labelled by slots and columns
-    by columns (values and NULL_VALUE). Empty gold sets target the null mass.
-    Slots whose gold values have no column (never mentioned) are skipped and
-    reported. use_softmax renormalizes each slot's row first, for
-    aggregation modes whose masses are not already a distribution.
+    by columns (values and NULL_VALUE): masses, max mode's softmaxed masses
+    or BP's beliefs. Empty gold sets target the null mass. Slots whose gold
+    values have no column (never mentioned) are skipped and reported.
     """
     col = {v: k for k, v in enumerate(columns)}
     rows, cols, segments, skipped = [], [], [], []
@@ -140,8 +139,6 @@ def value_loss(scores: C.Tensor, slots, columns, gold: dict, use_softmax: bool =
         cols += targets
     if not segments:
         return None, skipped
-    if use_softmax:
-        scores = C.softmax(scores)
     mass = C.segment_pool(C.take_pairs(scores, rows, cols), segments)
     losses = C.neg(C.log(C.clamp(mass, MASS_FLOOR, 1e12)))
     return C.scale(C.tsum(losses), 1.0 / len(segments)), skipped
@@ -193,7 +190,9 @@ class TrainState:
 
 
 def cluster_loss(model: ReaderModel, cluster: cp.Cluster, hp: Hyperparams, rng=None):
-    """The cluster's loss; with an rng, dropout runs as in training."""
+    """The cluster's loss; with an rng, dropout runs as in training. A
+    value-level loss reads the gold mass (softmaxed in max mode), or with
+    bp_train_iters > 0 the gold belief of BP on prediction's mass grid."""
     index = ClusterIndex.build(cluster)
     if index.n_tokens == 0:
         return None
@@ -202,12 +201,14 @@ def cluster_loss(model: ReaderModel, cluster: cp.Cluster, hp: Hyperparams, rng=N
         return mention_loss(logits, index, cluster.gold, list(model.pi))
     scores = model.value_scores(index, hp.aggregation, keep_prob=hp.keep_prob, rng=rng)
     columns = index.columns(hp.aggregation.null_enabled)
+    slots = model.scoring_slots()
     if hp.bp_train_iters > 0:
-        null_col = columns.index(NULL_VALUE) if NULL_VALUE in columns else None
-        scores = run_bp_tensor(scores, null_col, hp.bp_train_iters)
-    loss, _ = value_loss(scores, model.scoring_slots(), columns, cluster.gold,
-                         use_softmax=(hp.aggregation.mode == "max"
-                                      or hp.bp_train_iters > 0))
+        scores = C.scale(scores, 1.0 / mass_divisor(index, hp.aggregation))
+        graph = bp_graph(columns, slots, scores.data, masses=True)
+        scores = run_bp_tensor(scores, graph, hp.bp_train_iters)
+    elif hp.aggregation.mode == "max":
+        scores = C.softmax(scores)
+    loss, _ = value_loss(scores, slots, columns, cluster.gold)
     return loss
 
 
@@ -219,10 +220,13 @@ def default_mention_decode(loss_mode: str) -> str | None:
 
 
 def dev_f1(model: ReaderModel, dev_clusters, hp: Hyperparams) -> float:
+    """F1 at the BP depth the loss trains (none for a mention-level model)."""
     if not dev_clusters:
         return 0.0
-    records = predict_clusters(model, dev_clusters, hp.aggregation, bp_iterations=0,
-                               mention_decode=default_mention_decode(hp.loss_mode))
+    decode = default_mention_decode(hp.loss_mode)
+    records = predict_clusters(model, dev_clusters, hp.aggregation,
+                               bp_iterations=0 if decode else hp.bp_train_iters,
+                               mention_decode=decode)
     instances = [instance_from_cluster(c) for c in dev_clusters]
     report = evaluate(instances, predictions_map(records))
     return report.score_f1

@@ -36,7 +36,9 @@ def brute_force_oracle(local, null_row=None):
 
     Every slot selects exactly one value and every value but the null row
     fills at most one slot, which on a square grid with no null row leaves
-    the bijections, the support of Exactly-1 value factors there.
+    the bijections, the support of Exactly-1 value factors there. A grid
+    with fewer values than slots and no null row cannot fill every slot, so
+    there a slot selects at most one value.
     """
     local = np.asarray(local, dtype=np.float64)
     weight_true = np.zeros(local.shape)
@@ -45,7 +47,7 @@ def brute_force_oracle(local, null_row=None):
         total += w
         weight_true += w * x
     if total <= 0:
-        raise K.ConstraintError("no assignment satisfies the slot and value factors")
+        raise K.ConstraintError("no valid assignment has a positive weight")
     return weight_true / total
 
 
@@ -55,14 +57,16 @@ def _valid_assignments(local, null_row):
     V, S = local.shape
     if V * S > 20:
         raise K.ConstraintError(f"grid {V}x{S} too large for enumeration")
-    for choice in itertools.product(range(V), repeat=S):
-        counts = np.bincount(choice, minlength=V)
+    may_select_none = null_row is None and V < S
+    for choice in itertools.product(range(V + may_select_none), repeat=S):
+        counts = np.bincount(choice, minlength=V + 1)[:V]   # row V: the slot selects none
         if null_row is not None:
             counts[null_row] = 0
         if np.any(counts > 1):
             continue
-        x = np.zeros((V, S))
+        x = np.zeros((V + 1, S))
         x[list(choice), range(S)] = 1.0
+        x = x[:V]
         yield x, float(np.prod(np.where(x == 1, local, 1 - local)))
 
 
@@ -426,7 +430,7 @@ def test_brute_force_oracle_1x1_and_2x2():
 
 def test_brute_force_oracle_rejects_bad_grids():
     with pytest.raises(K.ConstraintError):
-        brute_force_oracle(np.full((2, 3), 0.5))  # fewer values than slots, no null
+        brute_force_oracle(np.ones((2, 2)))  # every bijection picks a zero 1 - local
     with pytest.raises(K.ConstraintError):
         brute_force_oracle(np.full((5, 5), 0.5))  # > 20 variables
 
@@ -515,6 +519,34 @@ def test_converged_top1_agrees_with_map_matching_on_large_grids(kind, floor):
     assert agree >= floor * total, f"{agree}/{total} slots agree with the MAP matching"
 
 
+def test_fewer_values_than_slots_keeps_the_value_constraint():
+    # with no null row and fewer values than slots no assignment fills every
+    # slot, so the slot factors are At-Most-1: their first messages match
+    # enumeration, and converged BP stays near the enumerated marginals,
+    # whose value rows and slot columns each sum to at most 1. Under
+    # Exactly-1 slot factors every one of these grids had a value row
+    # summing above 1, the largest to 3.7.
+    rng = np.random.default_rng(85)
+    trials = 0
+    while trials < 200:
+        S = int(rng.integers(3, 9))
+        V = int(rng.integers(2, S))
+        if V * S > 20:
+            continue
+        g = _random_grid(rng, V, S, None, ("masses", "sigmoid")[trials % 2])
+        assert (g.slot_constant, g.value_constant) == (2.0, 2.0)
+        from_row = K.bp_iterate(K.init_messages(g), g).from_row
+        for i, j in itertools.product(range(V), range(S)):
+            assert_allclose(from_row[i, j], oracle_at_most1_message(g.local[:, j], i)[0],
+                            atol=1e-12)
+        exact = brute_force_oracle(g.local)
+        assert np.all(exact.sum(axis=1) <= 1 + 1e-12) and np.all(exact.sum(axis=0) <= 1 + 1e-12)
+        beliefs = K.run_bp(g, K.CONVERGENCE)
+        assert np.all(beliefs.sum(axis=1) <= 1 + 1e-3), beliefs
+        assert np.abs(beliefs - exact).max() < 0.1
+        trials += 1
+
+
 def test_prediction_record_reads_beliefs_by_slot_and_value():
     g = grid_graph([[0.8], [0.3]])
     table = M.prediction_record("c", g.slots, g.values, K.run_bp(g, 0).T)["scores"]
@@ -533,114 +565,122 @@ def test_bp_trace_csv(tmp_path):
     assert first[0] == "0" and abs(float(first[3]) - 0.9) < 1e-9
 
 
+def mass_grid(masses, null_col=None):
+    """The V x S mass grid of an S x K score array, as training builds it:
+    column null_col, if any, is the null value."""
+    values = [NULL_VALUE if k == null_col else f"v{k:02d}" for k in range(masses.shape[1])]
+    return M.bp_graph(values, [f"s{j}" for j in range(masses.shape[0])], masses, masses=True)
+
+
 def test_tensor_bp_matches_numpy_path():
-    # the tensor BP runs on the slot x value grid, the transpose of prediction's
+    # the tensor BP runs prediction's rounds on the grid it is given and
+    # returns the beliefs in the score tensor's slot x value layout
     rng = np.random.default_rng(76)
-    for null_row in (None, 2):
+    for null_col in (None, 2):
         for iters in (1, 2, 3):
-            local = rng.uniform(0.05, 0.95, size=(3, 4))
-            values = ["a", "b", NULL_VALUE] if null_row == 2 else ["a", "b", "c"]
-            phi = np.vectorize(logit)(local).T
-            g = M.bp_graph(values, [f"s{j}" for j in range(4)], phi)
-            want = K.run_bp(g, iters)
-            phi = C.Tensor(np.log(local / (1 - local)).T)
-            got = K.run_bp_tensor(phi, null_row, iters)
-            assert np.array_equal(got.data.T, want)
+            masses = rng.uniform(0.05, 0.95, size=(4, 3))
+            g = mass_grid(masses, null_col)
+            got = K.run_bp_tensor(C.Tensor(masses), g, iters)
+            assert np.array_equal(got.data.T, K.run_bp(g, iters))
 
 
 def test_tensor_bp_gradients_flow_and_check():
     rng = np.random.default_rng(77)
     for null_col in (None, 1):
-        phi0 = rng.normal(size=(2, 3))
+        masses0 = rng.uniform(0.05, 0.95, size=(2, 3))
         weights = rng.normal(size=(2, 3))
 
-        def build(phi_t):
-            return C.tsum(C.scale(K.run_bp_tensor(phi_t, null_col, 2), weights))
+        def build(scores):
+            grid = mass_grid(scores.data, null_col)
+            return C.tsum(C.scale(K.run_bp_tensor(scores, grid, 2), weights))
 
-        phi = C.Tensor(phi0.copy())
-        C.backward(build(phi))
-        assert phi.grad is not None
-        num = np.zeros(phi0.size)
-        for i in range(phi0.size):
-            up, dn = phi0.copy().ravel(), phi0.copy().ravel()
+        scores = C.Tensor(masses0.copy())
+        C.backward(build(scores))
+        assert scores.grad is not None
+        num = np.zeros(masses0.size)
+        for i in range(masses0.size):
+            up, dn = masses0.copy().ravel(), masses0.copy().ravel()
             up[i] += 1e-6
             dn[i] -= 1e-6
             num[i] = (build(C.Tensor(up.reshape(2, 3))).item()
                       - build(C.Tensor(dn.reshape(2, 3))).item()) / 2e-6
-        assert_allclose(phi.grad.ravel(), num, atol=1e-5)
+        assert_allclose(scores.grad.ravel(), num, atol=1e-5)
 
 
-def draw_score_grid(data, max_slots=8, max_cols=24, max_phi=8.0):
-    """An S x K score grid for run_bp_tensor, maybe with a null column."""
+def draw_mass_grid(data, max_slots=8, max_cols=24, low=0.0, high=1.0):
+    """An S x K array of masses in [low, high) for run_bp_tensor, maybe with
+    a null column."""
     S = data.draw(st.integers(1, max_slots), label="slots")
     K_ = data.draw(st.integers(1, max_cols), label="columns")
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
     null_col = int(rng.integers(K_)) if data.draw(st.booleans(), label="null column") else None
-    return rng.uniform(-max_phi, max_phi, size=(S, K_)), null_col
+    return rng.uniform(low, high, size=(S, K_)), null_col
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_tensor_bp_forward_is_the_numpy_rounds(data):
-    phi, null_col = draw_score_grid(data)
+    masses, null_col = draw_mass_grid(data)
     rounds = data.draw(st.integers(0, 3), label="rounds")
-    values = [NULL_VALUE if k == null_col else f"v{k:02d}" for k in range(phi.shape[1])]
-    slots = [f"s{j}" for j in range(phi.shape[0])]
-    graph = M.bp_graph(values, slots, phi)
+    graph = mass_grid(masses, null_col)
     state = K.init_messages(graph)
     for _ in range(rounds):
         state = K.bp_iterate(state, graph)
-    got = K.run_bp_tensor(C.Tensor(phi), null_col, rounds)
+    got = K.run_bp_tensor(C.Tensor(masses), graph, rounds)
     assert np.array_equal(got.data, K.beliefs(state, graph).T)
 
 
-def check_tensor_bp_gradient(phi0, null_col, rounds, weights, h=1e-6, rtol=1e-4):
-    """run_bp_tensor's gradient of sum(weights * beliefs) is finite and matches
-    central differences; returns it."""
-    def loss(phi):
-        return float((K.run_bp_tensor(C.Tensor(phi), null_col, rounds).data * weights).sum())
+def check_tensor_bp_gradient(masses0, null_col, rounds, weights, h=1e-6, rtol=1e-4):
+    """run_bp_tensor's gradient of sum(weights * beliefs) is finite, matches
+    central differences wherever the clip leaves a mass alone and is 0 where
+    it does not; returns it."""
+    def loss(masses):
+        return float((K.run_bp_tensor(C.Tensor(masses), mass_grid(masses, null_col),
+                                      rounds).data * weights).sum())
 
-    phi = C.Tensor(phi0.copy())
-    C.backward(C.tsum(C.scale(K.run_bp_tensor(phi, null_col, rounds), weights)))
-    assert np.all(np.isfinite(phi.grad))
-    num = np.zeros_like(phi0)
-    for idx in np.ndindex(*phi0.shape):
-        up, dn = phi0.copy(), phi0.copy()
+    scores = C.Tensor(masses0.copy())
+    beliefs = K.run_bp_tensor(scores, mass_grid(masses0, null_col), rounds)
+    C.backward(C.tsum(C.scale(beliefs, weights)))
+    assert np.all(np.isfinite(scores.grad))
+    num = np.zeros_like(masses0)
+    inside = (masses0 > K.EPS) & (masses0 < 1 - K.EPS)
+    for idx in zip(*np.nonzero(inside)):
+        up, dn = masses0.copy(), masses0.copy()
         up[idx] += h
         dn[idx] -= h
         num[idx] = (loss(up) - loss(dn)) / (2 * h)
-    assert_allclose(phi.grad, num, atol=1e-6, rtol=rtol)
-    return phi.grad
+    assert_allclose(scores.grad, num, atol=1e-6, rtol=rtol)
+    return scores.grad
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_tensor_bp_gradient_matches_central_differences(data):
-    phi, null_col = draw_score_grid(data, max_slots=5, max_cols=8, max_phi=3.0)
+    masses, null_col = draw_mass_grid(data, max_slots=5, max_cols=8, low=0.05, high=0.95)
     rounds = data.draw(st.integers(0, 3), label="rounds")
-    weights = np.random.default_rng(phi.size).normal(size=phi.shape)
-    check_tensor_bp_gradient(phi, null_col, rounds, weights)
+    weights = np.random.default_rng(masses.size).normal(size=masses.shape)
+    check_tensor_bp_gradient(masses, null_col, rounds, weights)
 
 
 def test_tensor_bp_gradient_on_single_variable_factors_and_extreme_scores():
     # a 1-slot or 1-value grid has factors over one variable, whose messages
-    # are exactly 1; scores of +-800 saturate the sigmoid without overflow
+    # are exactly 1; masses of 0 and 1 sit at the clip bounds and pass no gradient
     rng = np.random.default_rng(78)
     for shape, null_col in (((1, 5), None), ((1, 5), 2), ((4, 1), None), ((4, 1), 0),
                             ((1, 1), None), ((3, 4), 1)):
         for rounds in (1, 2, 3):
-            phi = rng.uniform(-3, 3, size=shape)
-            check_tensor_bp_gradient(phi, null_col, rounds, rng.normal(size=shape))
-    phi = rng.uniform(-3, 3, size=(3, 4))
-    phi[0, 1], phi[2, 3] = 800.0, -800.0
-    grad = check_tensor_bp_gradient(phi, 1, 2, rng.normal(size=phi.shape))
+            masses = rng.uniform(0.05, 0.95, size=shape)
+            check_tensor_bp_gradient(masses, null_col, rounds, rng.normal(size=shape))
+    masses = rng.uniform(0.05, 0.95, size=(3, 4))
+    masses[0, 1], masses[2, 3] = 1.0, 0.0
+    grad = check_tensor_bp_gradient(masses, 1, 2, rng.normal(size=masses.shape))
     assert grad[0, 1] == 0.0 and grad[2, 3] == 0.0
-    # scores of +-25 and -30 drive messages within EPS of 0 and 1, so some
-    # combines clip and must pass no gradient; 1 - mu loses digits there and
-    # central differences are good to about 0.5%
+    # masses within 1e-11 and 1e-13 of 1 and 0 drive messages within EPS of 0
+    # and 1, so some combines clip and must pass no gradient; 1 - mu loses
+    # digits there and central differences are good to about 0.5%
     phi = np.array([[2.835, 25.017, -2.989], [-30.123, 2.932, 0.493]])
     weights = np.array([[-0.098, 0.095, 0.036], [-0.506, 0.594, 0.891]])
-    check_tensor_bp_gradient(phi, None, 2, weights, rtol=1e-2)
+    check_tensor_bp_gradient(1 / (1 + np.exp(-phi)), None, 2, weights, rtol=1e-2)
 
 
 # ---------------------------------------------------------------------------
@@ -658,14 +698,17 @@ def reference_init(graph):
 def reference_round(msgs, graph, damping=0.0):
     """One BP round with each direction its own array.
 
-    Every slot factor is Exactly-1. A value factor is At-Most-1, so its
-    all-false assignment adds the leave-one-out product to the false mass a
-    second time, except on a square grid with no null row, where it is
-    Exactly-1. The null row has no value factor and reads 0.5.
+    A value factor is At-Most-1, so its all-false assignment adds the
+    leave-one-out product to the false mass a second time, except on a
+    square grid with no null row, where it is Exactly-1. A slot factor is
+    Exactly-1, except on a grid with fewer values than slots and no null
+    row, where it is At-Most-1. The null row has no value factor and reads
+    0.5.
     """
     local = graph.local
     V, S = local.shape
     value_may_fill_none = graph.null_row is not None or V != S
+    slot_may_select_none = graph.null_row is None and V < S
 
     def factor(mu, axis, may_select_none):
         mu = np.clip(mu, K.EPS, 1 - K.EPS)
@@ -678,7 +721,7 @@ def reference_round(msgs, graph, damping=0.0):
         f = (1 - local) * (1 - other_t)
         return np.clip(t / (t + f), K.EPS, 1 - K.EPS)
 
-    from_row = factor(msgs["to_row"], 0, False)
+    from_row = factor(msgs["to_row"], 0, slot_may_select_none)
     from_col = factor(msgs["to_col"], 1, value_may_fill_none)
     if graph.null_row is not None:
         from_col[graph.null_row, :] = 0.5

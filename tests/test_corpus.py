@@ -136,14 +136,6 @@ def test_split_dev_is_a_partition():
         assert not set(train_ids) & set(dev_ids)
 
 
-def test_split_dev_extra_clusters_copy_train_docs():
-    docs = [make_doc(f"d{i}", i, [["w"]]) for i in range(10)]
-    train, dev = cp.split_dev([make_cluster(docs)], extra_dev_clusters=2)
-    assert len(dev) == 3  # held-out twin + two round-robin copies
-    extra_ids = sorted(d.doc_id for c in dev[1:] for d in c.documents)
-    assert extra_ids == sorted(d.doc_id for d in train[0].documents)
-
-
 def test_split_dev_leaves_test_clusters_alone():
     docs = [make_doc(f"d{i}", i, [["w"]]) for i in range(10)]
     train, dev = cp.split_dev([make_cluster(docs, split="test")])
