@@ -1,11 +1,12 @@
 """Dense float64 tensors with reverse-mode gradients, Adam, and checkpoints.
 
 This is deliberately small: just the operations the reader pipeline needs
-(a convolution read through a window index, matrix products, softmax,
-dropout, gathers, reductions and segment pooling), each recorded on a
+(a convolution read through a window index, softmax, dropout, gathers,
+segment pooling and the losses' mean negative log), each recorded on a
 dynamic graph whenever it runs, and differentiated by a single topological
-backward sweep. Everything is 64-bit so that finite-difference checks are
-tight.
+backward sweep. An op with one caller, such as the scorer's slot products
+or BP, is recorded with node where it is used. Everything is 64-bit so that
+finite-difference checks are tight.
 
 A cluster's documents are consecutive blocks of one matrix, not separate
 tensors: softmax takes the block lengths and normalizes block by block
@@ -88,11 +89,6 @@ def node(data, parents, backward) -> Tensor:
 # elementwise and reduction ops
 
 
-def neg(a) -> Tensor:
-    a = _lift(a)
-    return node(-a.data, (a,), lambda g: a.accumulate(-g))
-
-
 def scale(a: Tensor, c) -> Tensor:
     """Multiply by a constant array or scalar (no gradient into the constant)."""
     a = _lift(a)
@@ -110,36 +106,18 @@ def relu(a: Tensor) -> Tensor:
     return node(np.where(mask, a.data, 0.0), (a,), backward)
 
 
-def log(a: Tensor) -> Tensor:
-    a = _lift(a)
-    if np.any(a.data <= 0):
-        raise ComputeError("log of non-positive value")
-    out_data = np.log(a.data)
+def mean_neg_log(p: Tensor, floor: float) -> Tensor:
+    """The mean of -log(max(p, floor)) over p's entries; no gradient flows
+    to an entry the floor replaced."""
+    p = _lift(p)
+    clipped = np.maximum(p.data, floor)
+    kept = p.data >= floor
+    c = _as_f64(1.0 / p.data.size)
 
     def backward(g):
-        a.accumulate(g / a.data)
+        p.accumulate(-np.full_like(clipped, g * c) / clipped * kept)
 
-    return node(out_data, (a,), backward)
-
-
-def clamp(a: Tensor, lo: float, hi: float) -> Tensor:
-    """Clamp with pass-through gradient inside [lo, hi], zero outside."""
-    a = _lift(a)
-    inside = (a.data >= lo) & (a.data <= hi)
-
-    def backward(g):
-        a.accumulate(g * inside)
-
-    return node(np.clip(a.data, lo, hi), (a,), backward)
-
-
-def tsum(a: Tensor) -> Tensor:
-    a = _lift(a)
-
-    def backward(g):
-        a.accumulate(np.full_like(a.data, float(g)))
-
-    return node(a.data.sum(), (a,), backward)
+    return node((-np.log(clipped)).sum() * c, (p,), backward)
 
 
 def _blocks(lengths, n: int) -> list:
@@ -179,26 +157,7 @@ def softmax(a: Tensor, lengths=None) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# linear algebra, shaping, and selection
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _lift(a), _lift(b)
-    if a.data.ndim != 2 or b.data.ndim not in (1, 2):
-        raise ComputeError("matmul expects a 2-D left operand and 1-D/2-D right operand")
-    if a.data.shape[1] != b.data.shape[0]:
-        raise ComputeError(f"matmul shape mismatch {a.data.shape} vs {b.data.shape}")
-    out_data = a.data @ b.data
-
-    def backward(g):
-        if b.data.ndim == 1:
-            a.accumulate(np.outer(g, b.data))
-            b.accumulate(a.data.T @ g)
-        else:
-            a.accumulate(g @ b.data.T)
-            b.accumulate(a.data.T @ g)
-
-    return node(out_data, (a, b), backward)
+# shaping and selection
 
 
 def transpose(a: Tensor) -> Tensor:
@@ -285,18 +244,6 @@ def segment_pool(a: Tensor, segments, weights=None, take_max=None) -> Tensor:
         a.accumulate(ga.reshape(a.data.shape))
 
     return node(out.reshape(a.data.shape[:-1] + (len(segments),)), (a,), backward)
-
-
-def stack(parts: list[Tensor]) -> Tensor:
-    """Stack equal-shape tensors along a new leading axis."""
-    parts = [_lift(p) for p in parts]
-    out_data = np.stack([p.data for p in parts])
-
-    def backward(g):
-        for i, p in enumerate(parts):
-            p.accumulate(g[i])
-
-    return node(out_data, tuple(parts), backward)
 
 
 def compose_embedding(base: np.ndarray, mask_vector: Tensor, mask_rows) -> Tensor:

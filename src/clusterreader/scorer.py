@@ -29,11 +29,24 @@ def slot_params(pi: dict[str, C.Tensor]) -> dict[str, C.Tensor]:
 
 
 def score_tokens(R: C.Tensor, pis: list) -> C.Tensor:
-    """S x n raw scores; row s is u^s = R pi_s."""
+    """S x n raw scores as one graph node; row s is u^s = R pi_s.
+
+    Each row is its own matrix-vector product (one S x r product would round
+    differently), and the backward adds R's per-slot outer products in slot
+    order before R accumulates them once.
+    """
     for pi_s in pis:
         if R.shape[1] != pi_s.shape[0]:
             raise C.ComputeError(f"representation dim {R.shape[1]} != slot dim {pi_s.shape[0]}")
-    return C.stack([C.matmul(R, pi_s) for pi_s in pis])
+
+    def backward(g):
+        dR = np.zeros_like(R.data)
+        for g_s, pi_s in zip(g, pis):
+            dR += np.outer(g_s, pi_s.data)
+            pi_s.accumulate(R.data.T @ g_s)
+        R.accumulate(dR)
+
+    return C.node(np.stack([R.data @ pi_s.data for pi_s in pis]), (R, *pis), backward)
 
 
 def attend(U: C.Tensor) -> C.Tensor:

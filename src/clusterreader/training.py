@@ -140,8 +140,7 @@ def value_loss(scores: C.Tensor, slots, columns, gold: dict):
     if not segments:
         return None, skipped
     mass = C.segment_pool(C.take_pairs(scores, rows, cols), segments)
-    losses = C.neg(C.log(C.clamp(mass, MASS_FLOOR, 1e12)))
-    return C.scale(C.tsum(losses), 1.0 / len(segments)), skipped
+    return C.mean_neg_log(mass, MASS_FLOOR), skipped
 
 
 def mention_labels(index: ClusterIndex, gold: dict, slots=cp.EVAL_SLOTS) -> list:
@@ -171,8 +170,7 @@ def mention_loss(logits: C.Tensor, index: ClusterIndex, gold: dict, slot_order: 
     dist = C.softmax(C.take(logits, [i for i, _ in instances]))
     label_prob = C.take_pairs(dist, range(len(instances)),
                               [slot_order.index(s) for _, s in instances])
-    losses = C.neg(C.log(C.clamp(label_prob, MASS_FLOOR, 1.0)))
-    return C.scale(C.tsum(losses), 1.0 / len(instances))
+    return C.mean_neg_log(label_prob, MASS_FLOOR)
 
 
 # ---------------------------------------------------------------------------
@@ -200,6 +198,8 @@ def cluster_loss(model: ReaderModel, cluster: cp.Cluster, hp: Hyperparams, rng=N
         logits = model.mention_slot_logits(index, keep_prob=hp.keep_prob, rng=rng)
         return mention_loss(logits, index, cluster.gold, list(model.pi))
     scores = model.value_scores(index, hp.aggregation, keep_prob=hp.keep_prob, rng=rng)
+    if scores.shape[1] == 0:    # no mentions and no null column: nothing to score
+        return None
     columns = index.columns(hp.aggregation.null_enabled)
     slots = model.scoring_slots()
     if hp.bp_train_iters > 0:

@@ -11,6 +11,7 @@ from clusterreader import aggregator as agg
 from clusterreader import compute as C
 from clusterreader import corpus as cp
 from clusterreader import model as M
+from test_compute import tsum
 
 
 def make_doc(doc_id, order, sentences, mentions=()):
@@ -183,7 +184,7 @@ def test_segment_pool_equals_naive_mention_loop(data):
     else:
         pooled = agg.aggregate_sum(A, segments, w)
     G = g[:, :len(columns)]
-    C.backward(C.tsum(C.scale(pooled, G)))
+    C.backward(tsum(C.scale(pooled, G)))
 
     weight = np.ones(n) if w is None else w
     want = np.zeros((u.shape[0], len(columns)))
@@ -231,7 +232,7 @@ def test_per_document_attention_normalizes_each_doc():
     assert_allclose(a.data[:, :4].sum(axis=1), [1.0, 1.0], atol=1e-12)
     assert_allclose(a.data[:, 4:].sum(axis=1), [1.0, 1.0], atol=1e-12)
     # a plain sum of attention is constant, so weight the entries
-    C.backward(C.tsum(C.scale(a, rng.normal(size=(2, 10)))))
+    C.backward(tsum(C.scale(a, rng.normal(size=(2, 10)))))
     assert u.grad is not None and np.abs(u.grad).max() > 0
 
 

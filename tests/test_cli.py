@@ -19,6 +19,7 @@ from clusterreader import training as T
 from clusterreader.aggregator import NULL_VALUE
 from clusterreader.compute import load_checkpoint
 from clusterreader.training import TrainingError
+from test_training import quiet_cluster
 
 TINY = ["--set", "embed_dim=12", "--set", "width1=3", "--set", "width2=2",
         "--set", "d1=4", "--set", "r=4", "--set", "max_epochs=2"]
@@ -115,6 +116,13 @@ def test_divergence_exits_4(pipeline, tmp_path, capsys):
                     "--set", "lr=1e200", "--set", "max_epochs=2"] + TINY[:-2])
     assert code == 4
     assert "diverged" in capsys.readouterr().err
+
+
+def test_cluster_without_mentions_trains_with_max_and_no_null(pipeline, tmp_path):
+    corpus = str(tmp_path / "quiet.ndjson")
+    cp.save_clusters(corpus, cp.load_clusters(pipeline["train"]) + [quiet_cluster()])
+    assert cli.run(["train", "--corpus", corpus, "--checkpoint", str(tmp_path / "m.json"),
+                    "--aggregation", "max", "--set", "null_enabled=false"] + TINY) == 0
 
 
 @pytest.mark.parametrize("setting", ["keep_prob=0", "keep_prob=1.5", "lr=nan", "lr=-0.1",

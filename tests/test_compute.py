@@ -1,13 +1,16 @@
 """Gradient, optimizer, and checkpoint tests for the compute core.
 
 Every differentiable op is checked against central finite differences on
-random seeded inputs; window_conv also against reference_conv, a direct
+random seeded inputs, through tsum, a sum node the other test modules
+import too; window_conv also against reference_conv, a direct
 loop over the taps of a same-padded convolution that the encoder tests
 reuse; dropout is checked against its expectation by Monte Carlo; Adam
 against a step-by-step reference implementation.
 """
 
+import ast
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +19,15 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from clusterreader import compute as C
+from clusterreader import scorer as S
+
+SRC = Path(C.__file__).parent
+
+
+def tsum(a):
+    """The sum of a tensor's entries as a graph node: the scalar a gradient
+    test differentiates."""
+    return C.node(a.data.sum(), (a,), lambda g: a.accumulate(np.full_like(a.data, float(g))))
 
 
 def numeric_grad(f, x, h=1e-5):
@@ -46,42 +58,34 @@ def check_grads(build, tensors, h=1e-5, tol=1e-4):
         assert rel.max() < tol, f"rel grad err {rel.max():.2e}"
 
 
-def test_matmul_grad_matrix_vector():
-    rng = np.random.default_rng(3)
-    w = C.Tensor(rng.normal(size=(4, 6)))
-    x = C.Tensor(rng.normal(size=(6,)))
-    check_grads(lambda: C.tsum(C.matmul(w, x)), [w, x])
-
-
-def test_matmul_grad_matrix_matrix():
-    rng = np.random.default_rng(4)
-    a = C.Tensor(rng.normal(size=(3, 5)))
-    b = C.Tensor(rng.normal(size=(5, 2)))
-    # the product feeds the loss twice, so each operand's gradient is quadratic
-    check_grads(lambda: C.tsum(C.matmul(C.transpose(C.matmul(a, b)), C.matmul(a, b))), [a, b])
-
-
 def test_relu_grad_away_from_kink():
     rng = np.random.default_rng(5)
     x = rng.normal(size=(7, 3))
     x[np.abs(x) < 0.05] += 0.1  # keep clear of the nondifferentiable point
     a = C.Tensor(x)
-    check_grads(lambda: C.tsum(C.relu(a)), [a])
+    check_grads(lambda: tsum(C.relu(a)), [a])
 
 
-def test_log_grad_and_domain():
+def test_mean_neg_log_value_and_grad():
     rng = np.random.default_rng(7)
     a = C.Tensor(rng.uniform(0.2, 3.0, size=(5,)))
-    check_grads(lambda: C.tsum(C.log(a)), [a])
-    with pytest.raises(C.ComputeError):
-        C.log(C.Tensor([1.0, 0.0]))
+    assert_allclose(C.mean_neg_log(a, 1e-12).item(), -np.log(a.data).mean(), rtol=1e-15)
+    check_grads(lambda: C.mean_neg_log(a, 1e-12), [a])
+
+
+def test_mean_neg_log_passes_no_gradient_where_the_floor_applied():
+    a = C.Tensor([0.5, 1e-3, 0.0, 1e-4])
+    out = C.mean_neg_log(a, 1e-3)       # 1e-3 itself is kept: the floor equals it
+    C.backward(out)
+    assert_allclose(out.item(), -(np.log(0.5) + 3 * np.log(1e-3)) / 4)
+    assert a.grad.tolist() == [-0.25 / 0.5, -0.25 / 1e-3, 0.0, 0.0]
 
 
 def test_softmax_vector_grad_and_simplex():
     rng = np.random.default_rng(8)
     a = C.Tensor(rng.normal(size=(6,)))
     w = rng.normal(size=(6,))
-    check_grads(lambda: C.tsum(C.scale(C.softmax(a), w)), [a])
+    check_grads(lambda: tsum(C.scale(C.softmax(a), w)), [a])
     p = C.softmax(a).data
     assert np.all(p > 0) and abs(p.sum() - 1.0) < 1e-12
 
@@ -90,7 +94,7 @@ def test_softmax_rows_grad():
     rng = np.random.default_rng(9)
     a = C.Tensor(rng.normal(size=(4, 5)))
     w = rng.normal(size=(4, 5))
-    check_grads(lambda: C.tsum(C.scale(C.softmax(a), w)), [a])
+    check_grads(lambda: tsum(C.scale(C.softmax(a), w)), [a])
     assert_allclose(C.softmax(a).data.sum(axis=1), np.ones(4), atol=1e-12)
 
 
@@ -103,7 +107,7 @@ def test_softmax_shift_invariance():
 def test_segment_pool_max_grad_routes_to_argmax():
     a = C.Tensor([[0.3, 2.0, -1.0, 2.0]])
     out = C.segment_pool(a, [[0, 1, 2, 3]], take_max=[True])
-    C.backward(C.tsum(out))
+    C.backward(tsum(out))
     assert_allclose(a.grad, [[0.0, 1.0, 0.0, 0.0]])  # first of the tied maxima
     assert out.data.tolist() == [[2.0]]
 
@@ -114,9 +118,9 @@ def test_segment_pool_sum_and_weighted_grads():
     segments = [[4, 0], [], [6, 2, 5]]
     weights = rng.uniform(0.0, 2.0, size=7)
     g = rng.normal(size=(3, 3))
-    check_grads(lambda: C.tsum(C.scale(C.segment_pool(a, segments), g)), [a])
+    check_grads(lambda: tsum(C.scale(C.segment_pool(a, segments), g)), [a])
     a.zero_grad()
-    check_grads(lambda: C.tsum(C.scale(C.segment_pool(a, segments, weights), g)), [a])
+    check_grads(lambda: tsum(C.scale(C.segment_pool(a, segments, weights), g)), [a])
     out = C.segment_pool(a, segments, weights).data
     for k, seg in enumerate(segments):
         assert np.array_equal(out[:, k], [(a.data[s, seg] * weights[seg]).sum()
@@ -139,7 +143,7 @@ def test_segment_pool_equals_per_row_reduction(data):
     w = np.ones(width) if weights is None else weights
     a_t = C.Tensor(a)
     out = C.segment_pool(a_t, segments, weights, take_max)
-    C.backward(C.tsum(out))
+    C.backward(tsum(out))
     want = np.empty((n_rows, len(segments)))
     grad = np.zeros_like(a)
     for k, (seg, is_max) in enumerate(zip(segments, take_max)):
@@ -164,28 +168,20 @@ def test_segment_pool_rejects_bad_groups():
         C.segment_pool(a, [[]], take_max=[True])
 
 
-def test_clamp_grad_pass_through_inside():
-    a = C.Tensor([0.2, -0.5, 1.5])
-    out = C.tsum(C.clamp(a, 0.0, 1.0))
-    C.backward(out)
-    assert_allclose(out.data, 0.2 + 0.0 + 1.0)
-    assert_allclose(a.grad, [1.0, 0.0, 0.0])
-
-
 def test_take_and_take_pairs_grads():
     rng = np.random.default_rng(11)
     a = C.Tensor(rng.normal(size=(7,)))
     idx = [1, 4, 4, 0]
-    check_grads(lambda: C.tsum(C.take(a, idx)), [a])
+    check_grads(lambda: tsum(C.take(a, idx)), [a])
     m = C.Tensor(rng.normal(size=(4, 5)))
-    check_grads(lambda: C.tsum(C.take_pairs(m, [0, 2, 2], [1, 3, 3])), [m])
+    check_grads(lambda: tsum(C.take_pairs(m, [0, 2, 2], [1, 3, 3])), [m])
 
 
 def test_take_rows_grad():
     rng = np.random.default_rng(18)
     m = C.Tensor(rng.normal(size=(4, 3)))
     w = rng.normal(size=(5, 3))
-    check_grads(lambda: C.tsum(C.scale(C.take(m, [2, 0, 2, 3, 1]), w)), [m])
+    check_grads(lambda: tsum(C.scale(C.take(m, [2, 0, 2, 3, 1]), w)), [m])
 
 
 def test_take_out_of_range():
@@ -194,22 +190,11 @@ def test_take_out_of_range():
         C.take(a, [3])
 
 
-def test_stack_grad():
-    xs = [C.Tensor(0.5), C.Tensor(-1.0)]
-    out = C.tsum(C.scale(C.stack(xs), [2.0, -3.0]))
-    C.backward(out)
-    assert_allclose([float(x.grad) for x in xs], [2.0, -3.0])
-    rng = np.random.default_rng(17)
-    rows = [C.Tensor(rng.normal(size=4)) for _ in range(3)]
-    w = rng.normal(size=(3, 4))
-    check_grads(lambda: C.tsum(C.scale(C.stack(rows), w)), rows)
-
-
 def test_transpose_grad():
     rng = np.random.default_rng(14)
     a = C.Tensor(rng.normal(size=(3, 5)))
     w = rng.normal(size=(5, 3))
-    check_grads(lambda: C.tsum(C.scale(C.transpose(a), w)), [a])
+    check_grads(lambda: tsum(C.scale(C.transpose(a), w)), [a])
 
 
 def _taps(lengths, width):
@@ -296,7 +281,7 @@ def test_window_conv_equals_reference_convolution(lengths, width, m, d_in, d_out
     rows, x0, w0, b0, g = _window_case(lengths, width, m, d_in, d_out, seed)
     x, w, b = (C.Tensor(v) for v in (x0, w0, b0))
     out = C.window_conv(x, w, b, reference_windows(lengths, width, rows, m))
-    C.backward(C.tsum(C.scale(out, g)))
+    C.backward(tsum(C.scale(out, g)))
     tokens = x0[rows]
     dx_tokens, dw, db = reference_conv_grads(tokens, w0, lengths, g)
     dx = np.zeros_like(x0)
@@ -314,7 +299,7 @@ def test_window_conv_grads(lengths, width, m, seed):
     rows, x0, w0, b0, g = _window_case(lengths, width, m, 2, 3, seed)
     x, w, b = (C.Tensor(v) for v in (x0, w0, b0))
     windows = reference_windows(lengths, width, rows, m)
-    check_grads(lambda: C.tsum(C.scale(C.window_conv(x, w, b, windows), g)), [x, w, b])
+    check_grads(lambda: tsum(C.scale(C.window_conv(x, w, b, windows), g)), [x, w, b])
 
 
 def test_window_conv_rejects_bad_operands():
@@ -377,7 +362,7 @@ def test_conv1d_grads():
     w = C.Tensor(rng.normal(size=(5, 3, 2)))
     b = C.Tensor(rng.normal(size=(2,)))
     weights = rng.normal(size=(6, 2))
-    check_grads(lambda: C.tsum(C.scale(conv1d(x, w, b), weights)), [x, w, b])
+    check_grads(lambda: tsum(C.scale(conv1d(x, w, b), weights)), [x, w, b])
 
 
 def test_conv1d_wide_kernel_grads():
@@ -385,7 +370,7 @@ def test_conv1d_wide_kernel_grads():
     x = C.Tensor(rng.normal(size=(4, 2)))
     w = C.Tensor(rng.normal(size=(10, 2, 3)))  # kernel wider than input
     b = C.Tensor(rng.normal(size=(3,)))
-    check_grads(lambda: C.tsum(conv1d(x, w, b)), [x, w, b])
+    check_grads(lambda: tsum(conv1d(x, w, b)), [x, w, b])
 
 
 @settings(max_examples=60, deadline=None)
@@ -402,14 +387,14 @@ def test_conv1d_blocks_equal_per_block_convolutions(lengths, width, d_in, d_out,
     g = rng.normal(size=(n, d_out))
     x, w, b = (C.Tensor(v) for v in (x0, w0, b0))
     out = conv1d(x, w, b, lengths)
-    C.backward(C.tsum(C.scale(out, g)))
+    C.backward(tsum(C.scale(out, g)))
 
     w_ref, b_ref = C.Tensor(w0), C.Tensor(b0)
     outs, gxs = [np.zeros((0, d_out))], [np.zeros((0, d_in))]
     for lo, hi in _block_bounds(lengths):
         xb = C.Tensor(x0[lo:hi].copy())
         ob = conv1d(xb, w_ref, b_ref)
-        C.backward(C.tsum(C.scale(ob, g[lo:hi])))  # one sweep per block, in order
+        C.backward(tsum(C.scale(ob, g[lo:hi])))  # one sweep per block, in order
         outs.append(ob.data)
         gxs.append(_grad(xb))
     assert_close(out.data, np.concatenate(outs))
@@ -427,13 +412,13 @@ def test_softmax_blocks_equal_per_block_softmax(lengths, rows, seed):
     u0, g = rng.normal(scale=3.0, size=(rows, n)), rng.normal(size=(rows, n))
     u = C.Tensor(u0)
     out = C.softmax(u, lengths)
-    C.backward(C.tsum(C.scale(out, g)))
+    C.backward(tsum(C.scale(out, g)))
 
     outs, grads = [], []
     for lo, hi in _block_bounds(lengths):
         ub = C.Tensor(u0[:, lo:hi].copy())
         ob = C.softmax(ub)
-        C.backward(C.tsum(C.scale(ob, g[:, lo:hi].copy())))
+        C.backward(tsum(C.scale(ob, g[:, lo:hi].copy())))
         outs.append(ob.data)
         grads.append(_grad(ub))
     assert np.array_equal(out.data, np.concatenate(outs, axis=1))
@@ -475,7 +460,7 @@ def test_dropout_grad_masks_match_forward():
     rng = np.random.default_rng(20)
     x = C.Tensor(np.ones(50))
     out = C.dropout(x, 0.5, rng.random(50))
-    C.backward(C.tsum(out))
+    C.backward(tsum(out))
     assert_allclose(x.grad, out.data)  # grad is the same mask/scale
 
 
@@ -486,16 +471,17 @@ def test_compose_embedding_routes_grad_to_mask_rows():
     assert_allclose(table.data[1], mv.data)
     assert_allclose(table.data[0], base[0])
     weights = np.arange(12.0).reshape(4, 3)
-    C.backward(C.tsum(C.scale(table, weights)))
+    C.backward(tsum(C.scale(table, weights)))
     assert_allclose(mv.grad, weights[1] + weights[3])
 
 
 def test_backward_accumulates_through_shared_node():
-    a = C.Tensor(3.0)
-    b = C.log(a)                           # log a
-    out = C.tsum(C.stack([b, b]))          # 2 log a, d/da = 2/a
+    a = C.Tensor([3.0, -1.0])
+    b = C.scale(a, 2.0)                              # 2a, both slots' vector
+    R = C.Tensor([[1.0, 2.0]])
+    out = tsum(S.score_tokens(R, [b, b]))            # 2 R(2a), d/da = 4 R[0]
     C.backward(out)
-    assert_allclose(float(a.grad), 2.0 / 3.0)
+    assert_allclose(a.grad, [4.0, 8.0])
 
 
 def test_backward_requires_scalar():
@@ -512,10 +498,10 @@ def test_nonfinite_input_rejected():
 def test_deep_chain_no_recursion_limit():
     x = C.Tensor(1.0)
     out = x
-    for _ in range(5000):
-        out = C.tsum(C.stack([out, x]))
+    for _ in range(10000):
+        out = C.scale(out, -1.0)       # an even number of sign flips
     C.backward(out)
-    assert float(x.grad) == 5001.0
+    assert float(x.grad) == 1.0
 
 
 def reference_adam(params, grads, lr, steps, b1=0.9, b2=0.999, eps=1e-8, l2=0.0):
@@ -646,3 +632,22 @@ def test_checkpoint_bad_magic(tmp_path):
     path.write_text("NOPE\n{}")
     with pytest.raises(C.ComputeError):
         C.load_checkpoint(path)
+
+
+def test_every_compute_op_has_a_caller_in_src():
+    """A public function of compute that only tests call belongs in the tests.
+
+    A caller is a call C.name(...) in any module of the package (each imports
+    compute as C) or name(...) inside compute itself."""
+    tree = ast.parse((SRC / "compute.py").read_text())
+    public = {f.name for f in tree.body if isinstance(f, ast.FunctionDef)
+              and not f.name.startswith("_")}
+    called = set()
+    for path in SRC.glob("*.py"):
+        for n in ast.walk(ast.parse(path.read_text())):
+            f = n.func if isinstance(n, ast.Call) else None
+            if isinstance(f, ast.Attribute) and getattr(f.value, "id", None) == "C":
+                called.add(f.attr)
+            elif isinstance(f, ast.Name) and path.name == "compute.py":
+                called.add(f.id)
+    assert "softmax" in public and sorted(public - called) == []

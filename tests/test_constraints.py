@@ -16,6 +16,7 @@ from clusterreader import model as M
 from clusterreader import synth as sy
 from clusterreader import training as T
 from clusterreader.aggregator import MODES, NULL_VALUE, AggregationConfig
+from test_compute import tsum
 
 
 def logit(p):
@@ -592,7 +593,7 @@ def test_tensor_bp_gradients_flow_and_check():
 
         def build(scores):
             grid = mass_grid(scores.data, null_col)
-            return C.tsum(C.scale(K.run_bp_tensor(scores, grid, 2), weights))
+            return tsum(C.scale(K.run_bp_tensor(scores, grid, 2), weights))
 
         scores = C.Tensor(masses0.copy())
         C.backward(build(scores))
@@ -640,7 +641,7 @@ def check_tensor_bp_gradient(masses0, null_col, rounds, weights, h=1e-6, rtol=1e
 
     scores = C.Tensor(masses0.copy())
     beliefs = K.run_bp_tensor(scores, mass_grid(masses0, null_col), rounds)
-    C.backward(C.tsum(C.scale(beliefs, weights)))
+    C.backward(tsum(C.scale(beliefs, weights)))
     assert np.all(np.isfinite(scores.grad))
     num = np.zeros_like(masses0)
     inside = (masses0 > K.EPS) & (masses0 < 1 - K.EPS)

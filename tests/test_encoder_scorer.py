@@ -11,7 +11,8 @@ from clusterreader import compute as C
 from clusterreader import encoder as E
 from clusterreader import scorer as S
 from clusterreader.model import ClusterIndex
-from test_compute import assert_close, reference_conv, reference_conv_grads
+from test_compute import (assert_close, check_grads, reference_conv, reference_conv_grads,
+                          tsum)
 
 
 def small_table(rng, tokens=("a", "b", "c", "d"), dim=6):
@@ -74,7 +75,7 @@ def test_embed_cluster_grad_only_reaches_mask_vector():
     rng = np.random.default_rng(42)
     table = small_table(rng)
     out = E.embed_cluster(["a", "b", "c"], [1], table)
-    C.backward(C.tsum(out))
+    C.backward(tsum(out))
     assert table.mask_vector.grad is not None
     assert_allclose(table.mask_vector.grad, np.ones(table.dim))
 
@@ -132,7 +133,7 @@ def test_encode_gradients_reach_all_params():
     params = E.init_encoder(4, rng)
     x = C.Tensor(rng.normal(size=(8, 4)))
     out = E.encode(x, [8], params, keep_prob=0.8, rng=rng)
-    C.backward(C.tsum(C.scale(out, rng.normal(size=out.shape))))
+    C.backward(tsum(C.scale(out, rng.normal(size=out.shape))))
     for name, p in params.as_dict().items():
         assert p.grad is not None and np.abs(p.grad).max() > 0, name
 
@@ -177,7 +178,7 @@ def test_training_encode_equals_doc_by_doc_encoding(doc_lengths, seed):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(C, "dropout", recording)
         out = E.encode(x, doc_lengths, params, keep_prob=0.7, rng=np.random.default_rng(seed + 1))
-    C.backward(C.tsum(C.scale(out, g)))
+    C.backward(tsum(C.scale(out, g)))
 
     draws = np.random.default_rng(seed + 1)
     per_doc = [(draws.random((k, 4)), draws.random((k, 3))) for k in doc_lengths if k]
@@ -206,7 +207,7 @@ def _reference_and_encoded(tokens, mentions, doc_lengths, table, params):
         p.zero_grad()
     got = E.encode(E.embed_cluster(distinct_tokens, mask_rows, table), doc_lengths, params, rows=rows)
     g = np.cos(np.arange(want.size)).reshape(want.shape)
-    C.backward(C.tsum(C.scale(got, g)))
+    C.backward(tsum(C.scale(got, g)))
     want_dx, want_grads = want_backward(g)
 
     def grad(t):
@@ -299,6 +300,20 @@ def test_score_tokens_matches_naive_loop():
     naive = np.array([[float(np.dot(R.data[i], p.data)) for i in range(9)] for p in pis])
     assert u.shape == (3, 9)
     assert_allclose(u, naive, atol=1e-12)
+
+
+def test_score_tokens_is_the_per_slot_products_with_their_gradients():
+    # one node: each row is bit for bit R @ pi_s, and the gradient reaches R and every slot
+    rng = np.random.default_rng(51)
+    R = C.Tensor(rng.normal(size=(7, 5)))
+    pis = [C.Tensor(rng.normal(size=5)) for _ in range(4)]
+    u = S.score_tokens(R, pis)
+    assert u._parents == (R, *pis)
+    assert np.array_equal(u.data, np.stack([R.data @ p.data for p in pis]))
+    g = rng.normal(size=(4, 7))
+    check_grads(lambda: tsum(C.scale(S.score_tokens(R, pis), g)), [R, *pis])
+    with pytest.raises(C.ComputeError, match="representation dim 5 != slot dim 4"):
+        S.score_tokens(R, [pis[0], C.Tensor(np.ones(4))])
 
 
 def test_score_tokens_zero_and_duplicate_rows():

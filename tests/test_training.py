@@ -521,6 +521,38 @@ def test_value_step_graph_does_not_grow_with_values_or_mentions():
         assert sizes["few", mode] == sizes["many", mode] == sizes["more docs", mode], mode
 
 
+@pytest.mark.parametrize("loss_mode, nodes", [("value_level", 25), ("mention_level", 27)])
+def test_training_step_graph_size(loss_mode, nodes):
+    """Per-node overhead, not arithmetic, dominates a training step (ROADMAP
+    aim 1), so the node count of one step is pinned: the scorer records all
+    slots in one node and each loss ends in one mean_neg_log node."""
+    cluster = _synth_clusters(1, 3)[0]
+    hp = tiny_hp(keep_prob=0.8, loss_mode=loss_mode)
+    model = M.init_model([t for d in cluster.documents for t in d.flat_tokens()], hp,
+                         np.random.default_rng(0))
+    loss = T.cluster_loss(model, cluster, hp, rng=np.random.default_rng(1))
+    assert graph_size(loss) == nodes
+
+
+def quiet_cluster(cid="quiet"):
+    """A cluster with tokens but no mentions: no value to score."""
+    c = cp.Cluster(cluster_id=cid, split="train", gold={s: () for s in cp.EVAL_SLOTS},
+                   candidate_values=(), documents=(make_doc("d0", 0, ["no", "news", "here"], []),))
+    cp.validate_cluster(c)
+    return c
+
+
+@pytest.mark.parametrize("bp_train_iters", [0, 2])
+@pytest.mark.parametrize("mode", MODES)
+def test_cluster_without_mentions_or_null_column_trains(mode, bp_train_iters):
+    # no column to score: the step is skipped (max mode used to softmax an empty matrix)
+    hp = tiny_hp(keep_prob=0.8, bp_train_iters=bp_train_iters,
+                 aggregation=AggregationConfig(mode=mode, null_enabled=False))
+    state = T.train([quiet_cluster(), crash_cluster()], [], hp)
+    assert state.epoch == hp.max_epochs
+    assert T.cluster_loss(state.model, quiet_cluster(), hp, rng=np.random.default_rng(0)) is None
+
+
 # ---------------------------------------------------------------------------
 # the loop
 
