@@ -276,9 +276,9 @@ def window_conv(x: Tensor, w: Tensor, b: Tensor, windows) -> Tensor:
     in many windows or in none, so x can hold only a cluster's distinct rows.
 
     The forward projects x~ once by every w[k] and sums each output row's
-    gathered projections. The backward scatters g onto those projections,
-    then takes w's gradient as one batched product with x and x's as one
-    GEMM with w.
+    gathered projections. The backward scatters g onto those projections
+    (one bincount per output channel), then takes w's gradient as one
+    batched product with x and x's as one GEMM with w.
     """
     x, w, b = _lift(x), _lift(w), _lift(b)
     windows = np.asarray(windows, dtype=np.intp)
@@ -296,10 +296,13 @@ def window_conv(x: Tensor, w: Tensor, b: Tensor, windows) -> Tensor:
     out_data = np.take(proj.reshape(-1, d_out), flat, axis=0).sum(axis=0) + b.data
 
     def backward(g):
-        # one flat scatter-add: numpy's fast path takes 1-D indices only
-        dproj = np.zeros(width * (m + 1) * d_out)
-        at = flat[..., None] * d_out + np.arange(d_out)
-        np.add.at(dproj, at.ravel(), np.broadcast_to(g, at.shape).ravel())
+        # one bincount per output channel adds g onto the projections in
+        # window order, with no width x n x d_out index or copy of g
+        rows = flat.ravel()
+        dproj = np.empty((width * (m + 1), d_out))
+        for c in range(d_out):
+            dproj[:, c] = np.bincount(rows, weights=np.tile(g[:, c], width),
+                                      minlength=width * (m + 1))
         dproj = dproj.reshape(width, m + 1, d_out)[:, :m]
         w.accumulate(x.data.T @ dproj)
         b.accumulate(g.sum(axis=0))

@@ -9,9 +9,10 @@ global and sentence boundaries assign sentence ids.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from itertools import chain
 from operator import attrgetter
+from typing import NamedTuple
 
 # 15 template slots; the first 8 carry gold labels and are scored.
 EVAL_SLOTS = (
@@ -45,8 +46,7 @@ class CorpusError(ValueError):
     """Malformed record or violated data invariant."""
 
 
-@dataclass(frozen=True)
-class Mention:
+class Mention(NamedTuple):
     """One occurrence of a normalized value in a document.
 
     start/end are document-global token indices, half-open; sentence is the
@@ -148,6 +148,12 @@ def _all_strings(items) -> bool:
     return True
 
 
+def _interned(strings, intern) -> tuple:
+    """strings as a tuple of the load's shared copies; map runs intern (a
+    dict's setdefault) in C, with no Python frame per string."""
+    return tuple(map(intern, strings, strings))
+
+
 # The JSON type a record field takes, by the name its error message gives it.
 _KINDS = {
     "an integer": lambda v: type(v) is int,       # no bool, no float
@@ -184,10 +190,10 @@ _MENTION_FIELDS = (("sentence", "an integer", _REQUIRED), ("start", "an integer"
 _MENTION_TYPES = (int, int, int, str, str, bool, bool)
 
 
-def _mention_from_record(m, where: str, i: int) -> Mention:
+def _mention_from_record(m, where: str, i: int, intern) -> Mention:
     """Mention i of a document, its fields in Mention's order; a corpus holds
-    many, so the well-typed case is one comparison of their types, and only a
-    mismatch goes field by field to name the culprit."""
+    many, so the well-typed case is one comparison of their types and one
+    tuple, and only a mismatch goes field by field to name the culprit."""
     try:
         values = (m["sentence"], m["start"], m["end"], m["value_id"],
                   m.get("entity_type", "other"), m.get("is_flight_number", False),
@@ -197,48 +203,60 @@ def _mention_from_record(m, where: str, i: int) -> Mention:
     if tuple(map(type, values)) != _MENTION_TYPES:
         for key, kind, default in _MENTION_FIELDS:
             _field(m, key, kind, f"{where} mention {i}", default)
-    return Mention(*values)
+    # tuple.__new__ skips Mention.__new__'s argument parsing
+    sentence, start, end, value_id, entity_type, flight, topical = values
+    return tuple.__new__(Mention, (sentence, start, end, intern(value_id, value_id),
+                                   intern(entity_type, entity_type), flight, topical))
 
 
-def _document_from_record(d, where: str) -> Document:
+def _document_from_record(d, where: str, intern) -> Document:
     doc_id = _field(d, "doc_id", "a string", where)
     where = f"{where} doc {doc_id}"
-    mentions = [_mention_from_record(m, where, i)
+    mentions = [_mention_from_record(m, where, i, intern)
                 for i, m in enumerate(_field(d, "mentions", "a list", where, []))]
     return Document(
         doc_id=doc_id, order_index=_field(d, "order_index", "an integer", where),
-        sentences=tuple(map(tuple, _field(d, "sentences", "a list of token lists", where))),
+        sentences=tuple([_interned(s, intern)
+                         for s in _field(d, "sentences", "a list of token lists", where)]),
         mentions=tuple(sorted(mentions, key=attrgetter("start", "end"))),
         dateline=_field(d, "dateline", "a string or null", where, None))
 
 
-def _cluster_from_record(rec) -> Cluster:
+def _cluster_from_record(rec, intern) -> Cluster:
     cluster_id = _field(rec, "cluster_id", "a string", "cluster")
     where = f"cluster {cluster_id}"
     gold = _field(rec, "gold", "an object", where, {})
-    docs = [_document_from_record(d, where) for d in _field(rec, "documents", "a list", where)]
+    docs = [_document_from_record(d, where, intern)
+            for d in _field(rec, "documents", "a list", where)]
     docs.sort(key=attrgetter("order_index"))
     return Cluster(
         cluster_id=cluster_id, split=_field(rec, "split", "a string", where),
-        gold={slot: tuple(_field(gold, slot, "a list of strings", f"{where} gold"))
+        gold={slot: _interned(_field(gold, slot, "a list of strings", f"{where} gold"), intern)
               for slot in gold},
-        candidate_values=tuple(_field(rec, "candidate_values", "a list of strings", where)),
+        candidate_values=_interned(_field(rec, "candidate_values", "a list of strings", where),
+                                   intern),
         documents=tuple(docs))
 
 
 def load_clusters(path) -> list[Cluster]:
     """Read newline-delimited cluster records, cap at 200 docs, validate.
 
-    Cluster ids must be unique within the file.
+    Cluster ids must be unique within the file. A corpus repeats its
+    tokens, value ids and entity types many times over, so each one that
+    passed its type check is replaced by the load's first string equal to
+    it: the clusters hold one string per distinct one. The table lives for
+    this call only; a process-wide one would keep a dropped corpus's
+    strings alive and grow with every load.
     """
     clusters = []
     seen = set()
+    intern = {}.setdefault      # intern(s, s): the load's first string equal to s
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
-                cluster = _cluster_from_record(json.loads(line))
+                cluster = _cluster_from_record(json.loads(line), intern)
             except (ValueError, RecursionError) as exc:   # CorpusError, malformed or too deep JSON
                 raise CorpusError(f"{path}: record {lineno}: {exc}") from exc
             if len(cluster.documents) > MAX_CLUSTER_DOCS:
@@ -265,7 +283,7 @@ def cluster_to_record(cluster: Cluster) -> dict:
             {
                 "doc_id": d.doc_id,
                 "order_index": d.order_index,
-                **({"dateline": d.dateline} if d.dateline else {}),
+                **({"dateline": d.dateline} if d.dateline is not None else {}),
                 "sentences": [list(s) for s in d.sentences],
                 "mentions": [
                     {"sentence": m.sentence, "start": m.start, "end": m.end,

@@ -292,6 +292,46 @@ def test_window_conv_equals_reference_convolution(lengths, width, m, d_in, d_out
     assert_close(b.grad, db)
 
 
+def add_at_window_conv_grads(x, w, windows, g):
+    """x's, w's and b's gradients from window_conv's backward as one flat
+    np.add.at scatter of g onto the projections: the formulation that the
+    bincount scatter replaced, kept as its reference."""
+    width, d_in, d_out = w.shape
+    m = x.shape[0]
+    flat = windows.T + (m + 1) * np.arange(width)[:, None]
+    dproj = np.zeros(width * (m + 1) * d_out)
+    at = flat[..., None] * d_out + np.arange(d_out)
+    np.add.at(dproj, at.ravel(), np.broadcast_to(g, at.shape).ravel())
+    dproj = dproj.reshape(width, m + 1, d_out)[:, :m]
+    dx = (dproj.transpose(1, 0, 2).reshape(m, width * d_out)
+          @ w.transpose(0, 2, 1).reshape(width * d_out, d_in))
+    return dx, x.T @ dproj, g.sum(axis=0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(0, 40), width=st.integers(1, 10), m=st.integers(1, 8),
+       d_in=st.integers(1, 4), d_out=st.integers(1, 4), seed=st.integers(0, 2**16))
+@example(n=6, width=3, m=1, d_in=2, d_out=2, seed=0)      # every window one row or pad
+def test_window_conv_backward_is_bit_equal_to_add_at(n, width, m, d_in, d_out, seed):
+    # the same additions in the same order: equal bits, signs of zeros too.
+    # Windows repeat rows and read the pad row m. g holds -0.0 entries and
+    # goes to the node's backward directly, since a gradient accumulated
+    # from zero would turn them into 0.0; the grads start at -0.0 so that a
+    # -0.0 result survives its accumulation
+    rng = np.random.default_rng(seed)
+    windows = rng.integers(0, m + 1, size=(n, width))
+    x0, w0 = rng.normal(size=(m, d_in)), rng.normal(size=(width, d_in, d_out))
+    g = rng.normal(size=(n, d_out))
+    g[rng.random(g.shape) < 0.3] = -0.0
+    x, w, b = C.Tensor(x0), C.Tensor(w0), C.Tensor(rng.normal(size=d_out))
+    out = C.window_conv(x, w, b, windows)
+    for t in (x, w, b):
+        t.grad = np.full(t.data.shape, -0.0)
+    out._backward(g)
+    for got, want in zip((x.grad, w.grad, b.grad), add_at_window_conv_grads(x0, w0, windows, g)):
+        assert got.tobytes() == (np.full(want.shape, -0.0) + want).tobytes()
+
+
 @settings(max_examples=30, deadline=None)
 @given(lengths=st.lists(st.integers(0, 7), min_size=1, max_size=3).filter(sum),
        width=st.integers(1, 10), m=st.integers(1, 4), seed=st.integers(0, 2**16))

@@ -50,6 +50,14 @@ def test_roundtrip_identity(tmp_path):
     assert path.read_text() == path2.read_text()
 
 
+def test_roundtrip_keeps_an_empty_dateline(tmp_path):
+    # "" is a dateline, not a missing one: it must not reload as None
+    cluster = make_cluster([make_doc("d1", 0, [["ten", "dead"]], dateline="")], cands=())
+    path = tmp_path / "c.jsonl"
+    cp.save_clusters(path, [cluster])
+    assert cp.load_clusters(path) == [cluster]
+
+
 def test_load_caps_at_200_documents(tmp_path):
     docs = [make_doc(f"d{i}", i, [["tok"]]) for i in range(250)]
     rec = cp.cluster_to_record(make_cluster(docs, cands=()))
