@@ -299,9 +299,11 @@ def window_conv(x: Tensor, w: Tensor, b: Tensor, windows) -> Tensor:
         # one bincount per output channel adds g onto the projections in
         # window order, with no width x n x d_out index or copy of g
         rows = flat.ravel()
+        weights = np.empty(flat.shape)                       # row k holds g[:, c]
         dproj = np.empty((width * (m + 1), d_out))
         for c in range(d_out):
-            dproj[:, c] = np.bincount(rows, weights=np.tile(g[:, c], width),
+            weights[...] = g[:, c]
+            dproj[:, c] = np.bincount(rows, weights=weights.ravel(),
                                       minlength=width * (m + 1))
         dproj = dproj.reshape(width, m + 1, d_out)[:, :m]
         w.accumulate(x.data.T @ dproj)
@@ -399,36 +401,46 @@ ADAM_EPS = 1e-8
 
 @dataclass
 class AdamState:
-    """First/second moment vectors (allocated on the first step) and the step count."""
+    """First/second moment vectors and two scratch vectors (all allocated on
+    the first step) and the step count."""
 
     t: int = 0
     m: np.ndarray | None = None
     v: np.ndarray | None = None
+    scratch: np.ndarray | None = None    # 2 x size
 
 
 def adam_step(params: FlatParams, state: AdamState, lr: float, l2: float = 0.0):
     """One Adam update of the whole vector with bias correction; l2 adds
     l2*param to each gradient. Elementwise, so it equals one update per
-    tensor bit for bit."""
+    tensor bit for bit.
+
+    Every op writes into the state's vectors, so a step allocates no
+    whole-vector temporary: at the reader's sizes each would be a block
+    above glibc's mmap threshold, mapped and faulted in afresh per step.
+    """
     state.t += 1
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     params.check_grad()
-    g = params.grad
-    if l2:
-        g = g + l2 * params.data
     if state.m is None:
         state.m, state.v = np.zeros_like(params.data), np.zeros_like(params.data)
+        state.scratch = np.empty((2, params.data.size))
     m, v = state.m, state.v
+    # g (when l2 makes one) and then denom share a buffer: g is dead once v
+    # is updated
+    work, step = state.scratch
+    g = params.grad
+    if l2:
+        g = np.add(g, np.multiply(params.data, l2, out=work), out=work)
     # p -= lr * m_hat / (sqrt(v_hat) + eps) in that order, in place
-    # through two buffers
-    step = (1 - b1) * g
+    np.multiply(g, 1 - b1, out=step)
     m *= b1
     m += step
     np.multiply(g, g, out=step)
     step *= 1 - b2
     v *= b2
     v += step
-    denom = v / (1 - b2 ** state.t)
+    denom = np.divide(v, 1 - b2 ** state.t, out=work)
     np.sqrt(denom, out=denom)
     denom += ADAM_EPS
     np.divide(m, 1 - b1 ** state.t, out=step)

@@ -22,12 +22,19 @@ Training and prediction encode alike: they embed only the cluster's
 distinct rows (ClusterIndex.distinct_tokens, every mention token one mask
 row), and the encoder reads token t's row through the index those rows
 come with.
+
+The index is built with array ops and C-level iterators, so no Python frame
+runs per token: the mention mask is the running sum of +1 at each span
+start and -1 at each end, the null column's tokens are the mask's
+complement, and the distinct rows rank each token's first-seen position,
+found by one dict pass over the tokens with mention tokens masked to None.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -49,23 +56,29 @@ class ClusterIndex:
     flat_tokens: list = field(default_factory=list)
     doc_lengths: list = field(default_factory=list)
     mention_rows: list = field(default_factory=list)   # (mention, global_first_token)
-    mention_token_set: set = field(default_factory=set)
+    mention_mask: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=bool))
     groups: dict = field(default_factory=dict)         # value_id -> [global_first_token]
 
     @classmethod
     def build(cls, cluster: cp.Cluster) -> "ClusterIndex":
-        idx = cls(cluster=cluster)
-        offset = 0
-        for doc in cluster.documents:
-            idx.flat_tokens.extend(doc.flat_tokens())
-            idx.doc_lengths.append(doc.n_tokens)
+        """The index of a cluster; its one Python loop runs per mention."""
+        docs = cluster.documents
+        lengths = [doc.n_tokens for doc in docs]
+        mention_rows, groups, starts, ends = [], {}, [], []
+        for doc, offset in zip(docs, accumulate(lengths, initial=0)):
             for m in doc.mentions:
                 k = offset + m.start
-                idx.mention_rows.append((m, k))
-                idx.mention_token_set.update(range(offset + m.start, offset + m.end))
-                idx.groups.setdefault(m.value_id, []).append(k)
-            offset += doc.n_tokens
-        return idx
+                mention_rows.append((m, k))
+                starts.append(k)
+                ends.append(offset + m.end)
+                groups.setdefault(m.value_id, []).append(k)
+        n = sum(lengths)
+        # +1 where a span starts, -1 where it ends: the running sum is
+        # positive exactly on mention tokens
+        edges = np.bincount(np.array(starts, dtype=np.intp), minlength=n + 1)
+        edges -= np.bincount(np.array(ends, dtype=np.intp), minlength=n + 1)
+        flat = list(chain.from_iterable(chain.from_iterable(doc.sentences for doc in docs)))
+        return cls(cluster, flat, lengths, mention_rows, np.cumsum(edges[:n]) > 0, groups)
 
     @property
     def n_tokens(self) -> int:
@@ -78,13 +91,19 @@ class ClusterIndex:
         order; every mention token shares one row, listed in mask_rows, which
         embed_cluster fills with the mask vector. Token t reads row rows[t].
         """
+        n = self.n_tokens
+        # a mention token reads as None, so all of them share one row
+        masked = np.array(self.flat_tokens, dtype=object)
+        masked[self.mention_mask] = None
+        # each token's key is the position where its row is first seen, and
+        # ranking the keys numbers the rows in first-seen order
         first: dict = {}
-        mention = self.mention_token_set
-        rows = np.fromiter((first.setdefault(None if t in mention else tok, len(first))
-                            for t, tok in enumerate(self.flat_tokens)),
-                           dtype=np.intp, count=self.n_tokens)
-        tokens = ["" if tok is None else tok for tok in first]
-        return tokens, [first[None]] if None in first else [], rows
+        key = np.fromiter(map(first.setdefault, masked.tolist(), range(n)), dtype=np.intp,
+                          count=n)
+        rank = np.cumsum(key == np.arange(n), dtype=np.intp) - 1
+        seen = list(first)
+        tokens = ["" if tok is None else tok for tok in seen]
+        return tokens, [seen.index(None)] if None in first else [], rank[key]
 
     def columns(self, null_enabled: bool) -> list:
         """Score-matrix column labels: mentioned values plus null, sorted as strings."""
@@ -97,7 +116,7 @@ class ClusterIndex:
     def segments(self, columns) -> list:
         """Tokens each column pools: a value's mention first tokens, or for
         null every token outside all mention spans."""
-        outside = sorted(set(range(self.n_tokens)) - self.mention_token_set)
+        outside = np.flatnonzero(~self.mention_mask)
         return [outside if v == NULL_VALUE else self.groups[v] for v in columns]
 
 

@@ -42,7 +42,7 @@ def score_tokens(R: C.Tensor, pis: list) -> C.Tensor:
     def backward(g):
         dR = np.zeros_like(R.data)
         for g_s, pi_s in zip(g, pis):
-            dR += np.outer(g_s, pi_s.data)
+            dR += g_s[:, None] * pi_s.data
             pi_s.accumulate(R.data.T @ g_s)
         R.accumulate(dR)
 

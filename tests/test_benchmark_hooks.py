@@ -125,3 +125,28 @@ def test_prediction_hooks_read_what_they_expect(monkeypatch):
     assert rounds and all(isinstance(args[0], K.MessageState) for args, _ in rounds)
     assert set(record["predictions"]) == set(model.scoring_slots())
     assert all(0.0 <= v <= 1.0 for vals in record["scores"].values() for v in vals.values())
+
+
+def test_training_builds_one_cluster_index_per_step(monkeypatch):
+    """perfbench counts model.index calls only inside training steps, each
+    ended by adam_step, and a traced train-sum run fails when a layer it
+    requires records no calls. So train builds each step's ClusterIndex
+    inside that step: an index cached across epochs would leave every later
+    epoch's steps without a model.index call, which only a change to the
+    benchmark itself could account for."""
+    raw_build, raw_step = vars(M.ClusterIndex)["build"].__func__, C.adam_step
+    events = []
+
+    def build(cls, cluster):
+        events.append("index")
+        return raw_build(cls, cluster)
+
+    def step(*args, **kwargs):
+        events.append("step")
+        return raw_step(*args, **kwargs)
+
+    monkeypatch.setattr(M.ClusterIndex, "build", classmethod(build))
+    monkeypatch.setattr(C, "adam_step", step)
+    hp = T.Hyperparams(embed_dim=8, width1=3, width2=2, d1=4, r=4, max_epochs=2)
+    T.train(_CLUSTERS, [], hp)
+    assert events == ["index", "step"] * (2 * len(_CLUSTERS))

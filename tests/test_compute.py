@@ -10,6 +10,7 @@ against a step-by-step reference implementation.
 
 import ast
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -592,7 +593,9 @@ def test_adam_rejects_nan_grad():
 def per_tensor_adam_step(params: dict, grads: dict, m: dict, v: dict, t: int, lr: float,
                          l2: float):
     """The per-tensor Adam update that the flat-vector step replaced, in its
-    in-place order: the reference the flat step must equal bit for bit."""
+    in-place order, with a fresh array for each temporary as the flat step
+    made them before its scratch buffers: the reference the flat step's
+    parameters and moments must equal bit for bit."""
     b1, b2 = C.ADAM_BETA1, C.ADAM_BETA2
     for name, data in params.items():
         g = grads[name]
@@ -634,7 +637,28 @@ def test_flat_adam_equals_the_per_tensor_loop_bit_for_bit(l2):
         per_tensor_adam_step(want, grads, m, v, t, lr=0.003, l2=l2)
         for k, p in flat.tensors.items():
             assert p.data.tobytes() == want[k].tobytes(), (t, k)
+        for got, moments in ((state.m, m), (state.v, v)):
+            assert got.tobytes() == np.concatenate([moments[k].ravel() for k in shapes]).tobytes()
     assert state.t == 50
+
+
+def test_adam_step_allocates_no_whole_vector_temporary():
+    # 20,800 floats (166 KB) is the reader's default parameter count; after
+    # the first step has allocated the state, a step holds at most the
+    # finiteness check's bool vector (21 KB), where each float temporary
+    # would add 166 KB
+    rng = np.random.default_rng(25)
+    flat = C.FlatParams({"p": C.Tensor(rng.normal(size=20_800))})
+    flat.grad[:] = rng.normal(size=20_800)
+    state = C.AdamState()
+    C.adam_step(flat, state, lr=0.003, l2=0.01)
+    tracemalloc.start()
+    try:
+        C.adam_step(flat, state, lr=0.003, l2=0.01)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
 
 
 def test_checkpoint_roundtrip(tmp_path):

@@ -2,12 +2,13 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from clusterreader import aggregator as agg
 from clusterreader import compute as C
+from clusterreader import corpus as cp
 from clusterreader import encoder as E
 from clusterreader import scorer as S
 from clusterreader.model import ClusterIndex
@@ -17,6 +18,13 @@ from test_compute import (assert_close, check_grads, reference_conv, reference_c
 
 def small_table(rng, tokens=("a", "b", "c", "d"), dim=6):
     return E.random_table(tokens, dim, rng)
+
+
+def mention_mask(n, positions):
+    """The index's mention mask of n tokens with the given positions masked."""
+    mask = np.zeros(n, dtype=bool)
+    mask[list(positions)] = True
+    return mask
 
 
 def table_row(table, token):
@@ -200,8 +208,8 @@ def _reference_and_encoded(tokens, mentions, doc_lengths, table, params):
     sum(g * output) for the mask vector and each encoder parameter."""
     embedded = E.embed_cluster(tokens, mentions, table).data
     want, want_backward = reference_encode(embedded, doc_lengths, params)
-    index = ClusterIndex(cluster=None, flat_tokens=list(tokens),
-                         doc_lengths=list(doc_lengths), mention_token_set=set(mentions))
+    index = ClusterIndex(cluster=None, flat_tokens=list(tokens), doc_lengths=list(doc_lengths),
+                         mention_mask=mention_mask(len(tokens), mentions))
     distinct_tokens, mask_rows, rows = index.distinct_tokens()
     for p in (table.mask_vector, *params.as_dict().values()):
         p.zero_grad()
@@ -265,11 +273,98 @@ def test_projected_layer1_every_width_on_edge_clusters(width1):
 
 def test_distinct_tokens_share_one_mask_row():
     index = ClusterIndex(cluster=None, flat_tokens=["a", "b", "a", "c", "b", "zzz"],
-                         doc_lengths=[6], mention_token_set={1, 3, 4})
+                         doc_lengths=[6], mention_mask=mention_mask(6, {1, 3, 4}))
     tokens, mask_rows, rows = index.distinct_tokens()
     assert tokens == ["a", "", "zzz"]
     assert mask_rows == [1]
     assert rows.tolist() == [0, 1, 0, 1, 1, 2]
+
+
+def walked_index(cluster) -> dict:
+    """A cluster's index as a walk over every token in Python builds it: the
+    reference the array-built ClusterIndex must equal."""
+    flat, lengths, mention_rows, inside, groups = [], [], [], set(), {}
+    offset = 0
+    for doc in cluster.documents:
+        flat.extend(doc.flat_tokens())
+        lengths.append(doc.n_tokens)
+        for m in doc.mentions:
+            k = offset + m.start
+            mention_rows.append((m, k))
+            inside.update(range(offset + m.start, offset + m.end))
+            groups.setdefault(m.value_id, []).append(k)
+        offset += doc.n_tokens
+    first: dict = {}
+    rows = [first.setdefault(None if t in inside else tok, len(first))
+            for t, tok in enumerate(flat)]
+    return {"flat_tokens": flat, "doc_lengths": lengths, "mention_rows": mention_rows,
+            "mention_tokens": sorted(inside), "groups": groups,
+            "distinct": (["" if tok is None else tok for tok in first],
+                         [first[None]] if None in first else [], rows),
+            "null_segment": sorted(set(range(len(flat))) - inside)}
+
+
+@st.composite
+def small_clusters(draw):
+    """Clusters over a four-string vocabulary, so that strings recur inside
+    and outside mentions; documents may be empty and clusters mention-free.
+    Each token starts a mention (1), continues the one ending just before it
+    (2, else outside) or lies outside (0)."""
+    docs = []
+    for d in range(draw(st.integers(1, 4))):
+        sentences, mentions = [], []
+        for s in range(draw(st.integers(0, 3))):
+            tokens = draw(st.lists(st.sampled_from(("a", "b", "c", "")), max_size=6))
+            marks = draw(st.lists(st.integers(0, 2), min_size=len(tokens), max_size=len(tokens)))
+            at = sum(map(len, sentences))
+            spans = []
+            for k, mark in enumerate(marks):
+                if mark == 2 and spans and spans[-1][1] == k:
+                    spans[-1][1] = k + 1
+                elif mark == 1:
+                    spans.append([k, k + 1])
+            mentions += [cp.Mention(s, at + lo, at + hi, draw(st.sampled_from(("v1", "v2"))))
+                         for lo, hi in spans]
+            sentences.append(tuple(tokens))
+        docs.append(cp.Document(f"d{d}", d, tuple(sentences), tuple(mentions)))
+    return _cluster(docs)
+
+
+def _cluster(docs) -> cp.Cluster:
+    cluster = cp.Cluster("c", "train", {}, ("v1", "v2"), tuple(docs))
+    cp.validate_cluster(cluster)
+    return cluster
+
+
+# an empty document; mentions at a document's first and last token; "a" and
+# "c" both inside and outside mentions; then a cluster with no mentions
+_EDGE_CLUSTER = _cluster([
+    cp.Document("d0", 0, (), ()),
+    cp.Document("d1", 1, (("a", "b"), ("a", "c")),
+                (cp.Mention(0, 0, 1, "v1"), cp.Mention(1, 3, 4, "v2"))),
+    cp.Document("d2", 2, (("c", "a", "b"),), ())])
+_PLAIN_CLUSTER = _cluster([cp.Document("d0", 0, (("a", "b", "a"),), ())])
+
+
+@settings(max_examples=200, deadline=None)
+@given(cluster=small_clusters())
+@example(cluster=_EDGE_CLUSTER)
+@example(cluster=_PLAIN_CLUSTER)
+def test_array_built_index_equals_the_token_walk(cluster):
+    index, want = ClusterIndex.build(cluster), walked_index(cluster)
+    assert index.flat_tokens == want["flat_tokens"]
+    assert index.doc_lengths == want["doc_lengths"]
+    assert index.mention_rows == want["mention_rows"]
+    assert index.groups == want["groups"]
+    assert index.mention_mask.shape == (index.n_tokens,)
+    assert np.flatnonzero(index.mention_mask).tolist() == want["mention_tokens"]
+    tokens, mask_rows, rows = index.distinct_tokens()
+    assert (tokens, mask_rows, rows.tolist()) == want["distinct"]
+    assert rows.dtype == np.intp
+    columns = index.columns(null_enabled=True)
+    segments = [np.asarray(seg).tolist() for seg in index.segments(columns)]
+    assert segments == [want["null_segment"] if v == agg.NULL_VALUE else want["groups"][v]
+                        for v in columns]
 
 
 def test_encode_block_lengths_must_cover_the_tokens():

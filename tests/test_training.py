@@ -367,7 +367,7 @@ def test_eval_mode_loss_backpropagates_through_conv1d(monkeypatch):
     assert calls == [model.enc.w1.shape, model.enc.w2.shape]
 
     index = M.ClusterIndex.build(c)
-    R = E.encode(E.embed_cluster(index.flat_tokens, index.mention_token_set, ref.table),
+    R = E.encode(E.embed_cluster(index.flat_tokens, np.flatnonzero(index.mention_mask), ref.table),
                  index.doc_lengths, ref.enc)
     columns = index.columns(True)
     scores = aggregate_sum(S.attend(ref.token_scores(R, ref.scoring_slots())),
@@ -433,7 +433,7 @@ def test_projected_predictions_match_conv1d_reference(monkeypatch, loss_mode, bp
     representations = M.ReaderModel.representations
 
     def reference(self, index, keep_prob=1.0, rng=None):
-        embedded = E.embed_cluster(index.flat_tokens, index.mention_token_set, self.table)
+        embedded = E.embed_cluster(index.flat_tokens, np.flatnonzero(index.mention_mask), self.table)
         return C.Tensor(reference_encode(embedded.data, index.doc_lengths, self.enc)[0])
 
     monkeypatch.setattr(M.ReaderModel, "representations", reference)
