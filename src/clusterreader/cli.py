@@ -98,13 +98,16 @@ def resolve_hyperparams(args) -> T.Hyperparams:
     if args.seed is not None:
         settings["seed"] = str(args.seed)
     hp = T.hyperparams_from_dict(settings)
+    if hp.bp_train_iters > 0:
+        asked.append("bp_train_iters")
     refuse_mention_level_aggregation(asked, hp.loss_mode)
     return hp
 
 
 def refuse_mention_level_aggregation(asked, loss_mode: str):
     """A mention-level model classifies mentions and pools no attention, so
-    no aggregation setting (asked: the flags and keys given) would reach it."""
+    no aggregation setting, nor BP in the loss, which runs on the pooled
+    masses, would reach it (asked: the flags and keys given)."""
     if asked and loss_mode == "mention_level":
         raise T.TrainingError(f"{asked[0]} does not apply to loss_mode=mention_level: "
                               "a mention-level model pools no attention")

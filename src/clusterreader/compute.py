@@ -236,11 +236,15 @@ def segment_pool(a: Tensor, segments, weights=None, take_max=None) -> Tensor:
     summed = ~take_max[col]
 
     def backward(g):
+        # one bincount over (row, index) cells: each cell adds its summed
+        # entries in segment order, then its max picks in column order
         g = g.reshape(out.shape)
-        ga = np.zeros_like(rows)
-        np.add.at(ga.T, idx[summed], (g[:, col[summed]] * w[summed]).T)
-        r = np.arange(rows.shape[0])[:, None]
-        np.add.at(ga, (r, picks[:, take_max]), g[:, take_max])
+        R, n = rows.shape
+        r = np.arange(R)[:, None] * n
+        cells = np.concatenate([(r + idx[summed]).ravel(), (r + picks[:, take_max]).ravel()])
+        weights = np.concatenate([(g[:, col[summed]] * w[summed]).ravel(),
+                                  g[:, take_max].ravel()])
+        ga = np.bincount(cells, weights=weights, minlength=R * n).astype(rows.dtype, copy=False)
         a.accumulate(ga.reshape(a.data.shape))
 
     return node(out.reshape(a.data.shape[:-1] + (len(segments),)), (a,), backward)

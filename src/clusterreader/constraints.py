@@ -19,8 +19,8 @@ grid's shape and null row. The null row has no value factor.
 
 A local potential is a probability: the caller's score matrix holds either
 probabilities already (value-level pooled attention masses, as
-model.mass_divisor scales them) or log-odds, whose sigmoid is taken
-(ConstraintGraph.from_scores).
+model.mass_divisor scales them) or log-odds, whose sigmoid model.bp_graph
+takes when it builds the grid.
 
 Messages are (true, false) pairs normalized to sum 1; we store only the
 true mass. The factor-to-variable update has the closed form
@@ -41,16 +41,18 @@ numpy calls over whole slices of the stack: both factor families into the
 from half, one combine into the to half, damping over all four at once.
 The per-direction names stay readable as views. A round returns its own
 largest message change (MessageState.delta, max |new - old| over the whole
-stack): converge stops on it, and since it is NaN or inf exactly when a
-message is, it is also the round's finiteness check; the four directions
-are scanned for the culprit's name only when it fails.
+stack): a converging schedule stops on it, and since it is NaN or inf
+exactly when a message is, it is also the round's finiteness check; the
+four directions are scanned for the culprit's name only when it fails.
 
-There is one BP implementation and one grid rule: both callers build the
-grid of a score matrix with model.bp_graph. Prediction runs these rounds on
-its grid (run_bp; values sorted, null last, unscored cells at MISSING_PHI);
-training runs the same undamped rounds on the mass grid of the loss's score
-matrix (run_bp_tensor) and differentiates them with one closed-form
-backward that walks the kept message states in reverse.
+There is one BP schedule and one grid rule. Every caller builds its grid
+with model.bp_graph and runs the rounds one generator yields (rounds: a
+fixed number of undamped rounds, or damped rounds to convergence). run_bp
+keeps the last state, for prediction's grid (values sorted, null last,
+unscored cells at MISSING_PHI); bp_trace keeps every state's beliefs; and
+run_bp_tensor keeps every state of the undamped rounds on the mass grid of
+training's score matrix, which its one closed-form backward walks in
+reverse.
 """
 
 from __future__ import annotations
@@ -81,16 +83,6 @@ class ConstraintGraph:
     slots: tuple        # column labels
     local: np.ndarray   # V x S potentials in (0,1)
     null_row: int | None
-
-    @classmethod
-    def from_scores(cls, phi, values, slots, null_row: int | None,
-                    masses: bool = False) -> "ConstraintGraph":
-        """The grid of a V x S score array: local = sigmoid(phi), or phi itself
-        when masses says the scores are probabilities already, clipped into
-        [EPS, 1-EPS]."""
-        local = np.asarray(phi, dtype=np.float64) if masses else _sigmoid(phi)
-        return cls(values=tuple(values), slots=tuple(slots),
-                   local=np.clip(local, EPS, 1 - EPS), null_row=null_row)
 
     @property
     def shape(self):
@@ -156,12 +148,6 @@ def _read_only(view: np.ndarray) -> np.ndarray:
     return view
 
 
-def _sigmoid(x):
-    x = np.asarray(x, dtype=np.float64)
-    return np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                    np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
-
-
 def init_messages(graph: ConstraintGraph) -> MessageState:
     msgs = np.empty((4,) + graph.shape)
     msgs[:2] = graph.local
@@ -183,12 +169,12 @@ def _factor_messages(ratio: np.ndarray, axis: int, c: float, out=None) -> np.nda
     return np.divide(1.0, rest, out=rest)
 
 
-def _combine(local: np.ndarray, other_t: np.ndarray, out=None, not_local=None) -> np.ndarray:
-    """Variable -> factor message: the local potential times the other factor's.
-
-    not_local is 1 - local when the caller already holds it."""
+def _combine(local: np.ndarray, not_local: np.ndarray, other_t: np.ndarray,
+             out=None) -> np.ndarray:
+    """Variable -> factor message: the local potential (true mass local,
+    false mass not_local) times the other factor's."""
     t = local * other_t
-    f = (1 - local if not_local is None else not_local) * (1 - other_t)
+    f = not_local * (1 - other_t)
     p = np.divide(t, t + f, out=out)
     return np.minimum(np.maximum(p, EPS), 1 - EPS, out=out)
 
@@ -209,7 +195,7 @@ def bp_iterate(state: MessageState, graph: ConstraintGraph, damping: float = 0.0
     _factor_messages(ratio[1], 1, graph.value_constant, out=new[2])  # value factors: from_col
     if graph.null_row is not None:
         new[2, graph.null_row, :] = 0.5
-    _combine(graph.local, new[2:], out=new[:2], not_local=graph.not_local)
+    _combine(graph.local, graph.not_local, new[2:], out=new[:2])
     if damping:
         np.multiply(new, 1 - damping, out=new)
         change = np.multiply(damping, old)
@@ -236,55 +222,51 @@ def beliefs(state: MessageState, graph: ConstraintGraph) -> np.ndarray:
 CONV_DAMPING = 0.3
 
 
-def converge(graph: ConstraintGraph) -> tuple[MessageState, float]:
-    """Damped rounds until the largest message change is below tolerance.
+def rounds(graph: ConstraintGraph, iterations):
+    """The message states of BP on graph: init_messages' state, then one
+    state per round.
 
-    Undamped synchronous updates can enter period-2 cycles on dense grids;
-    damping (0.3) removes them without changing the fixed point. Returns
-    the final state and last delta (below CONV_TOL unless the cap hit).
+    An integer count runs that many undamped rounds. CONVERGENCE runs
+    damped rounds (CONV_DAMPING) until the largest message change is below
+    CONV_TOL, or CONV_CAP rounds: undamped synchronous updates can enter
+    period-2 cycles on dense grids, and damping removes them without moving
+    the fixed point.
     """
+    converge = iterations == CONVERGENCE
+    if not converge and iterations < 0:
+        raise ConstraintError(f"negative iteration count {iterations}")
+    damping = CONV_DAMPING if converge else 0.0
     state = init_messages(graph)
-    for _ in range(CONV_CAP):
-        state = bp_iterate(state, graph, damping=CONV_DAMPING)
-        if state.delta < CONV_TOL:
-            break
-    return state, state.delta
+    yield state
+    for _ in range(CONV_CAP if converge else iterations):
+        state = bp_iterate(state, graph, damping)
+        yield state
+        if converge and state.delta < CONV_TOL:
+            return
 
 
 def run_bp(graph: ConstraintGraph, iterations) -> np.ndarray:
-    """Beliefs after a fixed number of rounds, or to convergence.
-
-    iterations=0 returns the locals unchanged; CONVERGENCE runs
-    damped rounds until the largest message change is below 1e-6 (cap 100).
-    """
-    if iterations == 0:
-        return graph.local.copy()
-    if iterations == CONVERGENCE:
-        state, _ = converge(graph)
-    else:
-        if iterations < 0:
-            raise ConstraintError(f"negative iteration count {iterations}")
-        state = init_messages(graph)
-        for _ in range(iterations):
-            state = bp_iterate(state, graph)
+    """Beliefs after the last of rounds(graph, iterations). At iterations=0
+    they are the locals exactly: both factor messages are 0.5, and l + (1 - l)
+    rounds to 1 for every local l."""
+    for state in rounds(graph, iterations):
+        pass
     return beliefs(state, graph)
 
 
-def bp_trace(graph: ConstraintGraph, iterations: int, path):
-    """CSV dump of the belief trajectory: iteration, value, slot, belief."""
-    if iterations < 0:
-        raise ConstraintError(f"negative iteration count {iterations}")
-    state = init_messages(graph)
+def bp_trace(graph: ConstraintGraph, iterations, path):
+    """CSV dump of the belief trajectory: iteration, value, slot, belief.
+
+    The trajectory is computed before the file is opened, so a bad count
+    writes nothing."""
+    trajectory = [beliefs(state, graph) for state in rounds(graph, iterations)]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["iteration", "value", "slot", "belief"])
-        for it in range(iterations + 1):
-            b = beliefs(state, graph)
+        for it, b in enumerate(trajectory):
             for i, v in enumerate(graph.values):
                 for j, s in enumerate(graph.slots):
                     writer.writerow([it, v, s, f"{b[i, j]:.10f}"])
-            if it < iterations:
-                state = bp_iterate(state, graph)
 
 
 # ---------------------------------------------------------------------------
@@ -297,13 +279,12 @@ def run_bp_tensor(scores: C.Tensor, graph: ConstraintGraph, iterations: int) -> 
 
     graph is the V x S mass grid of scores (model.bp_graph with masses=True),
     whose locals are the scores clipped into [EPS, 1-EPS]. The forward is
-    init_messages, bp_iterate and beliefs, so it equals run_bp there; the
-    backward is one node whose closure walks the kept message states in
-    reverse (_bp_adjoint).
+    rounds and beliefs, so it equals run_bp there; the backward is one node
+    whose closure walks the kept message states in reverse (_bp_adjoint).
     """
-    states = [init_messages(graph)]
-    for _ in range(iterations):
-        states.append(bp_iterate(states[-1], graph))
+    if iterations == CONVERGENCE:
+        raise ConstraintError("the BP backward takes a fixed number of undamped rounds")
+    states = list(rounds(graph, iterations))
 
     def backward(g):
         scores.accumulate(_bp_adjoint(graph, states, g.T).T)

@@ -4,19 +4,21 @@ Ties the component modules together around a per-cluster token index. One
 dense matrix flows from attention to the loss: the scorer gives an S x n
 attention matrix (one row per scoring slot), the aggregator pools it into an
 S x K value score matrix, and training reads each slot's gold mass from that.
-Its K columns are the cluster's mentioned values plus the null value, sorted
-as strings (ClusterIndex.columns). No forward pass takes gold labels; only
-training's losses read them.
+Training's K columns are the cluster's mentioned values plus the null value,
+sorted as strings (ClusterIndex.columns). No forward pass takes gold labels;
+only training's losses read them.
 
-Prediction works on one S x V grid per cluster (prediction_scores): the
-same matrix with its columns in grid order, the mentioned values sorted and
-then null (ClusterIndex.grid_columns), or the mention-level baseline's
-pooled probabilities in that order, NaN where a cell has no score. BP runs
-on that grid (prediction_graph): a value-level mass, as a share of its slot
-row (mass_divisor), is its cell's local potential, a mention-level score
-the log-odds of it; training's BP runs on the same mass grid. Decoding,
-ranking and the {slot: {value: score}} record are read off the grid once
-(prediction_record).
+The caller names the columns it pools (value_scores): each column reads
+only its own tokens, so any order pools the same numbers. Prediction works
+on one S x V grid per cluster (prediction_scores), pooled straight in grid
+order, the mentioned values sorted and then null
+(ClusterIndex.grid_columns), or the mention-level baseline's pooled
+probabilities in that order, NaN where a cell has no score. Every BP grid
+is built by bp_graph: a value-level mass, as a share of its slot row
+(mass_divisor), is its cell's local potential, a mention-level score the
+log-odds of it; training's BP runs on the same mass grid, in training's
+column order. Decoding, ranking and the {slot: {value: score}} record are
+read off the grid once (prediction_record).
 
 Training and prediction encode alike: they embed only the cluster's
 distinct rows (ClusterIndex.distinct_tokens, every mention token one mask
@@ -154,16 +156,16 @@ class ReaderModel:
     def token_scores(self, R: C.Tensor, slots) -> C.Tensor:
         return S.score_tokens(R, [self.pi[s] for s in slots])
 
-    def value_scores(self, index: ClusterIndex, config: agg.AggregationConfig,
+    def value_scores(self, index: ClusterIndex, config: agg.AggregationConfig, columns,
                      keep_prob: float = 1.0, rng=None) -> C.Tensor:
-        """Differentiable S x K scores: scoring slots by index.columns(null_enabled)."""
+        """Differentiable S x K scores: scoring slots by columns (index.columns
+        or index.grid_columns), each pooled from its own segment alone."""
         R = self.representations(index, keep_prob=keep_prob, rng=rng)
         U = self.token_scores(R, self.scoring_slots())
         if config.mode == "per-doc":
             A = agg.per_document_attention(U, index.doc_lengths)
         else:
             A = S.attend(U)
-        columns = index.columns(config.null_enabled)
         segments = index.segments(columns)
         if config.mode == "max":
             null_col = columns.index(NULL_VALUE) if config.null_enabled else None
@@ -201,9 +203,7 @@ def prediction_scores(model: ReaderModel, index: ClusterIndex, config: agg.Aggre
     if mention_decode is not None:
         return _mention_scores(model, index, mention_decode)
     values = index.grid_columns(config.null_enabled)
-    col = {v: k for k, v in enumerate(index.columns(config.null_enabled))}
-    scores = model.value_scores(index, config).data
-    return values, scores[:, [col[v] for v in values]]
+    return values, model.value_scores(index, config, values).data
 
 
 def _mention_scores(model: ReaderModel, index: ClusterIndex,
@@ -241,13 +241,20 @@ def bp_graph(values, slots, scores: np.ndarray, masses: bool = False) -> K.Const
     """The V x S constraint grid of an S x V score matrix.
 
     The scores are read as log-odds, whose sigmoid is the local potential,
-    or with masses=True as probabilities, each its cell's local. A NaN cell
-    reads MISSING_PHI, so its local potential is effectively zero on either
-    scale.
+    or with masses=True as probabilities, each its cell's local; locals are
+    clipped into [EPS, 1-EPS]. A NaN cell reads MISSING_PHI, so its local
+    potential is effectively zero on either scale.
     """
     phi = np.where(np.isnan(scores), K.MISSING_PHI, scores).T
+    local = phi if masses else _sigmoid(phi)
     null_row = values.index(NULL_VALUE) if NULL_VALUE in values else None
-    return K.ConstraintGraph.from_scores(phi, values, slots, null_row, masses=masses)
+    return K.ConstraintGraph(values=tuple(values), slots=tuple(slots),
+                             local=np.clip(local, K.EPS, 1 - K.EPS), null_row=null_row)
+
+
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    return np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
+                    np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
 
 
 def mass_divisor(index: ClusterIndex, config: agg.AggregationConfig) -> int:

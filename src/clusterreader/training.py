@@ -197,10 +197,11 @@ def cluster_loss(model: ReaderModel, cluster: cp.Cluster, hp: Hyperparams, rng=N
     if hp.loss_mode == "mention_level":
         logits = model.mention_slot_logits(index, keep_prob=hp.keep_prob, rng=rng)
         return mention_loss(logits, index, cluster.gold, list(model.pi))
-    scores = model.value_scores(index, hp.aggregation, keep_prob=hp.keep_prob, rng=rng)
+    columns = index.columns(hp.aggregation.null_enabled)
+    scores = model.value_scores(index, hp.aggregation, columns, keep_prob=hp.keep_prob,
+                                rng=rng)
     if scores.shape[1] == 0:    # no mentions and no null column: nothing to score
         return None
-    columns = index.columns(hp.aggregation.null_enabled)
     slots = model.scoring_slots()
     if hp.bp_train_iters > 0:
         scores = C.scale(scores, 1.0 / mass_divisor(index, hp.aggregation))

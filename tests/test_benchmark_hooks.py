@@ -90,10 +90,12 @@ _CLUSTERS, _ = sy.generate(sy.SynthConfig(n_clusters=3, docs_min=2, docs_max=3, 
 def test_training_hooks_read_what_they_expect(monkeypatch, bp_train_iters):
     # run.py's train hooks: the step clock after adam_step, the cluster id
     # from cluster_loss's second argument and its loss's item(), the graph
-    # size from backward's first argument, and the beliefs run_bp_tensor returns
+    # size from backward's first argument, the beliefs run_bp_tensor returns,
+    # and one bp_iterate call per round it runs
     calls = {t: _hook(monkeypatch, t) for t in ("compute:adam_step", "compute:backward",
                                                 "training:cluster_loss",
-                                                "constraints:run_bp_tensor")}
+                                                "constraints:run_bp_tensor",
+                                                "constraints:bp_iterate")}
     hp = T.Hyperparams(embed_dim=8, width1=3, width2=2, d1=4, r=4, max_epochs=1,
                        bp_train_iters=bp_train_iters)
     T.train(_CLUSTERS, [], hp)
@@ -111,18 +113,27 @@ def test_training_hooks_read_what_they_expect(monkeypatch, bp_train_iters):
     assert len(beliefs) == (len(_CLUSTERS) if bp_train_iters else 0)
     assert all(isinstance(b, C.Tensor) and np.all((b.data >= 0) & (b.data <= 1))
                for b in beliefs)
+    rounds = [args[0].iteration for args, _ in calls["constraints:bp_iterate"]]
+    assert rounds == list(range(bp_train_iters)) * len(beliefs)
 
 
 def test_prediction_hooks_read_what_they_expect(monkeypatch):
-    # run.py's predict hooks: one count per bp_iterate round, and records it
-    # checks for every scoring slot and beliefs in [0, 1]
-    rounds = _hook(monkeypatch, "constraints:bp_iterate")
+    # run.py's predict hooks: one count per bp_iterate round, exactly as many
+    # as the converged schedule yields, and records it checks for every
+    # scoring slot and beliefs in [0, 1]
     hp = T.Hyperparams(embed_dim=8, width1=3, width2=2, d1=4, r=4)
     vocab = [t for c in _CLUSTERS for d in c.documents for t in d.flat_tokens()]
     model = M.init_model(vocab, hp, np.random.default_rng(3))
+    index = M.ClusterIndex.build(_CLUSTERS[0])
+    values, scores = M.prediction_scores(model, index, hp.aggregation)
+    graph = M.prediction_graph(model, index, hp.aggregation, values, scores)
+    n_rounds = len(list(K.rounds(graph, K.CONVERGENCE))) - 1
+    rounds = _hook(monkeypatch, "constraints:bp_iterate")
     record = M.predict_clusters(model, _CLUSTERS[:1], hp.aggregation,
                                 bp_iterations=K.CONVERGENCE)[0]
-    assert rounds and all(isinstance(args[0], K.MessageState) for args, _ in rounds)
+    assert n_rounds > 1
+    assert all(isinstance(args[0], K.MessageState) for args, _ in rounds)
+    assert [args[0].iteration for args, _ in rounds] == list(range(n_rounds))
     assert set(record["predictions"]) == set(model.scoring_slots())
     assert all(0.0 <= v <= 1.0 for vals in record["scores"].values() for v in vals.values())
 

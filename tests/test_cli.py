@@ -544,6 +544,22 @@ def test_aggregation_key_with_mention_level_training_exits_3(pipeline, tmp_path,
         assert not ckpt.exists()
 
 
+def test_bp_train_iters_with_mention_level_training_exits_3(pipeline, tmp_path, capsys):
+    # the mention loss runs no BP, so the setting would be logged and ignored;
+    # the library still accepts the pair
+    ckpt = tmp_path / "m.json"
+    config = tmp_path / "bp.cfg"
+    config.write_text("bp_train_iters = 3\n")
+    for flags in (["--set", "bp_train_iters=3"], ["--config", str(config)]):
+        code = cli.run(["train", "--corpus", pipeline["train"], "--checkpoint", str(ckpt),
+                        "--set", "loss_mode=mention_level"] + TINY + flags)
+        assert code == 3
+        last = capsys.readouterr().err.strip().splitlines()[-1]
+        assert "bp_train_iters does not apply to loss_mode=mention_level" in last
+        assert not ckpt.exists()
+    T.Hyperparams(loss_mode="mention_level", bp_train_iters=3)
+
+
 @pytest.mark.parametrize("mode", ["bogus", "date"])
 @pytest.mark.parametrize("command", ["train", "predict", "bp-trace"])
 def test_unknown_aggregation_mode_exits_3(pipeline, tmp_path, capsys, command, mode):

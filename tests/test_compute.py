@@ -161,6 +161,57 @@ def test_segment_pool_equals_per_row_reduction(data):
     assert_allclose(a_t.grad, grad, rtol=1e-12)
 
 
+def add_at_pool_grad(a, segments, g, weights=None, take_max=None):
+    """segment_pool's input gradient as two np.add.at scatters: every summed
+    entry in segment order, then each row's max picks in column order."""
+    rows = a.reshape(-1, a.shape[-1])
+    g = g.reshape(rows.shape[0], len(segments))
+    segments = [np.asarray(seg, dtype=np.intp) for seg in segments]
+    idx = np.concatenate(segments) if segments else np.zeros(0, dtype=np.intp)
+    col = np.repeat(np.arange(len(segments)), [seg.size for seg in segments])
+    take_max = np.zeros(len(segments), dtype=bool) if take_max is None \
+        else np.asarray(take_max, dtype=bool)
+    w = np.ones(rows.shape[1]) if weights is None else np.asarray(weights)
+    picks = np.array([[seg[np.argmax(row[seg] * w[seg])] for seg, m in zip(segments, take_max)
+                       if m] for row in rows], dtype=np.intp).reshape(rows.shape[0], -1)
+    summed = ~take_max[col]
+    ga = np.zeros_like(rows)
+    np.add.at(ga.T, idx[summed], (g[:, col[summed]] * w[idx[summed]]).T)
+    np.add.at(ga, (np.arange(rows.shape[0])[:, None], picks), g[:, take_max])
+    return ga.reshape(a.shape)
+
+
+@pytest.mark.parametrize("case", ["sum", "topic", "max-with-null", "value-loss", "empty",
+                                  "no-segments"])
+def test_segment_pool_grad_equals_add_at_scatter(case):
+    # one bincount adds each cell's contributions in the order the two
+    # np.add.at scatters did, so the gradient is bit-equal; tokens shared
+    # by two columns and repeated within one make that order matter
+    rng = np.random.default_rng(16)
+    a = np.round(rng.normal(size=(4, 9)), 1)      # ties for the max
+    segments = [[4, 0, 7, 4], [1], [2, 3, 0, 6, 8], []]
+    weights = take_max = None
+    if case == "topic":
+        weights = rng.uniform(0.0, 2.0, size=9) * (rng.random(9) < 0.7)
+    elif case == "max-with-null":
+        segments = [[4, 0, 7], [1, 5], [2, 3, 0, 6, 8]]
+        take_max = [True, True, False]
+    elif case == "value-loss":
+        a = rng.uniform(0.05, 0.95, size=6)        # take_pairs' gathered masses
+        segments = [range(0, 2), range(2, 3), range(3, 6)]
+    elif case == "empty":
+        segments = [[], []]
+    elif case == "no-segments":
+        segments = []
+    a_t = C.Tensor(a)
+    out = C.segment_pool(a_t, segments, weights, take_max)
+    g = rng.normal(size=out.shape)
+    out._backward(g)
+    want = add_at_pool_grad(a, segments, g, weights, take_max)
+    assert a_t.grad.dtype == np.float64
+    assert np.array_equal(a_t.grad, want)
+
+
 def test_segment_pool_rejects_bad_groups():
     a = C.Tensor(np.zeros((2, 3)))
     with pytest.raises(C.ComputeError):

@@ -28,8 +28,13 @@ def grid_graph(local):
     local = np.asarray(local, dtype=np.float64)
     V, S = local.shape
     phi = np.vectorize(logit)(local)
-    return K.ConstraintGraph.from_scores(phi, [f"v{i}" for i in range(V)],
-                                         [f"s{j}" for j in range(S)], None)
+    return M.bp_graph([f"v{i}" for i in range(V)], [f"s{j}" for j in range(S)], phi.T)
+
+
+def converged(graph):
+    """The last message state of converged BP on graph."""
+    *_, state = K.rounds(graph, K.CONVERGENCE)
+    return state
 
 
 def brute_force_oracle(local, null_row=None):
@@ -251,9 +256,13 @@ def test_true_mass_closed_form_identity():
 def test_variable_to_factor():
     # a variable's message to one factor: its local times the other factor's message
     other = column_message([0.8, 0.3, 0.1], 0)
-    assert_allclose(K._combine(np.array(0.5), np.array(other)), other, atol=1e-12)
-    assert_allclose(K._combine(np.array(0.73), np.array(0.5)), 0.73, atol=1e-12)
-    assert K._combine(np.array(1 - 1e-9), np.array(0.4)) > 0.999999
+
+    def combine(local, other_t):
+        return K._combine(np.array(local), 1 - np.array(local), np.array(other_t))
+
+    assert_allclose(combine(0.5, other), other, atol=1e-12)
+    assert_allclose(combine(0.73, 0.5), 0.73, atol=1e-12)
+    assert combine(1 - 1e-9, 0.4) > 0.999999
 
 
 def test_bp_fixed_point_is_stable():
@@ -348,8 +357,8 @@ def predict_corpus_grids():
 def test_converge_stops_below_the_cap_on_prediction_grids(predict_corpus_grids):
     for _, graph in predict_corpus_grids:
         assert graph.shape[0] > graph.shape[1] and graph.value_constant == 2.0
-        state, delta = K.converge(graph)
-        assert state.iteration < K.CONV_CAP and delta < K.CONV_TOL
+        state = converged(graph)
+        assert state.iteration < K.CONV_CAP and state.delta < K.CONV_TOL
 
 
 def test_prediction_locals_are_each_slots_share_of_its_mass(predict_corpus_grids):
@@ -368,15 +377,15 @@ def test_convergence_mode_terminates_on_random_grids():
     rng = np.random.default_rng(73)
     for _ in range(5):
         g = grid_graph(rng.uniform(0.05, 0.95, size=(8, 8)))
-        st, delta = K.converge(g)
-        assert delta < K.CONV_TOL, "did not converge inside the cap"
+        st = converged(g)
+        assert st.delta < K.CONV_TOL, "did not converge inside the cap"
         assert st.iteration <= K.CONV_CAP
         assert np.all(np.isfinite(K.beliefs(st, g)))
 
 
 def test_damping_preserves_fixed_points():
     g = grid_graph([[0.9, 0.6], [0.4, 0.2]])
-    st, _ = K.converge(g)
+    st = converged(g)
     undamped = K.bp_iterate(st, g, damping=0.0)
     for name in ("to_row", "to_col", "from_row", "from_col"):
         assert_allclose(getattr(undamped, name), getattr(st, name), atol=1e-5)
@@ -513,8 +522,8 @@ def test_converged_top1_agrees_with_map_matching_on_large_grids(kind, floor):
     agree = total = 0
     for _ in range(200):
         g = _random_grid(rng, 20, 8, 19, kind)
-        state, delta = K.converge(g)
-        assert delta < K.CONV_TOL
+        state = converged(g)
+        assert state.delta < K.CONV_TOL
         agree += int(np.sum(K.beliefs(state, g).argmax(axis=0) == map_matching(g.local, 19)))
         total += 8
     assert agree >= floor * total, f"{agree}/{total} slots agree with the MAP matching"
@@ -564,6 +573,50 @@ def test_bp_trace_csv(tmp_path):
     assert len(lines) == 1 + 3 * 4  # header + (iterations+1) * V*S
     first = lines[1].split(",")
     assert first[0] == "0" and abs(float(first[3]) - 0.9) < 1e-9
+
+
+@pytest.mark.parametrize("iterations", [0, 1, 2, 3, K.CONVERGENCE])
+def test_every_caller_runs_the_one_schedule(iterations, tmp_path):
+    # run_bp keeps the last state rounds yields, bp_trace every state's
+    # beliefs and run_bp_tensor every state, bit for bit
+    rng = np.random.default_rng(86)
+    path = tmp_path / "trace.csv"
+    for V, S, null_row in ((5, 3, 4), (3, 3, None), (2, 4, None), (6, 2, 1)):
+        values = [NULL_VALUE if i == null_row else f"v{i}" for i in range(V)]
+        slots = [f"s{j}" for j in range(S)]
+        masses = rng.dirichlet(np.full(V, 0.5), size=S)
+        g = M.bp_graph(values, slots, masses, masses=True)
+        states = list(K.rounds(g, iterations))
+        assert [state.iteration for state in states] == list(range(len(states)))
+        if iterations == K.CONVERGENCE:
+            assert states[-1].delta < K.CONV_TOL <= min(state.delta for state in states[:-1])
+        else:
+            assert len(states) == iterations + 1
+        b = K.run_bp(g, iterations)
+        assert np.array_equal(b, K.beliefs(states[-1], g))
+        if iterations == 0:
+            assert np.array_equal(b, g.local)
+        K.bp_trace(g, iterations, path)
+        rows = path.read_text().splitlines()[1:]
+        assert rows == [f"{state.iteration},{v},{s},{K.beliefs(state, g)[i, j]:.10f}"
+                        for state in states for i, v in enumerate(values)
+                        for j, s in enumerate(slots)]
+        if iterations != K.CONVERGENCE:
+            assert np.array_equal(K.run_bp_tensor(C.Tensor(masses), g, iterations).data.T, b)
+        else:   # its backward has no damping term
+            with pytest.raises(K.ConstraintError, match="fixed number of undamped rounds"):
+                K.run_bp_tensor(C.Tensor(masses), g, iterations)
+
+
+def test_a_negative_count_raises_from_every_caller(tmp_path):
+    g = grid_graph([[0.9, 0.6], [0.4, 0.2]])
+    path = tmp_path / "trace.csv"
+    for call in (lambda: list(K.rounds(g, -1)), lambda: K.run_bp(g, -1),
+                 lambda: K.bp_trace(g, -1, path),
+                 lambda: K.run_bp_tensor(C.Tensor(g.local.T), g, -1)):
+        with pytest.raises(K.ConstraintError, match="negative iteration count -1"):
+            call()
+    assert not path.exists()
 
 
 def mass_grid(masses, null_col=None):
@@ -782,10 +835,10 @@ def test_bp_iterate_matches_reference_round_bit_for_bit(data):
 @given(st.data())
 def test_converge_matches_reference_round_count_and_delta(data):
     graph = draw_grid(data)
-    state, delta = K.converge(graph)
+    state = converged(graph)
     ref, rounds, ref_delta = reference_converge(graph)
     assert state.iteration == rounds
-    assert delta == ref_delta
+    assert state.delta == ref_delta
     for n in NAMES:
         assert np.array_equal(getattr(state, n), ref[n]), n
 
@@ -800,6 +853,15 @@ def test_beliefs_lie_in_unit_interval(data):
     iterations = data.draw(st.sampled_from((0, 1, 2, 3, K.CONVERGENCE)), label="iterations")
     b = K.run_bp(graph, iterations)
     assert np.all(np.isfinite(b)) and np.all(b > 0) and np.all(b <= 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_zero_rounds_give_the_locals_exactly(data):
+    # run_bp has no zero-round branch: the initial state's beliefs are the
+    # locals bit for bit, clipped and missing cells included
+    graph = draw_grid(data, max_phi=30.0)
+    assert np.array_equal(K.run_bp(graph, 0), graph.local)
 
 
 @settings(max_examples=100, deadline=None)

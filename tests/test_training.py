@@ -289,10 +289,45 @@ def test_value_table_masses_partition_attention():
     model = M.init_model([t for d in c.documents for t in d.flat_tokens()],
                          hp, np.random.default_rng(1))
     index = M.ClusterIndex.build(c)
-    scores = model.value_scores(index, hp.aggregation)
+    scores = model.value_scores(index, hp.aggregation, index.columns(True))
     assert index.columns(True) == sorted(["fifty", "acme", "nine", NULL_VALUE])
     assert scores.shape == (len(model.scoring_slots()), 4)
     assert np.abs(scores.data.sum(axis=1) - 1.0).max() < 1e-9
+
+
+def mixed_order_cluster():
+    """The crash cluster with an empty middle document and a value id that
+    sorts before the null value: training's columns put null between the
+    values, prediction's grid puts it last."""
+    d0, d1 = crash_cluster().documents
+    d2 = make_doc("d2", 2, ["the", "acme", "crash", "killed", "fifty", "not", "NINE"],
+                  [(1, 2, "acme", "airline"), (4, 5, "fifty", "number"),
+                   (6, 7, "NINE", "number")])
+    gold = {s: () for s in cp.EVAL_SLOTS}
+    c = cp.Cluster(cluster_id="c", split="train", gold=gold,
+                   candidate_values=("fifty", "acme", "NINE"),
+                   documents=(d0, cp.Document("d1", 1, (), ()), d2))
+    cp.validate_cluster(c)
+    return c
+
+
+@pytest.mark.parametrize("null_enabled", [True, False])
+@pytest.mark.parametrize("mode", MODES)
+def test_grid_order_pooling_equals_training_order_reindexed(mode, null_enabled):
+    # a column's sum, weighted sum or max reads only its own tokens, so
+    # pooling straight into grid order is training's order reindexed, bit for bit
+    c = mixed_order_cluster()
+    model = M.init_model([t for d in c.documents for t in d.flat_tokens()],
+                         tiny_hp(), np.random.default_rng(2))
+    config = AggregationConfig(mode=mode, null_enabled=null_enabled)
+    index = M.ClusterIndex.build(c)
+    train_cols, grid_cols = index.columns(null_enabled), index.grid_columns(null_enabled)
+    assert sorted(train_cols) == sorted(grid_cols)
+    assert (train_cols == grid_cols) == (not null_enabled)
+    trained = model.value_scores(index, config, train_cols).data
+    grid = model.value_scores(index, config, grid_cols).data
+    assert np.array_equal(grid, trained[:, [train_cols.index(v) for v in grid_cols]])
+    assert np.array_equal(M.prediction_scores(model, index, config)[1], grid)
 
 
 def test_predict_cluster_covers_all_slots():
