@@ -59,12 +59,14 @@ def log(msg: str):
     print(f"[clusterreader] {msg}", file=sys.stderr)
 
 
-def parse_bp(raw: str):
+def parse_bp(raw: str, flag: str = "--bp"):
+    """A round count or 'conv', from predict's --bp or bp-trace's --iterations."""
     if raw == K.CONVERGENCE:
         return K.CONVERGENCE
     if raw.isdigit():
         return int(raw)
-    raise K.ConstraintError(f"--bp expects an iteration count or 'conv', got {raw!r}")
+    raise K.ConstraintError(
+        f"{flag} expects a non-negative iteration count or 'conv', got {raw!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -191,8 +193,10 @@ def cmd_eval(args) -> int:
 
 
 def cmd_bp_trace(args) -> int:
+    iterations = parse_bp(args.iterations, "--iterations")
     model, config, decode = load_for_prediction(args)
-    log(f"bp-trace config: aggregation={config} mention_decode={decode}")
+    log(f"bp-trace config: aggregation={config} iterations={iterations} "
+        f"mention_decode={decode}")
     clusters = cp.load_clusters(args.corpus)
     wanted = [c for c in clusters if c.cluster_id == args.cluster_id] \
         if args.cluster_id else clusters[:1]
@@ -204,9 +208,8 @@ def cmd_bp_trace(args) -> int:
         raise cp.CorpusError(f"cluster {cluster.cluster_id} has no mentions to trace")
     values, scores = M.prediction_scores(model, index, config, decode)
     graph = M.prediction_graph(model, index, config, values, scores, decode)
-    K.bp_trace(graph, args.iterations, args.out)
-    log(f"wrote {args.iterations}-iteration belief trace for "
-        f"{cluster.cluster_id} to {args.out}")
+    rounds = K.bp_trace(graph, iterations, args.out)
+    log(f"wrote a {rounds}-round belief trace for {cluster.cluster_id} to {args.out}")
     return 0
 
 
@@ -312,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--corpus", required=True)
     p.add_argument("--cluster-id", default=None)
-    p.add_argument("--iterations", type=int, default=2)
+    p.add_argument("--iterations", default="2", help="BP rounds: 0, 1, 2, ... or conv")
     p.add_argument("--aggregation", default=None,
                    help=f"{MODE_HELP}; as for predict; a mention_level checkpoint traces "
                         "its sum decode")

@@ -6,6 +6,8 @@ Boolean variables X[v,s] with a local potential each, an Exactly-1 factor
 across the values of every slot, and a factor across the slots of every
 non-null value. Synchronous message passing for a fixed number of rounds
 (or to convergence) sharpens the beliefs so duplicate assignments lose out.
+A round is the undamped recurrence the paper runs BP as; only a converging
+run damps, and only once its message change stops falling.
 
 The value factors are At-Most-1: a value fills at most one slot, as in
 bipartite matching, and a grid with more values than slots still has valid
@@ -47,12 +49,12 @@ four directions are scanned for the culprit's name only when it fails.
 
 There is one BP schedule and one grid rule. Every caller builds its grid
 with model.bp_graph and runs the rounds one generator yields (rounds: a
-fixed number of undamped rounds, or damped rounds to convergence). run_bp
-keeps the last state, for prediction's grid (values sorted, null last,
-unscored cells at MISSING_PHI); bp_trace keeps every state's beliefs; and
-run_bp_tensor keeps every state of the undamped rounds on the mass grid of
-training's score matrix, which its one closed-form backward walks in
-reverse.
+fixed number of undamped rounds, or rounds to convergence, undamped until
+the message change stalls and damped after). run_bp keeps the last state,
+for prediction's grid (values sorted, null last, unscored cells at
+MISSING_PHI); bp_trace keeps every state's beliefs; and run_bp_tensor keeps
+every state of the undamped rounds on the mass grid of training's score
+matrix, which its one closed-form backward walks in reverse.
 """
 
 from __future__ import annotations
@@ -183,10 +185,11 @@ def bp_iterate(state: MessageState, graph: ConstraintGraph, damping: float = 0.0
     """One synchronous round: all factor messages, then all variable messages.
 
     damping mixes the new messages with the previous ones (new = (1-d)*new +
-    d*old). It never moves the fixed points, only the trajectory; fixed
-    iteration counts use d=0 so each round is exactly one recurrence. The
-    input state is left unchanged; the returned one carries the round's
-    largest message change, which is NaN or inf exactly when a message is.
+    d*old). It never moves the fixed points, only the trajectory; rounds
+    uses d=0, so each round is exactly one recurrence, except that a run to
+    convergence switches to CONV_DAMPING once the change stalls. The input
+    state is left unchanged; the returned one carries the round's largest
+    message change, which is NaN or inf exactly when a message is.
     """
     old = state.msgs
     new = np.empty_like(old)
@@ -227,22 +230,30 @@ def rounds(graph: ConstraintGraph, iterations):
     state per round.
 
     An integer count runs that many undamped rounds. CONVERGENCE runs
-    damped rounds (CONV_DAMPING) until the largest message change is below
-    CONV_TOL, or CONV_CAP rounds: undamped synchronous updates can enter
-    period-2 cycles on dense grids, and damping removes them without moving
-    the fixed point.
+    rounds until the largest message change is below CONV_TOL, or CONV_CAP
+    rounds. They start undamped, the same round a count runs; from the first
+    round whose change is not below the previous round's, the rest are
+    damped (CONV_DAMPING). Undamped synchronous updates can enter period-2
+    cycles on dense grids, and damping removes them without moving the
+    fixed point, but on a grid that does not cycle it only slows the
+    approach: there undamped rounds reach the fixed point in about half as
+    many rounds.
     """
     converge = iterations == CONVERGENCE
     if not converge and iterations < 0:
         raise ConstraintError(f"negative iteration count {iterations}")
-    damping = CONV_DAMPING if converge else 0.0
+    damping = 0.0
     state = init_messages(graph)
     yield state
     for _ in range(CONV_CAP if converge else iterations):
+        previous = state.delta
         state = bp_iterate(state, graph, damping)
         yield state
-        if converge and state.delta < CONV_TOL:
-            return
+        if converge:
+            if state.delta < CONV_TOL:
+                return
+            if state.delta >= previous:
+                damping = CONV_DAMPING
 
 
 def run_bp(graph: ConstraintGraph, iterations) -> np.ndarray:
@@ -256,6 +267,7 @@ def run_bp(graph: ConstraintGraph, iterations) -> np.ndarray:
 
 def bp_trace(graph: ConstraintGraph, iterations, path):
     """CSV dump of the belief trajectory: iteration, value, slot, belief.
+    Returns the number of rounds traced.
 
     The trajectory is computed before the file is opened, so a bad count
     writes nothing."""
@@ -267,6 +279,7 @@ def bp_trace(graph: ConstraintGraph, iterations, path):
             for i, v in enumerate(graph.values):
                 for j, s in enumerate(graph.slots):
                     writer.writerow([it, v, s, f"{b[i, j]:.10f}"])
+    return len(trajectory) - 1
 
 
 # ---------------------------------------------------------------------------

@@ -845,6 +845,33 @@ def test_bp_trace_negative_iterations_exits_3(pipeline, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_bp_trace_to_convergence_ends_at_predict_conv_scores(pipeline, tmp_path, capsys):
+    trace, pred = tmp_path / "t.csv", tmp_path / "p.json"
+    assert cli.run(["bp-trace", "--checkpoint", pipeline["ckpt"], "--corpus",
+                    pipeline["test"], "--iterations", "conv", "--out", str(trace)]) == 0
+    assert cli.run(["predict", "--checkpoint", pipeline["ckpt"], "--corpus",
+                    pipeline["test"], "--bp", "conv", "--out", str(pred)]) == 0
+    rows = [line.split(",") for line in trace.read_text().strip().splitlines()[1:]]
+    rounds = int(rows[-1][0])
+    assert rounds > 0
+    assert f"wrote a {rounds}-round belief trace" in capsys.readouterr().err
+    cluster = cp.load_clusters(pipeline["test"])[0]
+    scores = _predictions(str(pred))[cluster.cluster_id]["scores"]
+    last = {(slot, value): belief for it, value, slot, belief in rows if int(it) == rounds}
+    assert last == {(slot, value): f"{x:.10f}" for slot, by_value in scores.items()
+                    for value, x in by_value.items()}
+
+
+@pytest.mark.parametrize("bad", ["wat", "1.5", "conv2"])
+def test_bp_trace_bad_iterations_exits_3(pipeline, tmp_path, capsys, bad):
+    out = tmp_path / "t.csv"
+    code = cli.run(["bp-trace", "--checkpoint", pipeline["ckpt"], "--corpus",
+                    pipeline["test"], "--iterations", bad, "--out", str(out)])
+    assert code == 3
+    assert "--iterations expects" in capsys.readouterr().err.strip().splitlines()[-1]
+    assert not out.exists()
+
+
 def test_bp_trace_unknown_cluster_exits_3(pipeline, tmp_path):
     code = cli.run(["bp-trace", "--checkpoint", pipeline["ckpt"], "--corpus",
                     pipeline["test"], "--cluster-id", "ghost",

@@ -15,7 +15,8 @@ from clusterreader import constraints as K
 from clusterreader import model as M
 from clusterreader import synth as sy
 from clusterreader import training as T
-from clusterreader.aggregator import MODES, NULL_VALUE, AggregationConfig
+from clusterreader.aggregator import (MODES, NULL_VALUE, AggregationConfig, decode_top1,
+                                      rank_values)
 from test_compute import tsum
 
 
@@ -786,15 +787,31 @@ def reference_round(msgs, graph, damping=0.0):
     return out
 
 
-def reference_converge(graph):
+def reference_converge(graph, damping=0.0):
+    """Converged BP with each direction its own array: rounds at damping
+    until the first round whose delta is not below the previous round's,
+    K.CONV_DAMPING after it."""
     msgs, delta = reference_init(graph), np.inf
     for rounds in range(1, K.CONV_CAP + 1):
-        new = reference_round(msgs, graph, K.CONV_DAMPING)
-        delta = max(np.abs(new[n] - msgs[n]).max() for n in NAMES)
+        new = reference_round(msgs, graph, damping)
+        previous, delta = delta, max(np.abs(new[n] - msgs[n]).max() for n in NAMES)
         msgs = new
         if delta < K.CONV_TOL:
             break
+        if delta >= previous:
+            damping = K.CONV_DAMPING
     return msgs, rounds, delta
+
+
+def damped_converge(graph):
+    """The earlier schedule of converged BP: K.CONV_DAMPING from the first round."""
+    return reference_converge(graph, K.CONV_DAMPING)
+
+
+def reference_beliefs(msgs, graph):
+    """K.beliefs of a reference message dict."""
+    stack = np.stack([msgs[n] for n in ("to_row", "to_col", "from_col", "from_row")])
+    return K.beliefs(K.MessageState(msgs=stack), graph)
 
 
 def draw_grid(data, max_phi=8.0, missing=True, min_size=1):
@@ -841,6 +858,40 @@ def test_converge_matches_reference_round_count_and_delta(data):
     assert state.delta == ref_delta
     for n in NAMES:
         assert np.array_equal(getattr(state, n), ref[n]), n
+
+
+def test_undamped_start_keeps_the_damped_decode_in_fewer_rounds(predict_corpus_grids):
+    # prediction grids do not cycle, so the undamped rounds reach the fixed
+    # point that damping from the first round approaches more slowly
+    rounds = damped_rounds = 0
+    for mode, graph in predict_corpus_grids:
+        state = converged(graph)
+        ref, ref_rounds, _ = damped_converge(graph)
+        assert state.iteration <= ref_rounds, mode
+        rounds += state.iteration
+        damped_rounds += ref_rounds
+        b, ref_b = K.beliefs(state, graph), reference_beliefs(ref, graph)
+        assert_allclose(b, ref_b, rtol=0, atol=1e-5, err_msg=mode)
+        values = list(graph.values)
+        assert decode_top1(b.T, values) == decode_top1(ref_b.T, values), mode
+        assert rank_values(b.T, values) == rank_values(ref_b.T, values), mode
+    assert rounds <= 0.6 * damped_rounds, (rounds, damped_rounds)
+
+
+def test_a_grid_that_cycles_undamped_converges_once_damping_starts():
+    g = grid_graph([[0.51, 0.36, 0.95], [0.33, 0.21, 0.84], [0.78, 0.65, 0.91]])
+    assert g.null_row is None and g.value_constant == 1.0
+    undamped = list(K.rounds(g, K.CONV_CAP))
+    assert min(state.delta for state in undamped[1:]) > K.CONV_TOL
+    states = list(K.rounds(g, K.CONVERGENCE))
+    # round 4 moves the messages more than round 3, so damping starts at round 5
+    assert [state.delta for state in states[1:5]] == [state.delta for state in undamped[1:5]]
+    assert states[4].delta >= states[3].delta
+    assert np.array_equal(states[5].msgs, K.bp_iterate(states[4], g, K.CONV_DAMPING).msgs)
+    assert states[-1].iteration == 35 and states[-1].delta < K.CONV_TOL
+    ref, ref_rounds, _ = damped_converge(g)
+    assert ref_rounds == 34
+    assert_allclose(K.beliefs(states[-1], g), reference_beliefs(ref, g), rtol=0, atol=1e-5)
 
 
 @settings(max_examples=100, deadline=None)
