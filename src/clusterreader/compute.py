@@ -12,6 +12,10 @@ A cluster's documents are consecutive blocks of one matrix, not separate
 tensors: softmax takes the block lengths and normalizes block by block
 inside one node, and window_conv reads a window index in which no window
 crosses a document, so no window or normalization crosses a document.
+
+No op checks for NaN or inf. The loaders check what enters,
+model.ReaderModel.token_scores each forward's token scores,
+FlatParams.check_grad the gradient, and BP each round's messages.
 """
 
 from __future__ import annotations
@@ -42,15 +46,13 @@ class Tensor:
     ``_backward`` is a closure that takes the output gradient and accumulates
     into the parents' ``grad`` fields. Every op records its parents and
     closure, so prediction records the same graph as training and never runs
-    it backward.
+    it backward. Its data is not checked for NaN or inf (see the module).
     """
 
     __slots__ = ("data", "grad", "_parents", "_backward")
 
     def __init__(self, data, _parents=(), _backward=None):
         self.data = _as_f64(data)
-        if not np.all(np.isfinite(self.data)):
-            raise ComputeError("non-finite values entered the graph")
         self.grad = None
         self._parents = _parents
         self._backward = _backward
@@ -76,10 +78,6 @@ class Tensor:
         return f"Tensor(shape={self.data.shape})"
 
 
-def _lift(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
-
-
 def node(data, parents, backward) -> Tensor:
     """Record an op: its output, its parents and its backward closure."""
     return Tensor(data, _parents=tuple(parents), _backward=backward)
@@ -91,13 +89,11 @@ def node(data, parents, backward) -> Tensor:
 
 def scale(a: Tensor, c) -> Tensor:
     """Multiply by a constant array or scalar (no gradient into the constant)."""
-    a = _lift(a)
     c = _as_f64(c)
     return node(a.data * c, (a,), lambda g: a.accumulate(g * c))
 
 
 def relu(a: Tensor) -> Tensor:
-    a = _lift(a)
     mask = a.data > 0
 
     def backward(g):
@@ -109,7 +105,6 @@ def relu(a: Tensor) -> Tensor:
 def mean_neg_log(p: Tensor, floor: float) -> Tensor:
     """The mean of -log(max(p, floor)) over p's entries; no gradient flows
     to an entry the floor replaced."""
-    p = _lift(p)
     clipped = np.maximum(p.data, floor)
     kept = p.data >= floor
     c = _as_f64(1.0 / p.data.size)
@@ -136,7 +131,6 @@ def softmax(a: Tensor, lengths=None) -> Tensor:
     block), and each block is normalized on its own with the one-block
     arithmetic, so the result equals a softmax of each block's slice.
     """
-    a = _lift(a)
     if a.data.size == 0:
         raise ComputeError("softmax of empty tensor")
     blocks = _blocks(lengths, a.data.shape[-1])
@@ -161,13 +155,11 @@ def softmax(a: Tensor, lengths=None) -> Tensor:
 
 
 def transpose(a: Tensor) -> Tensor:
-    a = _lift(a)
     return node(a.data.T.copy(), (a,), lambda g: a.accumulate(g.T))
 
 
 def take(a: Tensor, idx) -> Tensor:
     """Select entries of a 1-D tensor, or rows of a 2-D one, at integer indices."""
-    a = _lift(a)
     idx = np.asarray(idx, dtype=np.intp)
     if a.data.ndim not in (1, 2):
         raise ComputeError("take expects a 1-D or 2-D tensor")
@@ -184,7 +176,6 @@ def take(a: Tensor, idx) -> Tensor:
 
 def take_pairs(a: Tensor, rows, cols) -> Tensor:
     """Select a[rows[i], cols[i]] from a 2-D tensor as a 1-D tensor."""
-    a = _lift(a)
     rows = np.asarray(rows, dtype=np.intp)
     cols = np.asarray(cols, dtype=np.intp)
     if a.data.ndim != 2:
@@ -210,7 +201,6 @@ def segment_pool(a: Tensor, segments, weights=None, take_max=None) -> Tensor:
     contiguous last axis, which numpy sums row by row as it sums a 1-D array,
     so out[s, k] equals a[s, segments[k]].sum() to the last bit.
     """
-    a = _lift(a)
     rows = a.data.reshape(-1, a.data.shape[-1])
     segments = [np.asarray(seg, dtype=np.intp) for seg in segments]
     bounds = np.cumsum([0] + [seg.size for seg in segments])
@@ -284,7 +274,6 @@ def window_conv(x: Tensor, w: Tensor, b: Tensor, windows) -> Tensor:
     (one bincount per output channel), then takes w's gradient as one
     batched product with x and x's as one GEMM with w.
     """
-    x, w, b = _lift(x), _lift(w), _lift(b)
     windows = np.asarray(windows, dtype=np.intp)
     if x.data.ndim != 2 or w.data.ndim != 3 or b.data.ndim != 1 or windows.ndim != 2:
         raise ComputeError("window_conv operand rank mismatch")
@@ -323,7 +312,7 @@ def dropout(x: Tensor, keep_prob: float, uniforms=None) -> Tensor:
     zero where a uniform is at least keep_prob, scale the rest by
     1/keep_prob. Without uniforms (inference) x passes through."""
     if uniforms is None:
-        return _lift(x)
+        return x
     return scale(x, (uniforms < keep_prob) / keep_prob)
 
 

@@ -6,7 +6,9 @@ attention matrix (one row per scoring slot), the aggregator pools it into an
 S x K value score matrix, and training reads each slot's gold mass from that.
 Training's K columns are the cluster's mentioned values plus the null value,
 sorted as strings (ClusterIndex.columns). No forward pass takes gold labels;
-only training's losses read them.
+only training's losses read them. A forward checks for NaN and inf only at
+the token scores (ReaderModel.token_scores); the loaders check the inputs,
+FlatParams.check_grad the gradients and BP its messages.
 
 The caller names the columns it pools (value_scores): each column reads
 only its own tokens, so any order pools the same numbers. Prediction works
@@ -154,7 +156,14 @@ class ReaderModel:
                         rng=rng, rows=rows)
 
     def token_scores(self, R: C.Tensor, slots) -> C.Tensor:
-        return S.score_tokens(R, [self.pi[s] for s in slots])
+        """The S x n scores U = R pi, every forward's last unbounded value:
+        after U come softmaxes, 0/1-weighted pools of their masses, a floored
+        -log and BP on clipped locals. A non-finite row of R makes its column
+        of U non-finite, so one check here covers every forward (ComputeError)."""
+        U = S.score_tokens(R, [self.pi[s] for s in slots])
+        if not np.isfinite(U.data).all():
+            raise C.ComputeError("non-finite token scores")
+        return U
 
     def value_scores(self, index: ClusterIndex, config: agg.AggregationConfig, columns,
                      keep_prob: float = 1.0, rng=None) -> C.Tensor:

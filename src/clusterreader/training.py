@@ -34,7 +34,7 @@ class TrainingError(RuntimeError):
 
 
 class DivergenceError(TrainingError):
-    """Non-finite loss or gradient during optimization."""
+    """Non-finite token scores or gradient in a training step or dev scoring."""
 
 
 class GradientCheckError(RuntimeError):
@@ -237,8 +237,8 @@ def train(train_clusters, dev_clusters, hp: Hyperparams,
           table: E.EmbeddingTable | None = None, log=None) -> TrainState:
     """Optimize on the training clusters; keep the best dev-F1 parameters.
 
-    Without dev clusters, runs exactly max_epochs. Any non-finite loss or
-    gradient aborts with a parameter-norm dump in the message.
+    Without dev clusters, runs exactly max_epochs. A non-finite forward or
+    gradient, dev scoring's too, aborts with a parameter-norm dump.
     """
     seeds = np.random.SeedSequence(hp.seed).spawn(3)
     init_rng, shuffle_rng, dropout_rng = (np.random.default_rng(s) for s in seeds)
@@ -251,23 +251,24 @@ def train(train_clusters, dev_clusters, hp: Hyperparams,
     for epoch in range(1, hp.max_epochs + 1):
         order = shuffle_rng.permutation(len(train_clusters))
         losses = []
-        for ci in order:
-            cluster = train_clusters[int(ci)]
-            flat.zero_grad()
-            try:
+        try:
+            for ci in order:
+                cluster = train_clusters[int(ci)]
+                flat.zero_grad()
                 loss = cluster_loss(model, cluster, hp, rng=dropout_rng)
                 if loss is None:
                     continue
                 C.backward(loss)
                 C.adam_step(flat, state.adam, lr=hp.lr, l2=hp.l2)
-            except C.ComputeError as exc:
-                norms = {k: float(np.abs(p.data).max()) for k, p in params.items()}
-                raise DivergenceError(
-                    f"diverged on cluster {cluster.cluster_id} epoch {epoch}: {exc}; "
-                    f"param max-abs: {norms}") from exc
-            losses.append(loss.item())
+                losses.append(loss.item())
+            cluster = None
+            metric = dev_f1(model, dev_clusters, hp)
+        except C.ComputeError as exc:
+            where = f"on cluster {cluster.cluster_id}" if cluster else "in dev scoring"
+            norms = {k: float(np.abs(p.data).max()) for k, p in params.items()}
+            raise DivergenceError(f"diverged {where} epoch {epoch}: {exc}; "
+                                  f"param max-abs: {norms}") from exc
         state.epoch = epoch
-        metric = dev_f1(model, dev_clusters, hp)
         state.history.append((epoch, float(np.mean(losses)) if losses else 0.0, metric))
         if log:
             log(f"epoch {epoch}: loss {state.history[-1][1]:.4f} dev_f1 {metric:.4f}")

@@ -118,6 +118,21 @@ def test_divergence_exits_4(pipeline, tmp_path, capsys):
     assert "diverged" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_divergence_first_seen_in_dev_scoring_exits_4(pipeline, tmp_path, capsys):
+    # one step at lr 1e200 leaves a model whose first forward is dev scoring's
+    clusters = cp.load_clusters(pipeline["train"])
+    train, dev = str(tmp_path / "train.ndjson"), str(tmp_path / "dev.ndjson")
+    cp.save_clusters(train, clusters[:1])
+    cp.save_clusters(dev, clusters[1:])
+    ckpt = tmp_path / "m.json"
+    code = cli.run(["train", "--corpus", train, "--dev", dev, "--checkpoint", str(ckpt),
+                    "--set", "lr=1e200", "--set", "max_epochs=3"] + TINY[:-2])
+    assert code == 4
+    assert "diverged in dev scoring epoch 1" in capsys.readouterr().err
+    assert not ckpt.exists()
+
+
 def test_cluster_without_mentions_trains_with_max_and_no_null(pipeline, tmp_path):
     corpus = str(tmp_path / "quiet.ndjson")
     cp.save_clusters(corpus, cp.load_clusters(pipeline["train"]) + [quiet_cluster()])
@@ -289,6 +304,25 @@ def test_checkpoint_bad_field_value_exits_3(pipeline, tmp_path, capsys, edit, me
                     "--out", str(tmp_path / "p.json")])
     assert code == 3
     assert message in capsys.readouterr().err
+
+
+def _overflowing_w1(body):
+    """Finite first-layer filters that overflow any forward pass."""
+    w1 = _decoded(body["params"]["enc.w1"])
+    body["params"]["enc.w1"] = _encoded(np.full_like(w1, 1e308))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("command", ["predict", "bp-trace"])
+def test_overflowing_checkpoint_exits_3_at_the_token_scores(pipeline, tmp_path, capsys,
+                                                            command):
+    ckpt = _rewrite_checkpoint(pipeline["ckpt"], tmp_path / "big.json", _overflowing_w1)
+    out = tmp_path / "out"
+    code = cli.run([command, "--checkpoint", ckpt, "--corpus", pipeline["test"],
+                    "--out", str(out)])
+    assert code == 3
+    assert "invalid input: non-finite token scores" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def _as_racv1(src, dest) -> str:

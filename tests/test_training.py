@@ -6,6 +6,8 @@ from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import clusterreader.compute as C
 import clusterreader.corpus as cp
@@ -911,3 +913,59 @@ def test_non_finite_gradient_diverges_naming_the_parameter(monkeypatch):
     monkeypatch.setattr(C, "backward", poisoned)
     with pytest.raises(T.DivergenceError, match="non-finite gradient for parameter 'slot.Crew'"):
         T.train(small_corpus(2, np.random.default_rng(20)), [], tiny_hp(max_epochs=1))
+
+
+# ---------------------------------------------------------------------------
+# finiteness: one check, at the token scores
+
+
+def _overflowing_w1(model):
+    """Finite parameters whose first CNN layer overflows any forward."""
+    model.params()["enc.w1"].data[...] = 1e308
+    return model
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("loss_mode", T.LOSS_MODES)
+def test_overflowing_forward_raises_at_the_token_scores(loss_mode):
+    c = crash_cluster()
+    hp = tiny_hp(loss_mode=loss_mode)
+    model = _overflowing_w1(M.init_model([t for d in c.documents for t in d.flat_tokens()],
+                                         hp, np.random.default_rng(21)))
+    with pytest.raises(C.ComputeError, match="non-finite token scores"):
+        T.cluster_loss(model, c, hp)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflowing_forward_in_training_diverges(monkeypatch):
+    monkeypatch.setattr(T, "init_model", lambda *a, **kw: _overflowing_w1(M.init_model(*a, **kw)))
+    with pytest.raises(T.DivergenceError, match="non-finite token scores"):
+        T.train(small_corpus(2, np.random.default_rng(22)), [], tiny_hp(max_epochs=1))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_forward_is_finite_wherever_the_token_scores_are(data):
+    # everything after the token scores is bounded, so a model either fails
+    # the one check there or yields finite records, beliefs and losses
+    loss_mode, decode, bp_train_iters = data.draw(st.sampled_from(
+        [("value_level", None, 0), ("value_level", None, 2), ("mention_level", "none", 0),
+         ("mention_level", "max", 0), ("mention_level", "sum", 0)]), label="loss")
+    hp = tiny_hp(loss_mode=loss_mode, bp_train_iters=bp_train_iters,
+                 aggregation=AggregationConfig(mode=data.draw(st.sampled_from(MODES))))
+    c = crash_cluster()
+    model = M.init_model([t for d in c.documents for t in d.flat_tokens()], hp,
+                         np.random.default_rng(data.draw(st.integers(0, 2**16), label="seed")))
+    for name, p in model.params().items():
+        p.data *= 10.0 ** data.draw(st.one_of(st.just(0.0), st.floats(0.0, 307.5)), label=name)
+    try:
+        records = [M.predict_cluster(model, c, hp.aggregation, bp, decode)
+                   for bp in (0, 3, "conv")]
+        loss = T.cluster_loss(model, c, hp)
+    except C.ComputeError as exc:
+        assert str(exc) == "non-finite token scores"
+        return
+    for record in records:
+        assert all(math.isfinite(x) for row in record["scores"].values() for x in row.values())
+    assert math.isfinite(loss.item())
