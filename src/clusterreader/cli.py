@@ -18,6 +18,7 @@ import numpy as np
 from . import compute as C
 from . import constraints as K
 from . import corpus as cp
+from . import encoder as E
 from . import model as M
 from . import synth as sy
 from . import training as T
@@ -88,7 +89,10 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def resolve_hyperparams(args) -> T.Hyperparams:
+def resolve_hyperparams(args, embed_width: int | None = None) -> T.Hyperparams:
+    """Settings from --config, then --set and the flags. embed_width, the
+    width of the --embeddings table, is the embed_dim: a set embed_dim of
+    another width is refused."""
     settings = {}
     if args.config:
         settings.update(parse_config_file(args.config))
@@ -103,7 +107,12 @@ def resolve_hyperparams(args) -> T.Hyperparams:
     if hp.bp_train_iters > 0:
         asked.append("bp_train_iters")
     refuse_mention_level_aggregation(asked, hp.loss_mode)
-    return hp
+    if embed_width is None:
+        return hp
+    if "embed_dim" in settings and hp.embed_dim != embed_width:
+        raise T.TrainingError(f"embed_dim={hp.embed_dim} does not match the "
+                              f"{embed_width}-wide vectors of {args.embeddings}")
+    return replace(hp, embed_dim=embed_width)
 
 
 def refuse_mention_level_aggregation(asked, loss_mode: str):
@@ -126,7 +135,8 @@ def load_for_prediction(args):
 
 
 def cmd_train(args) -> int:
-    hp = resolve_hyperparams(args)
+    table = E.load_embeddings(args.embeddings) if args.embeddings else None
+    hp = resolve_hyperparams(args, None if table is None else table.dim)
     log(f"train config: {hp}")
     log(f"seed: {hp.seed}")
     train_clusters = cp.load_clusters(args.corpus)
@@ -137,11 +147,6 @@ def cmd_train(args) -> int:
     else:
         dev_clusters = []
     log(f"{len(train_clusters)} train / {len(dev_clusters)} dev clusters")
-
-    table = None
-    if args.embeddings:
-        from . import encoder as E
-        table = E.load_embeddings(args.embeddings)
 
     lines = []
 
@@ -348,7 +353,10 @@ def run(argv=None) -> int:
 
 
 def main():
-    sys.exit(run())
+    # an overflowing forward ends in one "invalid input" line; numpy's
+    # floating-point warnings, each with its source line, would come first
+    with np.errstate(all="ignore"):
+        sys.exit(run())
 
 
 if __name__ == "__main__":

@@ -1,12 +1,13 @@
 """Dense float64 tensors with reverse-mode gradients, Adam, and checkpoints.
 
 This is deliberately small: just the operations the reader pipeline needs
-(a convolution read through a window index, softmax, dropout, gathers,
-segment pooling and the losses' mean negative log), each recorded on a
-dynamic graph whenever it runs, and differentiated by a single topological
-backward sweep. An op with one caller, such as the scorer's slot products
-or BP, is recorded with node where it is used. Everything is 64-bit so that
-finite-difference checks are tight.
+(a convolution read through a window index, softmax, dropout, one gather
+that indexes as numpy does, segment pooling and the losses' floored mean
+negative log), each recorded on a dynamic graph whenever it runs, and
+differentiated by a single topological backward sweep. An op with one
+caller, such as the scorer's slot products or BP, is recorded with node
+where it is used. Everything is 64-bit so that finite-difference checks are
+tight.
 
 A cluster's documents are consecutive blocks of one matrix, not separate
 tensors: softmax takes the block lengths and normalizes block by block
@@ -102,11 +103,15 @@ def relu(a: Tensor) -> Tensor:
     return node(np.where(mask, a.data, 0.0), (a,), backward)
 
 
-def mean_neg_log(p: Tensor, floor: float) -> Tensor:
-    """The mean of -log(max(p, floor)) over p's entries; no gradient flows
-    to an entry the floor replaced."""
-    clipped = np.maximum(p.data, floor)
-    kept = p.data >= floor
+# the probability mean_neg_log floors: -log(MASS_FLOOR) is about 27.6
+MASS_FLOOR = 1e-12
+
+
+def mean_neg_log(p: Tensor) -> Tensor:
+    """The mean of -log(max(p, MASS_FLOOR)) over p's entries, the losses'
+    last node; no gradient flows to an entry the floor replaced."""
+    clipped = np.maximum(p.data, MASS_FLOOR)
+    kept = p.data >= MASS_FLOOR
     c = _as_f64(1.0 / p.data.size)
 
     def backward(g):
@@ -159,11 +164,15 @@ def transpose(a: Tensor) -> Tensor:
 
 
 def take(a: Tensor, idx) -> Tensor:
-    """Select entries of a 1-D tensor, or rows of a 2-D one, at integer indices."""
-    idx = np.asarray(idx, dtype=np.intp)
-    if a.data.ndim not in (1, 2):
-        raise ComputeError("take expects a 1-D or 2-D tensor")
-    if idx.size and (idx.min() < 0 or idx.max() >= a.data.shape[0]):
+    """Select at integer indices as numpy indexing does: idx picks entries
+    of a 1-D tensor or rows of a 2-D one, and a (rows, cols) tuple picks the
+    entries a[rows[i], cols[i]] of a 2-D tensor. Repeats add their gradients."""
+    if not isinstance(idx, tuple):
+        idx = (idx,)
+    idx = tuple(np.asarray(i, dtype=np.intp) for i in idx)
+    if not 1 <= len(idx) <= a.data.ndim <= 2:
+        raise ComputeError("take expects a 1-D or 2-D tensor and one index per axis")
+    if any(i.size and (i.min() < 0 or i.max() >= n) for i, n in zip(idx, a.data.shape)):
         raise ComputeError("take index out of range")
 
     def backward(g):
@@ -172,24 +181,6 @@ def take(a: Tensor, idx) -> Tensor:
         a.accumulate(ga)
 
     return node(a.data[idx], (a,), backward)
-
-
-def take_pairs(a: Tensor, rows, cols) -> Tensor:
-    """Select a[rows[i], cols[i]] from a 2-D tensor as a 1-D tensor."""
-    rows = np.asarray(rows, dtype=np.intp)
-    cols = np.asarray(cols, dtype=np.intp)
-    if a.data.ndim != 2:
-        raise ComputeError("take_pairs expects a 2-D tensor")
-    if rows.size and (rows.min() < 0 or rows.max() >= a.data.shape[0]
-                      or cols.min() < 0 or cols.max() >= a.data.shape[1]):
-        raise ComputeError("take_pairs index out of range")
-
-    def backward(g):
-        ga = np.zeros_like(a.data)
-        np.add.at(ga, (rows, cols), g)
-        a.accumulate(ga)
-
-    return node(a.data[rows, cols], (a,), backward)
 
 
 def segment_pool(a: Tensor, segments, weights=None, take_max=None) -> Tensor:

@@ -11,7 +11,7 @@ tests can assert exact counts instead of eyeballing.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,7 +25,7 @@ class SynthError(ValueError):
 # Small per-slot lexicons of characteristic context words. Values are
 # mentioned next to these; the encoder only ever sees the context because
 # mention tokens are masked.
-DEFAULT_CONTEXTS = {
+CONTEXTS = {
     "Aircraft Type": ("aircraft", "jet", "airframe", "model"),
     "Crash Site": ("crashed", "down", "near", "wreckage"),
     "Crew": ("crew", "aboard", "staffed", "cockpit"),
@@ -77,7 +77,6 @@ class SynthConfig:
     n_clusters: int = 20
     docs_min: int = 4
     docs_max: int = 8
-    contexts: dict = field(default_factory=lambda: dict(DEFAULT_CONTEXTS))
     misinformation_rate: float = 0.0
     offtopic_rate: float = 0.0
     missing_slot_rate: float = 0.0
@@ -96,9 +95,6 @@ class SynthConfig:
             raise SynthError("docs_per_cluster range must satisfy 1 <= min <= max")
         if self.n_clusters < 1:
             raise SynthError("n_clusters must be positive")
-        for slot in cp.EVAL_SLOTS:
-            if not self.contexts.get(slot):
-                raise SynthError(f"no context lexicon for slot {slot!r}")
 
 
 def _pick(rng, seq):
@@ -186,7 +182,7 @@ def _generate_cluster(cid, split, config, rng):
         for s in stated:
             wrong_here = i in wrong_docs[s]
             value = wrong_value[s] if wrong_here else gold_value[s]
-            toks, pos = _context_sentence(rng, config.contexts[s], value)
+            toks, pos = _context_sentence(rng, CONTEXTS[s], value)
             body.append((toks, (pos, value, SLOT_TYPES[s], False, False,
                                 "wrong" if wrong_here else "correct", s, False)))
         n_inc = int(config.incidental_rate) + \
@@ -208,7 +204,7 @@ def _generate_cluster(cid, split, config, rng):
             b.add(digression, (3, off_flight, "other", True, False,
                                "offtopic", None, False))
             for s in rng.choice(cp.EVAL_SLOTS, size=2, replace=False):
-                toks, pos = _context_sentence(rng, config.contexts[s], off_value[s])
+                toks, pos = _context_sentence(rng, CONTEXTS[s], off_value[s])
                 b.add(toks, (pos, off_value[s], SLOT_TYPES[s], False, False,
                              "offtopic", s, False))
 

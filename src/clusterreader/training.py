@@ -26,7 +26,6 @@ from .model import (ClusterIndex, ReaderModel, bp_graph, init_model, mass_diviso
 from .scorer import NULL_SLOT
 
 LOSS_MODES = ("value_level", "mention_level")
-MASS_FLOOR = 1e-12
 
 
 class TrainingError(RuntimeError):
@@ -124,27 +123,26 @@ def value_loss(scores: C.Tensor, slots, columns, gold: dict):
     scores: the S x K value score matrix, rows labelled by slots and columns
     by columns (values and NULL_VALUE): masses, max mode's softmaxed masses
     or BP's beliefs. Empty gold sets target the null mass. Slots whose gold
-    values have no column (never mentioned) are skipped and reported.
+    values have no column (never mentioned) are skipped; None when all are.
     """
     col = {v: k for k, v in enumerate(columns)}
-    rows, cols, segments, skipped = [], [], [], []
+    rows, cols, segments = [], [], []
     for i, slot in enumerate(slots):
         wanted = gold.get(slot, ()) or (NULL_VALUE,)
         targets = [col[v] for v in wanted if v in col]
         if not targets:
-            skipped.append(slot)
             continue
         segments.append(range(len(cols), len(cols) + len(targets)))
         rows += [i] * len(targets)
         cols += targets
     if not segments:
-        return None, skipped
-    mass = C.segment_pool(C.take_pairs(scores, rows, cols), segments)
-    return C.mean_neg_log(mass, MASS_FLOOR), skipped
+        return None
+    return C.mean_neg_log(C.segment_pool(C.take(scores, (rows, cols)), segments))
 
 
-def mention_labels(index: ClusterIndex, gold: dict, slots=cp.EVAL_SLOTS) -> list:
-    """(mention_position, label_slot) training instances under hard labeling.
+def mention_labels(index: ClusterIndex, gold: dict) -> list:
+    """(mention_position, label_slot) training instances under hard labeling
+    over the EVAL_SLOTS.
 
     A mention of a value that is gold for k slots yields k positive
     instances; every other mention is a null-slot instance, including
@@ -153,7 +151,7 @@ def mention_labels(index: ClusterIndex, gold: dict, slots=cp.EVAL_SLOTS) -> list
     """
     out = []
     for i, (m, _) in enumerate(index.mention_rows):
-        matched = [s for s in slots if m.value_id in gold.get(s, ())]
+        matched = [s for s in cp.EVAL_SLOTS if m.value_id in gold.get(s, ())]
         if matched:
             out.extend((i, s) for s in matched)
         else:
@@ -162,15 +160,15 @@ def mention_labels(index: ClusterIndex, gold: dict, slots=cp.EVAL_SLOTS) -> list
 
 
 def mention_loss(logits: C.Tensor, index: ClusterIndex, gold: dict, slot_order: list):
-    """Mean cross-entropy of a softmax over slots (incl. null), one row per
-    training instance; logits holds one row per mention."""
+    """Mean cross-entropy over the training instances of each mention's
+    softmax over slots (incl. null), the distribution prediction's mention
+    decodes read; logits holds one row per mention, slot_order its columns."""
     instances = mention_labels(index, gold)
     if not instances:
         return None
-    dist = C.softmax(C.take(logits, [i for i, _ in instances]))
-    label_prob = C.take_pairs(dist, range(len(instances)),
-                              [slot_order.index(s) for _, s in instances])
-    return C.mean_neg_log(label_prob, MASS_FLOOR)
+    rows, labels = zip(*instances)
+    probs = C.softmax(logits)
+    return C.mean_neg_log(C.take(probs, (rows, [slot_order.index(s) for s in labels])))
 
 
 # ---------------------------------------------------------------------------
@@ -209,8 +207,7 @@ def cluster_loss(model: ReaderModel, cluster: cp.Cluster, hp: Hyperparams, rng=N
         scores = run_bp_tensor(scores, graph, hp.bp_train_iters)
     elif hp.aggregation.mode == "max":
         scores = C.softmax(scores)
-    loss, _ = value_loss(scores, slots, columns, cluster.gold)
-    return loss
+    return value_loss(scores, slots, columns, cluster.gold)
 
 
 def default_mention_decode(loss_mode: str) -> str | None:

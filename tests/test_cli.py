@@ -169,6 +169,31 @@ def test_malformed_embedding_value_exits_3_naming_its_line(pipeline, tmp_path, c
     assert not ckpt.exists()
 
 
+@pytest.mark.parametrize("flags,code", [
+    (["--set", "embed_dim=50"], 3), (["--config", "embed_dim = 50"], 3),
+    (["--set", "embed_dim=4"], 0), ([], 0)], ids=["set", "config", "set-to-width", "unset"])
+def test_embeddings_fix_embed_dim(pipeline, tmp_path, capsys, flags, code):
+    # a set embed_dim that the table's width contradicts is refused before
+    # training; unset, it takes the width, and the config log shows it
+    emb = tmp_path / "emb.txt"
+    emb.write_text("the 0.1 0.2 0.3 0.4\ncrash 0.5 -0.5 0.25 1.0\n")
+    if flags[:1] == ["--config"]:
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text(flags[1] + "\n")
+        flags = ["--config", str(cfg)]
+    ckpt = tmp_path / "m.json"
+    assert TINY[:2] == ["--set", "embed_dim=12"]      # TINY[2:]: flags alone set embed_dim
+    assert cli.run(["train", "--corpus", pipeline["train"], "--checkpoint", str(ckpt),
+                    "--embeddings", str(emb)] + TINY[2:] + flags) == code
+    err = capsys.readouterr().err
+    if code:
+        assert f"embed_dim=50 does not match the 4-wide vectors of {emb}" in err
+        assert not ckpt.exists()
+    else:
+        assert "embed_dim=4," in err
+        assert T.load_model(str(ckpt))[0].table.dim == 4
+
+
 def test_checkpoint_has_no_optimizer_state(pipeline):
     with open(pipeline["ckpt"]) as fh:
         fh.readline()
@@ -323,6 +348,28 @@ def test_overflowing_checkpoint_exits_3_at_the_token_scores(pipeline, tmp_path, 
     assert code == 3
     assert "invalid input: non-finite token scores" in capsys.readouterr().err
     assert not out.exists()
+
+
+def checkout_env(**extra) -> dict:
+    """The environment of a `python -m clusterreader.cli` subprocess that
+    imports this checkout's src/."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return dict(os.environ, **extra,
+                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def test_console_prints_only_its_own_lines_on_an_overflowing_forward(pipeline, tmp_path):
+    # the console entry quiets numpy's floating-point warnings, which would
+    # print with their source lines before the one-line error
+    ckpt = _rewrite_checkpoint(pipeline["ckpt"], tmp_path / "big.json", _overflowing_w1)
+    proc = subprocess.run([sys.executable, "-m", "clusterreader.cli", "predict",
+                           "--checkpoint", ckpt, "--corpus", pipeline["test"],
+                           "--out", str(tmp_path / "out")],
+                          env=checkout_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 3
+    lines = proc.stderr.splitlines()
+    assert lines and all(line.startswith("[clusterreader]") for line in lines), proc.stderr
+    assert "non-finite token scores" in lines[-1]
 
 
 def _as_racv1(src, dest) -> str:
@@ -815,16 +862,14 @@ def test_separate_predict_runs_write_identical_files(pipeline, tmp_path, loss_mo
         ckpt = str(tmp_path / "mention.json")
         assert cli.run(["train", "--corpus", pipeline["train"], "--checkpoint", ckpt,
                         "--set", "loss_mode=mention_level"] + TINY) == 0
-    src = str(Path(cli.__file__).resolve().parents[1])
     written = []
     for hash_seed in ("1", "2"):
         out = tmp_path / f"pred{hash_seed}.json"
-        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
-                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         proc = subprocess.run([sys.executable, "-m", "clusterreader.cli", "predict",
                                "--checkpoint", ckpt, "--corpus", pipeline["test"],
                                "--out", str(out), "--bp", bp],
-                              env=env, capture_output=True, text=True, timeout=120)
+                              env=checkout_env(PYTHONHASHSEED=hash_seed),
+                              capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         written.append(out.read_bytes())
     assert written[0] == written[1]

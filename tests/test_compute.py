@@ -71,16 +71,17 @@ def test_relu_grad_away_from_kink():
 def test_mean_neg_log_value_and_grad():
     rng = np.random.default_rng(7)
     a = C.Tensor(rng.uniform(0.2, 3.0, size=(5,)))
-    assert_allclose(C.mean_neg_log(a, 1e-12).item(), -np.log(a.data).mean(), rtol=1e-15)
-    check_grads(lambda: C.mean_neg_log(a, 1e-12), [a])
+    assert_allclose(C.mean_neg_log(a).item(), -np.log(a.data).mean(), rtol=1e-15)
+    check_grads(lambda: C.mean_neg_log(a), [a])
 
 
 def test_mean_neg_log_passes_no_gradient_where_the_floor_applied():
-    a = C.Tensor([0.5, 1e-3, 0.0, 1e-4])
-    out = C.mean_neg_log(a, 1e-3)       # 1e-3 itself is kept: the floor equals it
+    floor = C.MASS_FLOOR
+    a = C.Tensor([0.5, floor, 0.0, floor / 10])
+    out = C.mean_neg_log(a)             # an entry at the floor keeps its gradient
     C.backward(out)
-    assert_allclose(out.item(), -(np.log(0.5) + 3 * np.log(1e-3)) / 4)
-    assert a.grad.tolist() == [-0.25 / 0.5, -0.25 / 1e-3, 0.0, 0.0]
+    assert_allclose(out.item(), -(np.log(0.5) + 3 * np.log(floor)) / 4)
+    assert a.grad.tolist() == [-0.25 / 0.5, -0.25 / floor, 0.0, 0.0]
 
 
 def test_softmax_vector_grad_and_simplex():
@@ -198,7 +199,7 @@ def test_segment_pool_grad_equals_add_at_scatter(case):
         segments = [[4, 0, 7], [1, 5], [2, 3, 0, 6, 8]]
         take_max = [True, True, False]
     elif case == "value-loss":
-        a = rng.uniform(0.05, 0.95, size=6)        # take_pairs' gathered masses
+        a = rng.uniform(0.05, 0.95, size=6)        # value_loss's gathered masses
         segments = [range(0, 2), range(2, 3), range(3, 6)]
     elif case == "empty":
         segments = [[], []]
@@ -221,13 +222,13 @@ def test_segment_pool_rejects_bad_groups():
         C.segment_pool(a, [[]], take_max=[True])
 
 
-def test_take_and_take_pairs_grads():
+def test_take_grads():
     rng = np.random.default_rng(11)
     a = C.Tensor(rng.normal(size=(7,)))
     idx = [1, 4, 4, 0]
     check_grads(lambda: tsum(C.take(a, idx)), [a])
     m = C.Tensor(rng.normal(size=(4, 5)))
-    check_grads(lambda: tsum(C.take_pairs(m, [0, 2, 2], [1, 3, 3])), [m])
+    check_grads(lambda: tsum(C.take(m, ([0, 2, 2], [1, 3, 3]))), [m])
 
 
 def test_take_rows_grad():
@@ -241,6 +242,37 @@ def test_take_out_of_range():
     a = C.Tensor(np.arange(3.0))
     with pytest.raises(C.ComputeError):
         C.take(a, [3])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_take_is_numpy_indexing_with_an_add_at_gradient(data):
+    # every index the reader takes: entries of a 1-D tensor, rows of a 2-D
+    # one, and (rows, cols) pairs, each with repeats
+    kind = data.draw(st.sampled_from(["entries", "rows", "pairs"]))
+    shape = (data.draw(st.integers(1, 6)),) if kind == "entries" else \
+        (data.draw(st.integers(1, 6)), data.draw(st.integers(1, 5)))
+    size = data.draw(st.integers(0, 8))
+    axes = [data.draw(st.lists(st.integers(0, n - 1), min_size=size, max_size=size))
+            for n in shape[:2 if kind == "pairs" else 1]]
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    x = rng.normal(size=shape)
+    a = C.Tensor(x)
+    index = tuple(np.array(i, dtype=np.intp) for i in axes)
+    out = C.take(a, tuple(axes) if kind == "pairs" else axes[0])
+    assert np.array_equal(out.data, x[index])
+    g = rng.normal(size=out.shape)
+    out._backward(g)
+    want = np.zeros_like(x)
+    np.add.at(want, index, g)
+    assert np.array_equal(a.grad, want)
+
+    if size:                            # one index past its axis, or negative
+        axis = data.draw(st.integers(0, len(axes) - 1))
+        bad = data.draw(st.sampled_from([shape[axis], shape[axis] + 3, -1]))
+        axes[axis][data.draw(st.integers(0, size - 1))] = bad
+        with pytest.raises(C.ComputeError, match="out of range"):
+            C.take(a, tuple(axes) if kind == "pairs" else axes[0])
 
 
 def test_transpose_grad():

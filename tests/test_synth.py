@@ -158,10 +158,6 @@ def test_config_validation():
         sy.SynthConfig(docs_min=5, docs_max=3)
     with pytest.raises(sy.SynthError):
         sy.SynthConfig(n_clusters=0)
-    contexts = dict(sy.DEFAULT_CONTEXTS)
-    contexts["Crew"] = ()
-    with pytest.raises(sy.SynthError, match="Crew"):
-        sy.SynthConfig(contexts=contexts)
 
 
 def test_provenance_roundtrip(tmp_path):
