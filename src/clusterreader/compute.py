@@ -41,6 +41,13 @@ def _as_f64(x) -> np.ndarray:
     return np.asarray(x, dtype=np.float64)
 
 
+def read_only(array: np.ndarray) -> np.ndarray:
+    """array, made read-only in place: a stray write to an array that is
+    kept and reread raises at once instead of reaching every later reader."""
+    array.flags.writeable = False
+    return array
+
+
 class Tensor:
     """A float64 array plus the bookkeeping needed for reverse mode.
 

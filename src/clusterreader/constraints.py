@@ -130,24 +130,19 @@ class MessageState:
 
     @property
     def to_row(self) -> np.ndarray:
-        return _read_only(self.msgs[0])
+        return C.read_only(self.msgs[0])
 
     @property
     def to_col(self) -> np.ndarray:
-        return _read_only(self.msgs[1])
+        return C.read_only(self.msgs[1])
 
     @property
     def from_col(self) -> np.ndarray:
-        return _read_only(self.msgs[2])
+        return C.read_only(self.msgs[2])
 
     @property
     def from_row(self) -> np.ndarray:
-        return _read_only(self.msgs[3])
-
-
-def _read_only(view: np.ndarray) -> np.ndarray:
-    view.flags.writeable = False
-    return view
+        return C.read_only(self.msgs[3])
 
 
 def init_messages(graph: ConstraintGraph) -> MessageState:

@@ -25,7 +25,10 @@ read off the grid once (prediction_record).
 Training and prediction encode alike: they embed only the cluster's
 distinct rows (ClusterIndex.distinct_tokens, every mention token one mask
 row), and the encoder reads token t's row through the index those rows
-come with.
+come with. The index keeps what it derives: the distinct rows and each
+column order's segments are found on first use and reread after, as
+read-only arrays. Prediction reads a cluster's index once per call; a
+training run keeps one index per cluster and rereads it every epoch.
 
 The index is built with array ops and C-level iterators, so no Python frame
 runs per token: the mention mask is the running sum of +1 at each span
@@ -62,6 +65,9 @@ class ClusterIndex:
     mention_rows: list = field(default_factory=list)   # (mention, global_first_token)
     mention_mask: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=bool))
     groups: dict = field(default_factory=dict)         # value_id -> [global_first_token]
+    # what distinct_tokens and segments derive, kept for later calls
+    _distinct: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _segments: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def build(cls, cluster: cp.Cluster) -> "ClusterIndex":
@@ -82,7 +88,8 @@ class ClusterIndex:
         edges = np.bincount(np.array(starts, dtype=np.intp), minlength=n + 1)
         edges -= np.bincount(np.array(ends, dtype=np.intp), minlength=n + 1)
         flat = list(chain.from_iterable(chain.from_iterable(doc.sentences for doc in docs)))
-        return cls(cluster, flat, lengths, mention_rows, np.cumsum(edges[:n]) > 0, groups)
+        mask = C.read_only(np.cumsum(edges[:n]) > 0)
+        return cls(cluster, flat, lengths, mention_rows, mask, groups)
 
     @property
     def n_tokens(self) -> int:
@@ -94,7 +101,13 @@ class ClusterIndex:
         Tokens outside mentions get one row per distinct string, in first-seen
         order; every mention token shares one row, listed in mask_rows, which
         embed_cluster fills with the mask vector. Token t reads row rows[t].
+        Found on the first call; later calls return the same objects.
         """
+        if self._distinct is None:
+            self._distinct = self._find_distinct_tokens()
+        return self._distinct
+
+    def _find_distinct_tokens(self):
         n = self.n_tokens
         # a mention token reads as None, so all of them share one row
         masked = np.array(self.flat_tokens, dtype=object)
@@ -107,7 +120,7 @@ class ClusterIndex:
         rank = np.cumsum(key == np.arange(n), dtype=np.intp) - 1
         seen = list(first)
         tokens = ["" if tok is None else tok for tok in seen]
-        return tokens, [seen.index(None)] if None in first else [], rank[key]
+        return tokens, [seen.index(None)] if None in first else [], C.read_only(rank[key])
 
     def columns(self, null_enabled: bool) -> list:
         """Score-matrix column labels: mentioned values plus null, sorted as strings."""
@@ -118,10 +131,17 @@ class ClusterIndex:
         return sorted(self.groups) + ([NULL_VALUE] if null_enabled else [])
 
     def segments(self, columns) -> list:
-        """Tokens each column pools: a value's mention first tokens, or for
-        null every token outside all mention spans."""
-        outside = np.flatnonzero(~self.mention_mask)
-        return [outside if v == NULL_VALUE else self.groups[v] for v in columns]
+        """Tokens each column pools, as read-only intp arrays: a value's
+        mention first tokens, or for null every token outside all mention
+        spans. Found on the first call for an order of columns; later calls
+        with that order return the same list."""
+        key = tuple(columns)
+        if key not in self._segments:
+            outside = C.read_only(np.flatnonzero(~self.mention_mask))
+            self._segments[key] = [outside if v == NULL_VALUE
+                                   else C.read_only(np.array(self.groups[v], dtype=np.intp))
+                                   for v in columns]
+        return self._segments[key]
 
 
 @dataclass

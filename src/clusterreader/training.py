@@ -5,6 +5,19 @@ the aggregated score mass on the gold values (per evaluable slot, averaged);
 the mention-level mode instead hard-labels every mention with a matching
 slot (or the null pseudo-slot) and trains a per-mention classifier, which
 recreates the brittleness of classic distant supervision on purpose.
+
+A train call prepares each training cluster once, inside the cluster's first
+step, and reuses that plan (cluster_plan) in every later epoch: the
+cluster's ClusterIndex and the loss targets. The index keeps what the first
+forward derives from it, the distinct rows and row map and the loss columns'
+segments, so later epochs reread them. A call's plans retain 50-75 bytes
+per corpus token, more in value-level mode and where mentions are denser.
+Each step still embeds, encodes and pools afresh, since those read the
+parameters or draw dropout, and the encoder builds its two window indexes
+per step: kept as intp they would retain 8 x (width1 + width2) bytes per
+token, 120 at the defaults. Dev scoring and prediction build each
+cluster's index per call: a predicted cluster is read once per call, so a
+kept index would be reread by no one.
 """
 
 from __future__ import annotations
@@ -117,13 +130,14 @@ def _typed(key: str, raw, kind: type, text: bool):
 # losses
 
 
-def value_loss(scores: C.Tensor, slots, columns, gold: dict):
-    """Mean negative log gold mass over evaluable slots.
+def value_targets(slots, columns, gold: dict):
+    """The value-level loss's (rows, cols, segments): the (slot, gold value)
+    cells of an S x K score matrix whose rows are labelled by slots and
+    columns by columns (values and NULL_VALUE), and each slot's run of them.
 
-    scores: the S x K value score matrix, rows labelled by slots and columns
-    by columns (values and NULL_VALUE): masses, max mode's softmaxed masses
-    or BP's beliefs. Empty gold sets target the null mass. Slots whose gold
-    values have no column (never mentioned) are skipped; None when all are.
+    Empty gold sets target the null column. Slots whose gold values have no
+    column (never mentioned) are skipped; None when all are. The arrays are
+    read-only, as a training run rereads them every epoch.
     """
     col = {v: k for k, v in enumerate(columns)}
     rows, cols, segments = [], [], []
@@ -132,11 +146,22 @@ def value_loss(scores: C.Tensor, slots, columns, gold: dict):
         targets = [col[v] for v in wanted if v in col]
         if not targets:
             continue
-        segments.append(range(len(cols), len(cols) + len(targets)))
+        segments.append(C.read_only(np.arange(len(cols), len(cols) + len(targets), dtype=np.intp)))
         rows += [i] * len(targets)
         cols += targets
     if not segments:
         return None
+    return (C.read_only(np.array(rows, dtype=np.intp)), C.read_only(np.array(cols, dtype=np.intp)),
+            segments)
+
+
+def value_loss(scores: C.Tensor, targets) -> C.Tensor:
+    """Mean negative log gold mass over the slots of value_targets.
+
+    scores: the S x K value score matrix: masses, max mode's softmaxed
+    masses or BP's beliefs.
+    """
+    rows, cols, segments = targets
     return C.mean_neg_log(C.segment_pool(C.take(scores, (rows, cols)), segments))
 
 
@@ -159,16 +184,24 @@ def mention_labels(index: ClusterIndex, gold: dict) -> list:
     return out
 
 
-def mention_loss(logits: C.Tensor, index: ClusterIndex, gold: dict, slot_order: list):
-    """Mean cross-entropy over the training instances of each mention's
-    softmax over slots (incl. null), the distribution prediction's mention
-    decodes read; logits holds one row per mention, slot_order its columns."""
+def mention_targets(index: ClusterIndex, gold: dict, slot_order: list):
+    """The mention-level loss's (rows, cols): each training instance's
+    mention and its label's column in slot_order, read-only; None without
+    instances."""
     instances = mention_labels(index, gold)
     if not instances:
         return None
     rows, labels = zip(*instances)
-    probs = C.softmax(logits)
-    return C.mean_neg_log(C.take(probs, (rows, [slot_order.index(s) for s in labels])))
+    return (C.read_only(np.array(rows, dtype=np.intp)),
+            C.read_only(np.array([slot_order.index(s) for s in labels], dtype=np.intp)))
+
+
+def mention_loss(logits: C.Tensor, targets) -> C.Tensor:
+    """Mean cross-entropy over the training instances of each mention's
+    softmax over slots (incl. null), the distribution prediction's mention
+    decodes read; logits holds one row per mention, targets are
+    mention_targets."""
+    return C.mean_neg_log(C.take(C.softmax(logits), targets))
 
 
 # ---------------------------------------------------------------------------
@@ -185,29 +218,45 @@ class TrainState:
     history: list = field(default_factory=list)   # (epoch, mean_loss, dev_f1)
 
 
-def cluster_loss(model: ReaderModel, cluster: cp.Cluster, hp: Hyperparams, rng=None):
+def cluster_plan(model: ReaderModel, cluster: cp.Cluster, hp: Hyperparams) -> tuple:
+    """(index, targets): the cluster's ClusterIndex and its loss targets
+    (value_targets or mention_targets), what every step on the cluster
+    rereads besides the parameters and the dropout draws. The index keeps
+    its distinct rows and segments once a forward has found them. A training
+    run builds the plan in the cluster's first step and reuses it in every
+    later epoch."""
+    index = ClusterIndex.build(cluster)
+    if hp.loss_mode == "mention_level":
+        return index, mention_targets(index, cluster.gold, list(model.pi))
+    columns = index.columns(hp.aggregation.null_enabled)
+    return index, value_targets(model.scoring_slots(), columns, cluster.gold)
+
+
+def cluster_loss(model: ReaderModel, cluster: cp.Cluster, hp: Hyperparams, rng=None,
+                 plan: tuple | None = None):
     """The cluster's loss; with an rng, dropout runs as in training. A
     value-level loss reads the gold mass (softmaxed in max mode), or with
-    bp_train_iters > 0 the gold belief of BP on prediction's mass grid."""
-    index = ClusterIndex.build(cluster)
+    bp_train_iters > 0 the gold belief of BP on prediction's mass grid.
+    plan is the cluster's cluster_plan, which a training run keeps; without
+    one it is built here."""
+    index, targets = cluster_plan(model, cluster, hp) if plan is None else plan
     if index.n_tokens == 0:
         return None
     if hp.loss_mode == "mention_level":
         logits = model.mention_slot_logits(index, keep_prob=hp.keep_prob, rng=rng)
-        return mention_loss(logits, index, cluster.gold, list(model.pi))
+        return None if targets is None else mention_loss(logits, targets)
     columns = index.columns(hp.aggregation.null_enabled)
     scores = model.value_scores(index, hp.aggregation, columns, keep_prob=hp.keep_prob,
                                 rng=rng)
-    if scores.shape[1] == 0:    # no mentions and no null column: nothing to score
+    if targets is None:     # nothing to score, after the forward's dropout draws
         return None
-    slots = model.scoring_slots()
     if hp.bp_train_iters > 0:
         scores = C.scale(scores, 1.0 / mass_divisor(index, hp.aggregation))
-        graph = bp_graph(columns, slots, scores.data, masses=True)
+        graph = bp_graph(columns, model.scoring_slots(), scores.data, masses=True)
         scores = run_bp_tensor(scores, graph, hp.bp_train_iters)
     elif hp.aggregation.mode == "max":
         scores = C.softmax(scores)
-    return value_loss(scores, slots, columns, cluster.gold)
+    return value_loss(scores, targets)
 
 
 def default_mention_decode(loss_mode: str) -> str | None:
@@ -244,15 +293,18 @@ def train(train_clusters, dev_clusters, hp: Hyperparams,
     params, flat = model.params(), model.flat
     state = TrainState(model=model, adam=C.AdamState())
     best_snapshot = flat.data.copy()
+    plans = [None] * len(train_clusters)    # each built in its cluster's first step
 
     for epoch in range(1, hp.max_epochs + 1):
-        order = shuffle_rng.permutation(len(train_clusters))
+        order = shuffle_rng.permutation(len(train_clusters)).tolist()
         losses = []
         try:
             for ci in order:
-                cluster = train_clusters[int(ci)]
+                cluster = train_clusters[ci]
                 flat.zero_grad()
-                loss = cluster_loss(model, cluster, hp, rng=dropout_rng)
+                if plans[ci] is None:
+                    plans[ci] = cluster_plan(model, cluster, hp)
+                loss = cluster_loss(model, cluster, hp, rng=dropout_rng, plan=plans[ci])
                 if loss is None:
                     continue
                 C.backward(loss)

@@ -141,23 +141,45 @@ def test_prediction_hooks_read_what_they_expect(monkeypatch):
 def test_training_builds_one_cluster_index_per_step(monkeypatch):
     """perfbench counts model.index calls only inside training steps, each
     ended by adam_step, and a traced train-sum run fails when a layer it
-    requires records no calls. So train builds each step's ClusterIndex
-    inside that step: an index cached across epochs would leave every later
-    epoch's steps without a model.index call, which only a change to the
-    benchmark itself could account for."""
-    raw_build, raw_step = vars(M.ClusterIndex)["build"].__func__, C.adam_step
+    requires records no calls. A train call keeps one plan per cluster, so
+    it builds each cluster's ClusterIndex once: lazily, inside that
+    cluster's first step and before its adam_step. Every call's first epoch
+    thus records model.index inside its steps, and later epochs build none."""
+    raw_build = vars(M.ClusterIndex)["build"].__func__
+    raw_loss, raw_step = T.cluster_loss, C.adam_step
     events = []
 
     def build(cls, cluster):
-        events.append("index")
+        events.append(("index", cluster.cluster_id))
         return raw_build(cls, cluster)
 
+    def loss(model, cluster, *args, **kwargs):
+        events.append(("loss", cluster.cluster_id))
+        return raw_loss(model, cluster, *args, **kwargs)
+
     def step(*args, **kwargs):
-        events.append("step")
+        events.append(("step",))
         return raw_step(*args, **kwargs)
 
     monkeypatch.setattr(M.ClusterIndex, "build", classmethod(build))
+    monkeypatch.setattr(T, "cluster_loss", loss)
     monkeypatch.setattr(C, "adam_step", step)
-    hp = T.Hyperparams(embed_dim=8, width1=3, width2=2, d1=4, r=4, max_epochs=2)
-    T.train(_CLUSTERS, [], hp)
-    assert events == ["index", "step"] * (2 * len(_CLUSTERS))
+    epochs = 3
+    hp = T.Hyperparams(embed_dim=8, width1=3, width2=2, d1=4, r=4, max_epochs=epochs)
+    for _ in range(2):      # plans last one call: the next builds its own
+        events.clear()
+        T.train(_CLUSTERS, [], hp)
+        steps, step = [], []
+        for event in events:
+            step.append(event)
+            if event == ("step",):
+                steps.append(step)
+                step = []
+        assert step == [] and len(steps) == epochs * len(_CLUSTERS)
+        seen = set()
+        for step in steps:
+            cluster_id = next(e[1] for e in step if e[0] == "loss")
+            built = [e for e in step if e[0] == "index"]
+            assert built == ([] if cluster_id in seen else [("index", cluster_id)])
+            seen.add(cluster_id)
+        assert seen == {c.cluster_id for c in _CLUSTERS}

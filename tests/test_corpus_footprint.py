@@ -1,14 +1,18 @@
 """What a loaded corpus keeps in memory: one string per distinct token, value
-id and entity type per load, and few bytes per token."""
+id and entity type per load, and few bytes per token; and what a training
+run keeps of it besides: few bytes per token for its cluster plans."""
 
 import gc
 import tracemalloc
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from clusterreader import corpus as cp
+from clusterreader import model as M
 from clusterreader import synth as SY
+from clusterreader import training as T
 
 
 @pytest.fixture(scope="module")
@@ -46,6 +50,33 @@ def test_load_retains_at_most_80_bytes_per_token(corpus_path):
     finally:
         tracemalloc.stop()
     tokens = sum(d.n_tokens for c in clusters for d in c.documents)
+    assert tokens > 30000
+    assert retained <= 80 * tokens, f"{retained / tokens:.1f} bytes per token"
+
+
+@pytest.mark.parametrize("loss_mode", T.LOSS_MODES)
+def test_training_plans_retain_at_most_80_bytes_per_token(corpus_path, loss_mode):
+    # a train call keeps one cluster plan per training cluster for all its
+    # epochs, with what the first step's forward leaves on its index; the
+    # window indexes, 8 bytes x (width1 + width2) per token, are rebuilt
+    # each step instead
+    clusters = cp.load_clusters(corpus_path)
+    hp = T.Hyperparams(embed_dim=4, width1=3, width2=2, d1=2, r=2, loss_mode=loss_mode)
+    vocab = [t for c in clusters for d in c.documents for t in d.flat_tokens()]
+    model = M.init_model(vocab, hp, np.random.default_rng(0))
+    # first-call allocations stay out of the count
+    T.cluster_loss(model, clusters[0], hp, rng=np.random.default_rng(0))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        plans = [T.cluster_plan(model, c, hp) for c in clusters]
+        for c, plan in zip(clusters, plans):
+            T.cluster_loss(model, c, hp, rng=np.random.default_rng(0), plan=plan)
+        gc.collect()
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    tokens = sum(index.n_tokens for index, _ in plans)
     assert tokens > 30000
     assert retained <= 80 * tokens, f"{retained / tokens:.1f} bytes per token"
 

@@ -90,6 +90,17 @@ def score_matrix(nested):
     return C.Tensor([[nested[s].get(v, 0.0) for v in columns] for s in slots]), slots, columns
 
 
+def value_loss(scores, slots, columns, gold):
+    """The value-level loss of the targets value_targets finds; None without any."""
+    targets = T.value_targets(slots, columns, gold)
+    return None if targets is None else T.value_loss(scores, targets)
+
+
+def mention_loss(logits, index, gold, slot_order):
+    """The mention-level loss of the targets mention_targets finds."""
+    return T.mention_loss(logits, T.mention_targets(index, gold, slot_order))
+
+
 # ---------------------------------------------------------------------------
 # hyperparameters
 
@@ -155,48 +166,48 @@ def test_bool_setting_words(word, value):
 
 def test_value_loss_perfect_mass_is_zero():
     table = score_matrix({"Fatalities": {"a": 1.0}})
-    loss = T.value_loss(*table, {"Fatalities": ("a",)})
+    loss = value_loss(*table, {"Fatalities": ("a",)})
     assert abs(loss.item()) < 1e-12
 
 
 def test_value_loss_half_mass_is_log2():
     table = score_matrix({"Fatalities": {"a": 0.5, NULL_VALUE: 0.5}})
-    loss = T.value_loss(*table, {"Fatalities": ("a",)})
+    loss = value_loss(*table, {"Fatalities": ("a",)})
     assert abs(loss.item() - math.log(2)) < 1e-12
 
 
 def test_value_loss_monotone_in_gold_mass():
-    lo = T.value_loss(*score_matrix({"Crew": {"a": 0.3}}), {"Crew": ("a",)})
-    hi = T.value_loss(*score_matrix({"Crew": {"a": 0.5}}), {"Crew": ("a",)})
+    lo = value_loss(*score_matrix({"Crew": {"a": 0.3}}), {"Crew": ("a",)})
+    hi = value_loss(*score_matrix({"Crew": {"a": 0.5}}), {"Crew": ("a",)})
     assert lo.item() > hi.item()
 
 
 def test_value_loss_empty_gold_targets_null():
     table = score_matrix({"Crew": {"a": 0.1, NULL_VALUE: 0.9}})
-    loss = T.value_loss(*table, {"Crew": ()})
+    loss = value_loss(*table, {"Crew": ()})
     assert abs(loss.item() + math.log(0.9)) < 1e-12
 
 
 def test_value_loss_multiple_gold_values_sum():
     table = score_matrix({"Crash Site": {"a": 0.3, "b": 0.2, NULL_VALUE: 0.5}})
-    loss = T.value_loss(*table, {"Crash Site": ("a", "b")})
+    loss = value_loss(*table, {"Crash Site": ("a", "b")})
     assert abs(loss.item() + math.log(0.5)) < 1e-12
 
 
 def test_value_loss_skips_unfindable_gold():
     table = score_matrix({"Operator": {"a": 0.5},
                           "Fatalities": {"a": 0.25}})
-    loss = T.value_loss(*table, {"Operator": ("ghost",), "Fatalities": ("a",)})
+    loss = value_loss(*table, {"Operator": ("ghost",), "Fatalities": ("a",)})
     assert abs(loss.item() + math.log(0.25)) < 1e-12
 
 
 def test_value_loss_nothing_scorable():
-    assert T.value_loss(*score_matrix({"Crew": {"a": 0.5}}), {"Crew": ("ghost",)}) is None
+    assert value_loss(*score_matrix({"Crew": {"a": 0.5}}), {"Crew": ("ghost",)}) is None
 
 
 def test_value_loss_mean_over_slots():
     table = score_matrix({"Crew": {"a": 0.5}, "Operator": {"b": 0.25}})
-    loss = T.value_loss(*table, {"Crew": ("a",), "Operator": ("b",)})
+    loss = value_loss(*table, {"Crew": ("a",), "Operator": ("b",)})
     want = (math.log(2) + math.log(4)) / 2
     assert abs(loss.item() - want) < 1e-12
 
@@ -204,7 +215,7 @@ def test_value_loss_mean_over_slots():
 def test_value_loss_softmax_mode():
     table = score_matrix({"Crew": {"a": 2.0, NULL_VALUE: 0.0}})
     scores, slots, columns = table
-    loss = T.value_loss(C.softmax(scores), slots, columns, {"Crew": ("a",)})
+    loss = value_loss(C.softmax(scores), slots, columns, {"Crew": ("a",)})
     want = -math.log(math.exp(2) / (math.exp(2) + 1))
     assert abs(loss.item() - want) < 1e-12
 
@@ -243,7 +254,7 @@ def test_mention_loss_uniform_is_log9():
     index = M.ClusterIndex.build(c)
     slots = list(cp.EVAL_SLOTS) + [NULL_SLOT]
     logits = C.Tensor(np.zeros((len(index.mention_rows), 9)))
-    loss = T.mention_loss(logits, index, c.gold, slots)
+    loss = mention_loss(logits, index, c.gold, slots)
     assert abs(loss.item() - math.log(9)) < 1e-12
 
 
@@ -256,7 +267,7 @@ def test_mention_loss_confident_correct_is_small():
     for i in range(len(index.mention_rows)):
         rows[i, slots.index(label_of[i])] = 30.0
     logits = C.Tensor(rows)
-    loss = T.mention_loss(logits, index, c.gold, slots)
+    loss = mention_loss(logits, index, c.gold, slots)
     assert loss.item() < 1e-9
 
 
@@ -283,7 +294,7 @@ def test_mention_loss_softmaxes_each_mention_once(two_slots):
     slots = list(cp.EVAL_SLOTS) + [NULL_SLOT]
     x = np.random.default_rng(31).normal(size=(len(index.mention_rows), len(slots)))
     got, want = C.Tensor(x), C.Tensor(x)
-    loss = T.mention_loss(got, index, gold, slots)
+    loss = mention_loss(got, index, gold, slots)
     ref = softmax_per_instance_loss(want, index, gold, slots)
     assert len(T.mention_labels(index, gold)) == len(index.mention_rows) + two_slots
     assert loss.item() == ref.item()
@@ -439,7 +450,7 @@ def test_eval_mode_loss_backpropagates_through_conv1d(monkeypatch):
     columns = index.columns(True)
     scores = aggregate_sum(S.attend(ref.token_scores(R, ref.scoring_slots())),
                            index.segments(columns))
-    loss = T.value_loss(scores, ref.scoring_slots(), columns, c.gold)
+    loss = value_loss(scores, ref.scoring_slots(), columns, c.gold)
     C.backward(loss)
     for name in ("enc.w1", "enc.b1", "mask_vector"):
         got, want = model.params()[name].grad, ref.params()[name].grad
@@ -675,6 +686,79 @@ def test_training_is_bit_reproducible():
     s3 = T.train(clusters[:3], clusters[3:], tiny_hp(max_epochs=2, seed=99))
     assert any(not np.array_equal(p.data, s3.model.params()[name].data)
                for name, p in s1.model.params().items())
+
+
+def rebuilding_train(train_clusters, dev_clusters, hp):
+    """train's loop with no plans kept: every step's cluster_loss builds the
+    cluster's index, distinct rows, columns and loss targets anew. Returns
+    the history and the flat parameters train would return (patience is
+    assumed not to run out)."""
+    seeds = np.random.SeedSequence(hp.seed).spawn(3)
+    init_rng, shuffle_rng, dropout_rng = (np.random.default_rng(s) for s in seeds)
+    model = M.init_model([t for c in train_clusters for d in c.documents
+                          for t in d.flat_tokens()], hp, init_rng)
+    flat, adam = model.flat, C.AdamState()
+    history, best, best_data = [], -1.0, flat.data.copy()
+    for epoch in range(1, hp.max_epochs + 1):
+        losses = []
+        for ci in shuffle_rng.permutation(len(train_clusters)):
+            flat.zero_grad()
+            loss = T.cluster_loss(model, train_clusters[ci], hp, rng=dropout_rng)
+            if loss is not None:
+                C.backward(loss)
+                C.adam_step(flat, adam, lr=hp.lr, l2=hp.l2)
+                losses.append(loss.item())
+        metric = T.dev_f1(model, dev_clusters, hp)
+        history.append((epoch, float(np.mean(losses)), metric))
+        if metric > best:
+            best, best_data = metric, flat.data.copy()
+    flat.data[:] = best_data
+    return history, flat.data
+
+
+@pytest.mark.parametrize("settings", [
+    dict(aggregation=AggregationConfig("sum")), dict(aggregation=AggregationConfig("topic")),
+    dict(aggregation=AggregationConfig("max")), dict(aggregation=AggregationConfig("per-doc")),
+    dict(loss_mode="mention_level"), dict(bp_train_iters=2)],
+    ids=["sum", "topic", "max", "per-doc", "mention_level", "bp_train_iters=2"])
+def test_training_with_plans_equals_rebuilding_every_step(settings):
+    # a train call prepares each cluster once and reuses it every epoch:
+    # the same parameters to the bit and the same loss and dev-F1 histories
+    # as a loop that rebuilds everything each step (a mentionless cluster
+    # scores nothing in mention-level mode, yet its forward still draws)
+    clusters = _synth_clusters(8, 41) + [quiet_cluster()]
+    hp = tiny_hp(keep_prob=0.8, lr=0.03, max_epochs=3, **settings)
+    state = T.train(clusters[2:], clusters[:2], hp)
+    history, flat = rebuilding_train(clusters[2:], clusters[:2], hp)
+    assert state.history == history
+    assert np.array_equal(state.model.flat.data, flat)
+    assert len({h[1] for h in history}) == 3
+
+
+@pytest.mark.parametrize("loss_mode", T.LOSS_MODES)
+def test_cluster_plan_arrays_are_read_only(loss_mode):
+    # what every epoch rereads, the loss targets and what the first forward
+    # leaves on the index, is kept once and read-only: a stray in-place
+    # write fails at once instead of reaching a later epoch
+    hp = tiny_hp(loss_mode=loss_mode)
+    c = crash_cluster()
+    model = M.init_model([t for d in c.documents for t in d.flat_tokens()],
+                         hp, np.random.default_rng(0))
+    plan = T.cluster_plan(model, c, hp)
+    T.cluster_loss(model, c, hp, plan=plan)
+    index, targets = plan
+    distinct = index.distinct_tokens()
+    assert distinct is index.distinct_tokens()
+    arrays = [index.mention_mask, distinct[2], targets[0], targets[1]]
+    if loss_mode == "value_level":
+        columns = index.columns(hp.aggregation.null_enabled)
+        assert index.segments(columns) is index.segments(columns)
+        assert len(targets[2]) == len(cp.EVAL_SLOTS)
+        arrays += index.segments(columns) + targets[2]
+    for array in arrays:
+        assert isinstance(array, np.ndarray) and array.size
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = array[0]
 
 
 def test_value_loss_invariant_to_document_order():
