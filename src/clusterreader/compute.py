@@ -190,52 +190,117 @@ def take(a: Tensor, idx) -> Tensor:
     return node(a.data[idx], (a,), backward)
 
 
+class Segments:
+    """Index groups laid out for segment_pool, read-only.
+
+    The groups' indices are concatenated once in stable order of group
+    length, so the groups of one length lie end to end; runs holds one
+    (length, offset, columns) per distinct length, columns the ascending
+    group numbers of its block. Iterating yields each group, in group
+    order, as a view into the one index array, and len() counts the groups,
+    as on a list of the groups.
+    """
+
+    __slots__ = ("index", "offsets", "sizes", "runs", "stop")
+
+    def __init__(self, groups):
+        groups = list(groups)
+        sizes = np.fromiter(map(len, groups), dtype=np.intp, count=len(groups))
+        order = sizes.argsort(kind="stable")
+        lengths = sizes[order]
+        offsets = lengths.cumsum() - lengths
+        nonempty = order[np.count_nonzero(lengths == 0):].tolist()
+        index = np.concatenate([groups[k] for k in nonempty], dtype=np.intp) if nonempty \
+            else np.zeros(0, dtype=np.intp)
+        if index.size and index.min() < 0:
+            raise ComputeError("segment index out of range")
+        self.stop = int(index.max()) + 1 if index.size else 0
+        self.index, self.sizes, self.offsets = index, sizes, np.empty_like(sizes)
+        self.offsets[order] = offsets
+        for array in (index, sizes, self.offsets, order):
+            read_only(array)
+        # a run starts where the sorted length changes
+        starts = [0, *(np.flatnonzero(lengths[1:] != lengths[:-1]) + 1).tolist()][:sizes.size]
+        lengths, offsets = lengths.tolist(), offsets.tolist()
+        self.runs = [(lengths[lo], offsets[lo], order[lo:hi])
+                     for lo, hi in zip(starts, starts[1:] + [sizes.size])]
+
+    def __len__(self) -> int:
+        return self.sizes.size
+
+    def __iter__(self):
+        for at, size in zip(self.offsets.tolist(), self.sizes.tolist()):
+            yield self.index[at:at + size]
+
+    def in_group_order(self) -> tuple:
+        """(positions, groups): the positions in index of every group's
+        entries, group after group, and the group of each."""
+        starts = np.cumsum(self.sizes) - self.sizes
+        positions = np.repeat(self.offsets - starts, self.sizes) + np.arange(self.index.size)
+        return positions, np.repeat(np.arange(self.sizes.size), self.sizes)
+
+
 def segment_pool(a: Tensor, segments, weights=None, take_max=None) -> Tensor:
     """Pool index groups along the last axis: out[..., k] from a[..., segments[k]].
 
     Entry k is the sum of group k's entries, each times weights[index] when
     weights are given, or their maximum where take_max[k] is set (subgradient
-    to the first maximum). A group is reduced for all rows at once along the
-    contiguous last axis, which numpy sums row by row as it sums a 1-D array,
-    so out[s, k] equals a[s, segments[k]].sum() to the last bit.
+    to the first maximum). segments is a Segments layout, or a list of
+    groups to lay out. One gather puts the entries in layout order, and each
+    run of equal-length groups is one R x c x L block reduced along its
+    contiguous last axis. numpy sums every contiguous row of a reduction
+    with the same pairwise algorithm, whatever the array's leading shape, so
+    out[s, k] equals a[s, segments[k]].sum() to the last bit.
     """
+    segs = segments if isinstance(segments, Segments) else Segments(segments)
     rows = a.data.reshape(-1, a.data.shape[-1])
-    segments = [np.asarray(seg, dtype=np.intp) for seg in segments]
-    bounds = np.cumsum([0] + [seg.size for seg in segments])
-    idx = np.concatenate(segments) if segments else np.zeros(0, dtype=np.intp)
-    if idx.size and (idx.min() < 0 or idx.max() >= rows.shape[1]):
+    R, n = rows.shape
+    if segs.stop > n:
         raise ComputeError("segment_pool index out of range")
-    take_max = np.zeros(len(segments), dtype=bool) if take_max is None \
-        else np.asarray(take_max, dtype=bool)
-    if any(seg.size == 0 for seg, m in zip(segments, take_max) if m):
-        raise ComputeError("segment_pool max over an empty group")
-    w = np.ones(idx.size) if weights is None else _as_f64(weights)[idx]
-    gathered = np.take(rows, idx, axis=1) * w
-    out = np.empty((rows.shape[0], len(segments)))
-    picks = np.zeros(out.shape, dtype=np.intp)
-    every_row = np.arange(rows.shape[0])
-    for k, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
-        if take_max[k]:
-            j = lo + np.argmax(gathered[:, lo:hi], axis=1)
-            out[:, k], picks[:, k] = gathered[every_row, j], idx[j]
-        else:
-            out[:, k] = gathered[:, lo:hi].sum(axis=1)
-    col = np.repeat(np.arange(len(segments)), np.diff(bounds))
-    summed = ~take_max[col]
+    take_max = None if take_max is None else np.asarray(take_max, dtype=bool)
+    maxed = take_max is not None and take_max.any()
+    gathered = np.take(rows, segs.index, axis=1)
+    if weights is not None:
+        weights = _as_f64(weights)
+        gathered *= weights[segs.index]
+    out = np.empty((R, len(segs)))
+    picks = np.empty((R, len(segs)), dtype=np.intp) if maxed else None
+    for length, at, cols in segs.runs:
+        block = gathered[:, at:at + cols.size * length].reshape(R, cols.size, length)
+        m = take_max[cols] if maxed else None
+        if m is None or not m.any():
+            out[:, cols] = block.sum(axis=2)
+            continue
+        if length == 0:
+            raise ComputeError("segment_pool max over an empty group")
+        if not m.all():
+            out[:, cols[~m]] = block[:, ~m].sum(axis=2)
+        # each max group's first maximum, as a position in gathered's rows
+        j = at + np.flatnonzero(m) * length + block[:, m].argmax(axis=2)
+        out[:, cols[m]] = np.take_along_axis(gathered, j, axis=1)
+        picks[:, cols[m]] = segs.index[j]
 
     def backward(g):
         # one bincount over (row, index) cells: each cell adds its summed
         # entries in segment order, then its max picks in column order
-        g = g.reshape(out.shape)
-        R, n = rows.shape
+        g = g.reshape(R, len(segs))
+        positions, cols = segs.in_group_order()
+        if maxed:
+            summed = ~take_max[cols]
+            positions, cols = positions[summed], cols[summed]
+        idx = segs.index[positions]
         r = np.arange(R)[:, None] * n
-        cells = np.concatenate([(r + idx[summed]).ravel(), (r + picks[:, take_max]).ravel()])
-        weights = np.concatenate([(g[:, col[summed]] * w[summed]).ravel(),
-                                  g[:, take_max].ravel()])
-        ga = np.bincount(cells, weights=weights, minlength=R * n).astype(rows.dtype, copy=False)
+        cells, values = (r + idx).ravel(), g[:, cols]
+        if weights is not None:
+            values = values * weights[idx]
+        values = values.ravel()
+        if maxed:
+            cells = np.concatenate([cells, (r + picks[:, take_max]).ravel()])
+            values = np.concatenate([values, g[:, take_max].ravel()])
+        ga = np.bincount(cells, weights=values, minlength=R * n).astype(rows.dtype, copy=False)
         a.accumulate(ga.reshape(a.data.shape))
 
-    return node(out.reshape(a.data.shape[:-1] + (len(segments),)), (a,), backward)
+    return node(out.reshape(a.data.shape[:-1] + (len(segs),)), (a,), backward)
 
 
 def compose_embedding(base: np.ndarray, mask_vector: Tensor, mask_rows) -> Tensor:

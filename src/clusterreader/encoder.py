@@ -145,6 +145,21 @@ def _windows(lengths: np.ndarray, width: int, rows: np.ndarray, pad: int) -> np.
     return padded[at[:, None] + np.arange(width)]
 
 
+def dropout_uniforms(rng: np.random.Generator, lengths: np.ndarray, widths) -> tuple:
+    """Both layers' dropout uniforms, n x widths[0] and n x widths[1]: for
+    each document in turn, a k x widths[0] block and then a k x widths[1]
+    block, k its length.
+
+    They come from one draw cut into those blocks. PCG64 spends one 64-bit
+    output per double, so the draw holds exactly the uniforms the blocks'
+    own draws, one per document and layer, would give.
+    """
+    sizes = np.outer(lengths, widths).ravel()          # document by document, layer by layer
+    first = np.repeat([True, False] * lengths.size, sizes)
+    draw = rng.random(first.size)
+    return draw[first].reshape(-1, widths[0]), draw[~first].reshape(-1, widths[1])
+
+
 def encode(embedded: C.Tensor, doc_lengths, params: EncoderParams, keep_prob: float = 1.0,
            rng: np.random.Generator | None = None, rows=None) -> C.Tensor:
     """Two CNN layers over a cluster's tokens, rectifier between them.
@@ -157,7 +172,8 @@ def encode(embedded: C.Tensor, doc_lengths, params: EncoderParams, keep_prob: fl
     counts: each document is a block of tokens padded on its own, so no
     filter window spans a document boundary. Output is n x r in token order.
     Dropout uniforms are drawn document by document, the first layer's before
-    the second's, so a seeded run draws each mask in document order.
+    the second's, so a seeded run draws each mask in document order
+    (dropout_uniforms).
     """
     m = embedded.shape[0]
     rows = np.arange(m) if rows is None else np.asarray(rows, dtype=np.intp)
@@ -167,9 +183,7 @@ def encode(embedded: C.Tensor, doc_lengths, params: EncoderParams, keep_prob: fl
         raise C.ComputeError(f"block lengths {list(doc_lengths)} do not cover {n} entries")
     u1 = u2 = None
     if rng is not None and keep_prob < 1.0 and n:
-        widths = (params.w1.shape[2], params.out_dim)
-        draws = [rng.random((k, d)) for k in doc_lengths for d in widths]
-        u1, u2 = np.concatenate(draws[0::2]), np.concatenate(draws[1::2])
+        u1, u2 = dropout_uniforms(rng, lengths, (params.w1.shape[2], params.out_dim))
     window1 = _windows(lengths, params.w1.shape[0], rows, m)
     h = C.relu(C.window_conv(embedded, params.w1, params.b1, window1))
     h = C.dropout(h, keep_prob, u1)

@@ -25,10 +25,11 @@ read off the grid once (prediction_record).
 Training and prediction encode alike: they embed only the cluster's
 distinct rows (ClusterIndex.distinct_tokens, every mention token one mask
 row), and the encoder reads token t's row through the index those rows
-come with. The index keeps what it derives: the distinct rows and each
-column order's segments are found on first use and reread after, as
-read-only arrays. Prediction reads a cluster's index once per call; a
-training run keeps one index per cluster and rereads it every epoch.
+come with. The index keeps what it derives: the distinct rows, each column
+order's segments (one compute.Segments pooling layout) and a weighted
+mode's token weights are found on first use and reread after, read-only.
+Prediction reads a cluster's index once per call; a training run keeps one
+index per cluster and rereads it every epoch.
 
 The index is built with array ops and C-level iterators, so no Python frame
 runs per token: the mention mask is the running sum of +1 at each span
@@ -65,9 +66,10 @@ class ClusterIndex:
     mention_rows: list = field(default_factory=list)   # (mention, global_first_token)
     mention_mask: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=bool))
     groups: dict = field(default_factory=dict)         # value_id -> [global_first_token]
-    # what distinct_tokens and segments derive, kept for later calls
+    # what distinct_tokens, segments and weights derive, kept for later calls
     _distinct: tuple | None = field(default=None, init=False, repr=False, compare=False)
     _segments: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _weights: tuple = field(default=(None, None), init=False, repr=False, compare=False)
 
     @classmethod
     def build(cls, cluster: cp.Cluster) -> "ClusterIndex":
@@ -130,18 +132,25 @@ class ClusterIndex:
         """Prediction grid columns: mentioned values sorted, then null."""
         return sorted(self.groups) + ([NULL_VALUE] if null_enabled else [])
 
-    def segments(self, columns) -> list:
-        """Tokens each column pools, as read-only intp arrays: a value's
-        mention first tokens, or for null every token outside all mention
-        spans. Found on the first call for an order of columns; later calls
-        with that order return the same list."""
+    def segments(self, columns) -> C.Segments:
+        """Tokens each column pools, laid out for compute.segment_pool: a
+        value's mention first tokens, or for null every token outside all
+        mention spans. Found on the first call for an order of columns;
+        later calls with that order return the same layout."""
         key = tuple(columns)
         if key not in self._segments:
-            outside = C.read_only(np.flatnonzero(~self.mention_mask))
-            self._segments[key] = [outside if v == NULL_VALUE
-                                   else C.read_only(np.array(self.groups[v], dtype=np.intp))
-                                   for v in columns]
+            outside = np.flatnonzero(~self.mention_mask)
+            self._segments[key] = C.Segments([outside if v == NULL_VALUE else self.groups[v]
+                                              for v in columns])
         return self._segments[key]
+
+    def weights(self, mode: str):
+        """aggregator.weights_for(cluster, mode), None or read-only weights:
+        found on the first call for a mode and kept until another mode asks."""
+        if self._weights[0] != mode:
+            w = agg.weights_for(self.cluster, mode)
+            self._weights = (mode, None if w is None else C.read_only(w))
+        return self._weights[1]
 
 
 @dataclass
@@ -199,7 +208,7 @@ class ReaderModel:
         if config.mode == "max":
             null_col = columns.index(NULL_VALUE) if config.null_enabled else None
             return agg.aggregate_max(A, segments, null_col)
-        return agg.aggregate_sum(A, segments, agg.weights_for(index.cluster, config.mode))
+        return agg.aggregate_sum(A, segments, index.weights(config.mode))
 
     def mention_slot_logits(self, index: ClusterIndex, keep_prob: float = 1.0,
                             rng=None) -> C.Tensor:

@@ -214,12 +214,65 @@ def test_segment_pool_grad_equals_add_at_scatter(case):
     assert np.array_equal(a_t.grad, want)
 
 
+# group lengths at and around numpy's pairwise-summation thresholds (an
+# unrolled loop from 8 entries, a split above 128)
+POOL_LENGTHS = [0, 1, 2, 7, 8, 9, 10, 16, 17, 127, 128, 129, 130]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_segment_layout_pools_each_group_as_its_own_reduction(data):
+    """Many groups of shared lengths, summed, weighted or maxed, with tokens
+    repeated within a group and shared between groups: each entry is the
+    group's own 1-D sum or first maximum, and the gradient is the np.add.at
+    scatter's, bit for bit, for 1-D and 2-D inputs."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    width = data.draw(st.integers(1, 60))
+    shape = (width,) if data.draw(st.booleans()) else (data.draw(st.integers(1, 5)), width)
+    a = rng.normal(size=shape)
+    if data.draw(st.booleans()):
+        a = np.round(a)  # ties for the max, zeros of both signs
+    lengths = data.draw(st.lists(st.sampled_from(POOL_LENGTHS), min_size=1, max_size=24))
+    segments = [rng.integers(0, width, size=k) for k in lengths]
+    take_max = [seg.size > 0 and data.draw(st.booleans()) for seg in segments]
+    weights = rng.uniform(0.0, 2.0, size=width) if data.draw(st.booleans()) else None
+    layout = C.Segments(segments)
+    assert len(layout) == len(segments)
+    for got, seg in zip(layout, segments):
+        assert got.base is layout.index and np.array_equal(got, seg)
+    a_t = C.Tensor(a)
+    out = C.segment_pool(a_t, layout, weights, take_max)
+    w = np.ones(width) if weights is None else weights
+    rows = a.reshape(-1, width)
+    want = np.array([[(row[seg] * w[seg])[np.argmax(row[seg] * w[seg])] if is_max
+                      else (row[seg] * w[seg]).sum()
+                      for seg, is_max in zip(segments, take_max)] for row in rows])
+    assert out.shape == shape[:-1] + (len(segments),)
+    assert np.array_equal(out.data.reshape(want.shape), want)
+    g = rng.normal(size=out.shape)
+    out._backward(g)
+    assert np.array_equal(a_t.grad, add_at_pool_grad(a, segments, g, weights, take_max))
+
+
+def test_segment_layout_is_read_only_and_groups_equal_lengths_in_runs():
+    layout = C.Segments([[5, 1], [], [0, 2, 4], [3], [4, 4], np.arange(3)])
+    assert [(length, at, cols.tolist()) for length, at, cols in layout.runs] == \
+        [(0, 0, [1]), (1, 0, [3]), (2, 1, [0, 4]), (3, 5, [2, 5])]
+    assert layout.index.tolist() == [3, 5, 1, 4, 4, 0, 2, 4, 0, 1, 2]
+    assert [seg.tolist() for seg in layout] == [[5, 1], [], [0, 2, 4], [3], [4, 4], [0, 1, 2]]
+    for array in (layout.index, layout.offsets, layout.sizes, next(iter(layout))):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = array[0]
+
+
 def test_segment_pool_rejects_bad_groups():
     a = C.Tensor(np.zeros((2, 3)))
     with pytest.raises(C.ComputeError):
         C.segment_pool(a, [[3]])
     with pytest.raises(C.ComputeError):
         C.segment_pool(a, [[]], take_max=[True])
+    with pytest.raises(C.ComputeError):
+        C.segment_pool(a, [[0, -1]])
 
 
 def test_take_grads():

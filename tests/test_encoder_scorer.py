@@ -164,6 +164,21 @@ def reference_encode(x0, doc_lengths, params, masks=(1.0, 1.0)):
     return out, backward
 
 
+@settings(max_examples=60, deadline=None)
+@given(lengths=st.lists(st.integers(0, 12), min_size=1, max_size=8),
+       widths=st.tuples(st.integers(1, 12), st.integers(1, 12)), seed=st.integers(0, 2**32 - 1))
+def test_dropout_uniforms_equal_one_draw_per_document_and_layer(lengths, widths, seed):
+    # one draw cut into blocks gives each document's masks, first layer then
+    # second, as their own draws do, and leaves the generator where they do
+    rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+    u1, u2 = E.dropout_uniforms(rng, np.array(lengths, dtype=np.intp), widths)
+    draws = [(reference.random((k, widths[0])), reference.random((k, widths[1])))
+             for k in lengths]
+    assert np.array_equal(u1, np.concatenate([d[0] for d in draws]))
+    assert np.array_equal(u2, np.concatenate([d[1] for d in draws]))
+    assert rng.random() == reference.random()
+
+
 @settings(max_examples=25, deadline=None)
 @given(doc_lengths=st.lists(st.integers(0, 14), min_size=1, max_size=5),
        seed=st.integers(0, 2**16))

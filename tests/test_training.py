@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import clusterreader.aggregator as agg
 import clusterreader.compute as C
 import clusterreader.corpus as cp
 import clusterreader.encoder as E
@@ -735,6 +736,21 @@ def test_training_with_plans_equals_rebuilding_every_step(settings):
     assert len({h[1] for h in history}) == 3
 
 
+def test_topic_training_finds_each_clusters_weights_once(monkeypatch):
+    # the index keeps a cluster's topic weights once a forward has found
+    # them, so a train call walks each cluster's sentences once, not per step
+    clusters = _synth_clusters(6, 43)
+    calls, topic_weights = [], agg.topic_weights
+
+    def counting(cluster):
+        calls.append(cluster.cluster_id)
+        return topic_weights(cluster)
+
+    monkeypatch.setattr(agg, "topic_weights", counting)
+    T.train(clusters, [], tiny_hp(aggregation=AggregationConfig("topic"), max_epochs=3))
+    assert sorted(calls) == sorted(c.cluster_id for c in clusters)
+
+
 @pytest.mark.parametrize("loss_mode", T.LOSS_MODES)
 def test_cluster_plan_arrays_are_read_only(loss_mode):
     # what every epoch rereads, the loss targets and what the first forward
@@ -754,7 +770,7 @@ def test_cluster_plan_arrays_are_read_only(loss_mode):
         columns = index.columns(hp.aggregation.null_enabled)
         assert index.segments(columns) is index.segments(columns)
         assert len(targets[2]) == len(cp.EVAL_SLOTS)
-        arrays += index.segments(columns) + targets[2]
+        arrays += [*index.segments(columns), *targets[2]]
     for array in arrays:
         assert isinstance(array, np.ndarray) and array.size
         with pytest.raises(ValueError, match="read-only"):
