@@ -191,66 +191,65 @@ def take(a: Tensor, idx) -> Tensor:
 
 
 class Segments:
-    """Index groups laid out for segment_pool, read-only.
+    """Disjoint index groups laid out for segment_pool, read-only.
 
+    No index may appear twice, in one group or in two (ComputeError): every
+    pool the reader runs reads a partition of some of its entries, as a
+    value's mention first tokens never overlap, the null column reads the
+    complement of the mention mask and the loss reads consecutive ranges.
     The groups' indices are concatenated once in stable order of group
     length, so the groups of one length lie end to end; runs holds one
     (length, offset, columns) per distinct length, columns the ascending
-    group numbers of its block. Iterating yields each group, in group
-    order, as a view into the one index array, and len() counts the groups,
-    as on a list of the groups.
+    group numbers of its block. len() counts the groups.
     """
 
-    __slots__ = ("index", "offsets", "sizes", "runs", "stop")
+    __slots__ = ("index", "runs", "stop", "count")
 
     def __init__(self, groups):
         groups = list(groups)
         sizes = np.fromiter(map(len, groups), dtype=np.intp, count=len(groups))
-        order = sizes.argsort(kind="stable")
+        order = read_only(sizes.argsort(kind="stable"))
         lengths = sizes[order]
-        offsets = lengths.cumsum() - lengths
         nonempty = order[np.count_nonzero(lengths == 0):].tolist()
         index = np.concatenate([groups[k] for k in nonempty], dtype=np.intp) if nonempty \
             else np.zeros(0, dtype=np.intp)
         if index.size and index.min() < 0:
             raise ComputeError("segment index out of range")
         self.stop = int(index.max()) + 1 if index.size else 0
-        self.index, self.sizes, self.offsets = index, sizes, np.empty_like(sizes)
-        self.offsets[order] = offsets
-        for array in (index, sizes, self.offsets, order):
-            read_only(array)
+        seen = np.zeros(self.stop, dtype=bool)
+        seen[index] = True
+        if np.count_nonzero(seen) != index.size:
+            raise ComputeError("segment groups overlap")
+        self.index, self.count = read_only(index), sizes.size
         # a run starts where the sorted length changes
         starts = [0, *(np.flatnonzero(lengths[1:] != lengths[:-1]) + 1).tolist()][:sizes.size]
-        lengths, offsets = lengths.tolist(), offsets.tolist()
+        offsets = (lengths.cumsum() - lengths).tolist()
+        lengths = lengths.tolist()
         self.runs = [(lengths[lo], offsets[lo], order[lo:hi])
                      for lo, hi in zip(starts, starts[1:] + [sizes.size])]
 
     def __len__(self) -> int:
-        return self.sizes.size
-
-    def __iter__(self):
-        for at, size in zip(self.offsets.tolist(), self.sizes.tolist()):
-            yield self.index[at:at + size]
-
-    def in_group_order(self) -> tuple:
-        """(positions, groups): the positions in index of every group's
-        entries, group after group, and the group of each."""
-        starts = np.cumsum(self.sizes) - self.sizes
-        positions = np.repeat(self.offsets - starts, self.sizes) + np.arange(self.index.size)
-        return positions, np.repeat(np.arange(self.sizes.size), self.sizes)
+        return self.count
 
 
 def segment_pool(a: Tensor, segments, weights=None, take_max=None) -> Tensor:
-    """Pool index groups along the last axis: out[..., k] from a[..., segments[k]].
+    """Pool disjoint index groups along the last axis: out[..., k] from
+    a[..., segments[k]].
 
     Entry k is the sum of group k's entries, each times weights[index] when
-    weights are given, or their maximum where take_max[k] is set (subgradient
-    to the first maximum). segments is a Segments layout, or a list of
-    groups to lay out. One gather puts the entries in layout order, and each
+    weights are given, or the maximum of those products where take_max[k]
+    is set (subgradient to the first maximum). segments is a Segments
+    layout, or a list of groups to lay out; no index may be in two groups
+    or twice in one. One gather puts the entries in layout order, and each
     run of equal-length groups is one R x c x L block reduced along its
     contiguous last axis. numpy sums every contiguous row of a reduction
     with the same pairwise algorithm, whatever the array's leading shape, so
     out[s, k] equals a[s, segments[k]].sum() to the last bit.
+
+    Since the groups are disjoint, each entry of a receives at most one
+    gradient term, its group's g (times its weight), or nothing where a max
+    group did not pick it. The backward therefore assigns those terms in one
+    scatter, and no order of adds can change a bit.
     """
     segs = segments if isinstance(segments, Segments) else Segments(segments)
     rows = a.data.reshape(-1, a.data.shape[-1])
@@ -261,8 +260,8 @@ def segment_pool(a: Tensor, segments, weights=None, take_max=None) -> Tensor:
     maxed = take_max is not None and take_max.any()
     gathered = np.take(rows, segs.index, axis=1)
     if weights is not None:
-        weights = _as_f64(weights)
-        gathered *= weights[segs.index]
+        weights = _as_f64(weights)[segs.index]      # in layout order
+        gathered *= weights
     out = np.empty((R, len(segs)))
     picks = np.empty((R, len(segs)), dtype=np.intp) if maxed else None
     for length, at, cols in segs.runs:
@@ -278,26 +277,24 @@ def segment_pool(a: Tensor, segments, weights=None, take_max=None) -> Tensor:
         # each max group's first maximum, as a position in gathered's rows
         j = at + np.flatnonzero(m) * length + block[:, m].argmax(axis=2)
         out[:, cols[m]] = np.take_along_axis(gathered, j, axis=1)
-        picks[:, cols[m]] = segs.index[j]
+        picks[:, cols[m]] = j
 
     def backward(g):
-        # one bincount over (row, index) cells: each cell adds its summed
-        # entries in segment order, then its max picks in column order
+        # g in layout order: every entry of a summed group takes its group's
+        # g, as the forward's runs lay the groups out; a max group's entries
+        # take 0 but for its pick
         g = g.reshape(R, len(segs))
-        positions, cols = segs.in_group_order()
+        spread = np.where(take_max, 0.0, g) if maxed else g
+        dg = np.empty((R, segs.index.size))
+        for length, at, cols in segs.runs:
+            dg[:, at:at + cols.size * length].reshape(R, cols.size, length)[...] = \
+                spread[:, cols, None]
         if maxed:
-            summed = ~take_max[cols]
-            positions, cols = positions[summed], cols[summed]
-        idx = segs.index[positions]
-        r = np.arange(R)[:, None] * n
-        cells, values = (r + idx).ravel(), g[:, cols]
+            np.put_along_axis(dg, picks[:, take_max], g[:, take_max], axis=1)
         if weights is not None:
-            values = values * weights[idx]
-        values = values.ravel()
-        if maxed:
-            cells = np.concatenate([cells, (r + picks[:, take_max]).ravel()])
-            values = np.concatenate([values, g[:, take_max].ravel()])
-        ga = np.bincount(cells, weights=values, minlength=R * n).astype(rows.dtype, copy=False)
+            dg *= weights
+        ga = np.zeros_like(rows)
+        ga[:, segs.index] = dg
         a.accumulate(ga.reshape(a.data.shape))
 
     return node(out.reshape(a.data.shape[:-1] + (len(segs),)), (a,), backward)

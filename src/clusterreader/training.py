@@ -11,8 +11,8 @@ step, and reuses that plan (cluster_plan) in every later epoch: the
 cluster's ClusterIndex and the loss targets. The index keeps what the first
 forward derives from it, the distinct rows and row map, the loss columns'
 pooling layout and topic mode's weights, so later epochs reread them. A
-call's plans retain 45-75 bytes per corpus token, more in value-level mode
-and where mentions are denser: 61.5 value-level and 48.1 mention-level on
+call's plans retain 45-70 bytes per corpus token, more in value-level mode
+and where mentions are denser: 59.6 value-level and 47.9 mention-level on
 72 clusters of 8-16 documents.
 Each step still embeds, encodes and pools afresh, since those read the
 parameters or draw dropout, and the encoder builds its two window indexes
@@ -138,14 +138,15 @@ def value_targets(slots, columns, gold: dict):
     columns by columns (values and NULL_VALUE), and each slot's run of them
     as a compute.Segments layout.
 
-    Empty gold sets target the null column. Slots whose gold values have no
-    column (never mentioned) are skipped; None when all are. The arrays are
+    Each distinct gold value is one target (gold is a set), and empty gold
+    sets target the null column. Slots whose gold values have no column
+    (never mentioned) are skipped; None when all are. The arrays are
     read-only, as a training run rereads them every epoch.
     """
     col = {v: k for k, v in enumerate(columns)}
     rows, cols, segments = [], [], []
     for i, slot in enumerate(slots):
-        wanted = gold.get(slot, ()) or (NULL_VALUE,)
+        wanted = dict.fromkeys(gold.get(slot, ()) or (NULL_VALUE,))
         targets = [col[v] for v in wanted if v in col]
         if not targets:
             continue

@@ -11,7 +11,7 @@ from clusterreader import aggregator as agg
 from clusterreader import compute as C
 from clusterreader import corpus as cp
 from clusterreader import model as M
-from test_compute import tsum
+from test_compute import layout_groups, tsum
 
 
 def make_doc(doc_id, order, sentences, mentions=()):
@@ -94,7 +94,7 @@ def test_group_mention_scores_gathers_and_drops_empty():
     index = M.ClusterIndex.build(cp.Cluster("c", "train", {}, ("acme", "fifty", "nine"), (doc,)))
     columns = index.columns(null_enabled=True)
     assert columns == sorted(["acme", "fifty", agg.NULL_VALUE])
-    segments = {v: np.asarray(seg).tolist() for v, seg in zip(columns, index.segments(columns))}
+    segments = dict(zip(columns, layout_groups(index.segments(columns))))
     assert segments == {"acme": [1], "fifty": [4], agg.NULL_VALUE: [0, 3]}
     out = agg.aggregate_sum(rows(0.1, 0.2, 0.3, 0.4, 0.0), index.segments(columns))
     want = {"acme": 0.2, "fifty": 0.0, agg.NULL_VALUE: 0.5}

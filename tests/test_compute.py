@@ -124,10 +124,31 @@ def test_segment_pool_sum_and_weighted_grads():
     check_grads(lambda: tsum(C.scale(C.segment_pool(a, segments), g)), [a])
     a.zero_grad()
     check_grads(lambda: tsum(C.scale(C.segment_pool(a, segments, weights), g)), [a])
+    a.zero_grad()
+    take_max = [True, False, True]
+    check_grads(lambda: tsum(C.scale(C.segment_pool(a, segments, weights, take_max), g)), [a])
     out = C.segment_pool(a, segments, weights).data
     for k, seg in enumerate(segments):
         assert np.array_equal(out[:, k], [(a.data[s, seg] * weights[seg]).sum()
                                           for s in range(3)])
+
+
+def disjoint_groups(rng, lengths, left_out: int = 0) -> tuple:
+    """(width, groups): groups of the given lengths cut from one permutation
+    of range(width), so no index is in two groups or twice in one, and
+    left_out indices in no group."""
+    width = sum(lengths) + left_out
+    return width, np.split(rng.permutation(width), np.cumsum(lengths))[:-1]
+
+
+def layout_groups(layout) -> list:
+    """Each group of a Segments layout as a list, in group order, read off
+    its runs."""
+    groups = [None] * len(layout)
+    for length, at, cols in layout.runs:
+        for i, k in enumerate(cols.tolist()):
+            groups[k] = layout.index[at + i * length:at + (i + 1) * length].tolist()
+    return groups
 
 
 @settings(max_examples=80, deadline=None)
@@ -135,12 +156,15 @@ def test_segment_pool_sum_and_weighted_grads():
 def test_segment_pool_equals_per_row_reduction(data):
     """Each entry is the per-row 1-D sum, or the first maximum, bit for bit."""
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    n_rows, width = data.draw(st.integers(1, 8)), data.draw(st.integers(1, 40))
+    sizes = data.draw(st.lists(st.integers(0, 60), min_size=1, max_size=6))
+    # at least one index in all: a has no empty last axis
+    left_out = data.draw(st.integers(int(not sum(sizes)), 8))
+    width, segments = disjoint_groups(rng, sizes, left_out)
+    segments = [seg.tolist() for seg in segments]
+    n_rows = data.draw(st.integers(1, 8))
     a = rng.normal(size=(n_rows, width))
     if data.draw(st.booleans()):
         a = np.round(a)  # ties for the max, zeros of both signs
-    sizes = data.draw(st.lists(st.integers(0, 60), min_size=1, max_size=6))
-    segments = [rng.integers(0, width, size=k).tolist() for k in sizes]
     take_max = [bool(seg) and data.draw(st.booleans()) for seg in segments]
     weights = rng.uniform(0.0, 2.0, size=width) if data.draw(st.booleans()) else None
     w = np.ones(width) if weights is None else weights
@@ -155,7 +179,7 @@ def test_segment_pool_equals_per_row_reduction(data):
             if is_max:
                 j = int(np.argmax(row))
                 want[r, k] = row[j]
-                grad[r, seg[j]] += 1.0
+                grad[r, seg[j]] += w[seg[j]]
             else:
                 want[r, k] = row.sum()
                 np.add.at(grad[r], seg, w[seg])
@@ -165,7 +189,8 @@ def test_segment_pool_equals_per_row_reduction(data):
 
 def add_at_pool_grad(a, segments, g, weights=None, take_max=None):
     """segment_pool's input gradient as two np.add.at scatters: every summed
-    entry in segment order, then each row's max picks in column order."""
+    entry in segment order, then each row's max picks in column order, each
+    term times its entry's weight."""
     rows = a.reshape(-1, a.shape[-1])
     g = g.reshape(rows.shape[0], len(segments))
     segments = [np.asarray(seg, dtype=np.intp) for seg in segments]
@@ -179,24 +204,23 @@ def add_at_pool_grad(a, segments, g, weights=None, take_max=None):
     summed = ~take_max[col]
     ga = np.zeros_like(rows)
     np.add.at(ga.T, idx[summed], (g[:, col[summed]] * w[idx[summed]]).T)
-    np.add.at(ga, (np.arange(rows.shape[0])[:, None], picks), g[:, take_max])
+    np.add.at(ga, (np.arange(rows.shape[0])[:, None], picks), g[:, take_max] * w[picks])
     return ga.reshape(a.shape)
 
 
 @pytest.mark.parametrize("case", ["sum", "topic", "max-with-null", "value-loss", "empty",
                                   "no-segments"])
 def test_segment_pool_grad_equals_add_at_scatter(case):
-    # one bincount adds each cell's contributions in the order the two
-    # np.add.at scatters did, so the gradient is bit-equal; tokens shared
-    # by two columns and repeated within one make that order matter
+    # disjoint groups give each cell at most one term, so assigning the
+    # terms equals the np.add.at scatters bit for bit
     rng = np.random.default_rng(16)
     a = np.round(rng.normal(size=(4, 9)), 1)      # ties for the max
-    segments = [[4, 0, 7, 4], [1], [2, 3, 0, 6, 8], []]
+    segments = [[4, 0, 7], [1], [2, 3, 6, 8], []]  # 5 in no group
     weights = take_max = None
     if case == "topic":
         weights = rng.uniform(0.0, 2.0, size=9) * (rng.random(9) < 0.7)
     elif case == "max-with-null":
-        segments = [[4, 0, 7], [1, 5], [2, 3, 0, 6, 8]]
+        segments = [[4, 0, 7], [1, 5], [2, 3, 6, 8]]  # all 9, null last
         take_max = [True, True, False]
     elif case == "value-loss":
         a = rng.uniform(0.05, 0.95, size=6)        # value_loss's gathered masses
@@ -222,24 +246,23 @@ POOL_LENGTHS = [0, 1, 2, 7, 8, 9, 10, 16, 17, 127, 128, 129, 130]
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_segment_layout_pools_each_group_as_its_own_reduction(data):
-    """Many groups of shared lengths, summed, weighted or maxed, with tokens
-    repeated within a group and shared between groups: each entry is the
-    group's own 1-D sum or first maximum, and the gradient is the np.add.at
-    scatter's, bit for bit, for 1-D and 2-D inputs."""
+    """Many disjoint groups of shared lengths, summed, weighted or maxed,
+    some indices in no group: each entry is the group's own 1-D sum or first
+    maximum, and the gradient is the np.add.at scatter's, bit for bit, for
+    1-D and 2-D inputs."""
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    width = data.draw(st.integers(1, 60))
+    lengths = data.draw(st.lists(st.sampled_from(POOL_LENGTHS), min_size=1, max_size=24))
+    left_out = data.draw(st.integers(int(not sum(lengths)), 10))
+    width, segments = disjoint_groups(rng, lengths, left_out)
     shape = (width,) if data.draw(st.booleans()) else (data.draw(st.integers(1, 5)), width)
     a = rng.normal(size=shape)
     if data.draw(st.booleans()):
         a = np.round(a)  # ties for the max, zeros of both signs
-    lengths = data.draw(st.lists(st.sampled_from(POOL_LENGTHS), min_size=1, max_size=24))
-    segments = [rng.integers(0, width, size=k) for k in lengths]
     take_max = [seg.size > 0 and data.draw(st.booleans()) for seg in segments]
     weights = rng.uniform(0.0, 2.0, size=width) if data.draw(st.booleans()) else None
     layout = C.Segments(segments)
     assert len(layout) == len(segments)
-    for got, seg in zip(layout, segments):
-        assert got.base is layout.index and np.array_equal(got, seg)
+    assert layout_groups(layout) == [seg.tolist() for seg in segments]
     a_t = C.Tensor(a)
     out = C.segment_pool(a_t, layout, weights, take_max)
     w = np.ones(width) if weights is None else weights
@@ -255,12 +278,13 @@ def test_segment_layout_pools_each_group_as_its_own_reduction(data):
 
 
 def test_segment_layout_is_read_only_and_groups_equal_lengths_in_runs():
-    layout = C.Segments([[5, 1], [], [0, 2, 4], [3], [4, 4], np.arange(3)])
+    layout = C.Segments([[5, 1], [], [0, 2, 4], [3], [7, 6], np.arange(8, 11)])
     assert [(length, at, cols.tolist()) for length, at, cols in layout.runs] == \
         [(0, 0, [1]), (1, 0, [3]), (2, 1, [0, 4]), (3, 5, [2, 5])]
-    assert layout.index.tolist() == [3, 5, 1, 4, 4, 0, 2, 4, 0, 1, 2]
-    assert [seg.tolist() for seg in layout] == [[5, 1], [], [0, 2, 4], [3], [4, 4], [0, 1, 2]]
-    for array in (layout.index, layout.offsets, layout.sizes, next(iter(layout))):
+    assert layout.index.tolist() == [3, 5, 1, 7, 6, 0, 2, 4, 8, 9, 10]
+    assert layout_groups(layout) == [[5, 1], [], [0, 2, 4], [3], [7, 6], [8, 9, 10]]
+    assert len(layout) == 6 and layout.stop == 11
+    for array in (layout.index, *(cols for _, _, cols in layout.runs)):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = array[0]
 
@@ -273,6 +297,12 @@ def test_segment_pool_rejects_bad_groups():
         C.segment_pool(a, [[]], take_max=[True])
     with pytest.raises(C.ComputeError):
         C.segment_pool(a, [[0, -1]])
+    # groups must be disjoint: no index in two groups or twice in one
+    for groups in ([[0, 1], [1, 2]], [[2, 0, 2]], [[0], [], [0]]):
+        with pytest.raises(C.ComputeError, match="overlap"):
+            C.Segments(groups)
+        with pytest.raises(C.ComputeError, match="overlap"):
+            C.segment_pool(a, groups)
 
 
 def test_take_grads():

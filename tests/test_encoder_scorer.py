@@ -12,8 +12,8 @@ from clusterreader import corpus as cp
 from clusterreader import encoder as E
 from clusterreader import scorer as S
 from clusterreader.model import ClusterIndex
-from test_compute import (assert_close, check_grads, reference_conv, reference_conv_grads,
-                          tsum)
+from test_compute import (assert_close, check_grads, layout_groups, reference_conv,
+                          reference_conv_grads, tsum)
 
 
 def small_table(rng, tokens=("a", "b", "c", "d"), dim=6):
@@ -377,9 +377,8 @@ def test_array_built_index_equals_the_token_walk(cluster):
     assert (tokens, mask_rows, rows.tolist()) == want["distinct"]
     assert rows.dtype == np.intp
     columns = index.columns(null_enabled=True)
-    segments = [np.asarray(seg).tolist() for seg in index.segments(columns)]
-    assert segments == [want["null_segment"] if v == agg.NULL_VALUE else want["groups"][v]
-                        for v in columns]
+    assert layout_groups(index.segments(columns)) == [
+        want["null_segment"] if v == agg.NULL_VALUE else want["groups"][v] for v in columns]
 
 
 def test_encode_block_lengths_must_cover_the_tokens():

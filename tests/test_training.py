@@ -22,7 +22,7 @@ from clusterreader.aggregator import (MODES, NULL_VALUE, AggregationConfig, aggr
 from clusterreader.cli import _tiny_cluster
 from clusterreader.constraints import run_bp, run_bp_tensor
 from clusterreader.scorer import NULL_SLOT
-from test_compute import assert_close
+from test_compute import assert_close, layout_groups
 from test_encoder_scorer import reference_encode
 
 
@@ -193,6 +193,15 @@ def test_value_loss_multiple_gold_values_sum():
     table = score_matrix({"Crash Site": {"a": 0.3, "b": 0.2, NULL_VALUE: 0.5}})
     loss = value_loss(*table, {"Crash Site": ("a", "b")})
     assert abs(loss.item() + math.log(0.5)) < 1e-12
+
+
+def test_value_loss_counts_a_repeated_gold_value_once():
+    # gold is a set, as evaluation reads it (EvalInstance.gold_set)
+    table = score_matrix({"Crew": {"a": 0.3, "b": 0.2, NULL_VALUE: 0.5},
+                          "Operator": {"b": 0.25}})
+    once = value_loss(*table, {"Crew": ("b", "a"), "Operator": ("b",)})
+    twice = value_loss(*table, {"Crew": ("b", "a", "b"), "Operator": ("b", "b")})
+    assert twice.item() == once.item()
 
 
 def test_value_loss_skips_unfindable_gold():
@@ -770,11 +779,46 @@ def test_cluster_plan_arrays_are_read_only(loss_mode):
         columns = index.columns(hp.aggregation.null_enabled)
         assert index.segments(columns) is index.segments(columns)
         assert len(targets[2]) == len(cp.EVAL_SLOTS)
-        arrays += [*index.segments(columns), *targets[2]]
+        arrays += [index.segments(columns).index, targets[2].index]
     for array in arrays:
         assert isinstance(array, np.ndarray) and array.size
         with pytest.raises(ValueError, match="read-only"):
             array[0] = array[0]
+
+
+def abutting_cluster():
+    """Multi-token mention spans that abut, at both ends of a document."""
+    d0 = make_doc("d0", 0, ["acme", "air", "flight", "nine", "fifty", "five", "died"],
+                  [(0, 2, "acme", "airline"), (2, 4, "nine", "number"),
+                   (4, 6, "fifty", "number")])
+    d1 = make_doc("d1", 1, ["the", "acme", "air", "fifty", "five"],
+                  [(1, 3, "acme", "airline"), (3, 5, "fifty", "number")])
+    gold = {s: () for s in cp.EVAL_SLOTS}
+    gold["Fatalities"] = ("fifty",)
+    c = cp.Cluster(cluster_id="abut", split="train", gold=gold,
+                   candidate_values=("acme", "nine", "fifty"), documents=(d0, d1))
+    cp.validate_cluster(c)
+    return c
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.floats(0.0, 0.75), min_size=4, max_size=4), st.integers(1, 8),
+       st.integers(0, 8), st.integers(0, 2**16))
+def test_pipeline_pools_only_partitions(rates, docs_min, more_docs, seed):
+    # segment_pool rejects overlapping groups, so every layout the pipeline
+    # builds must be a partition of some tokens
+    config = SY.SynthConfig(n_clusters=3, docs_min=docs_min, docs_max=docs_min + more_docs,
+                            misinformation_rate=rates[0], offtopic_rate=rates[1],
+                            missing_slot_rate=rates[2], incidental_rate=rates[3], seed=seed)
+    for c in [*SY.generate(config)[0], abutting_cluster()]:
+        index = M.ClusterIndex.build(c)
+        outside = np.flatnonzero(~index.mention_mask).tolist()
+        for null_enabled in (False, True):
+            for columns in (index.columns(null_enabled), index.grid_columns(null_enabled)):
+                groups = dict(zip(columns, layout_groups(index.segments(columns))))
+                assert groups.pop(NULL_VALUE, outside) == outside
+                assert groups == index.groups
+            T.value_targets(cp.EVAL_SLOTS, index.columns(null_enabled), c.gold)
 
 
 def test_value_loss_invariant_to_document_order():
