@@ -61,10 +61,11 @@ def log(msg: str):
 
 
 def parse_bp(raw: str, flag: str = "--bp"):
-    """A round count or 'conv', from predict's --bp or bp-trace's --iterations."""
+    """A round count in ASCII digits or 'conv', from predict's --bp or
+    bp-trace's --iterations."""
     if raw == K.CONVERGENCE:
         return K.CONVERGENCE
-    if raw.isdigit():
+    if raw.isascii() and raw.isdigit():
         return int(raw)
     raise K.ConstraintError(
         f"{flag} expects a non-negative iteration count or 'conv', got {raw!r}")

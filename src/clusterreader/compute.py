@@ -55,13 +55,19 @@ class Tensor:
     into the parents' ``grad`` fields. Every op records its parents and
     closure, so prediction records the same graph as training and never runs
     it backward. Its data is not checked for NaN or inf (see the module).
+
+    ``grad_rows``, when set, lists the only rows of a 2-D tensor whose
+    gradient its own backward reads; an op that honours it (window_conv)
+    computes the gradient of those rows alone and leaves the rest 0. None,
+    the default, asks for every row.
     """
 
-    __slots__ = ("data", "grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "grad_rows", "_parents", "_backward")
 
     def __init__(self, data, _parents=(), _backward=None):
         self.data = _as_f64(data)
         self.grad = None
+        self.grad_rows = None
         self._parents = _parents
         self._backward = _backward
 
@@ -73,9 +79,13 @@ class Tensor:
         return float(self.data)
 
     def accumulate(self, g):
+        """Add g, broadcast to data's shape, into grad. A first contribution
+        is stored as 0.0 + g in one pass, the bits a zero grad plus g would
+        hold (a -0.0 in g becomes 0.0)."""
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            self.grad = np.add(g, 0.0, out=np.empty_like(self.data))
+        else:
+            self.grad += g
 
     def zero_grad(self):
         """Zero the gradient in place, so a grad that is a view stays one."""
@@ -304,7 +314,8 @@ def compose_embedding(base: np.ndarray, mask_vector: Tensor, mask_rows) -> Tenso
     """Frozen lookup matrix with selected rows replaced by a shared vector.
 
     The base matrix is a constant (pretrained rows are held fixed); gradient
-    flows only into the shared replacement vector.
+    flows only into the shared replacement vector. The backward reads g at
+    mask_rows alone, so the output declares them as its grad_rows.
     """
     mask_rows = np.asarray(mask_rows, dtype=np.intp)
     out_data = _as_f64(base).copy()
@@ -314,7 +325,9 @@ def compose_embedding(base: np.ndarray, mask_vector: Tensor, mask_rows) -> Tenso
         if mask_rows.size:
             mask_vector.accumulate(g[mask_rows].sum(axis=0))
 
-    return node(out_data, (mask_vector,), backward)
+    out = node(out_data, (mask_vector,), backward)
+    out.grad_rows = mask_rows
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -330,9 +343,15 @@ def window_conv(x: Tensor, w: Tensor, b: Tensor, windows) -> Tensor:
     in many windows or in none, so x can hold only a cluster's distinct rows.
 
     The forward projects x~ once by every w[k] and sums each output row's
-    gathered projections. The backward scatters g onto those projections
-    (one bincount per output channel), then takes w's gradient as one
-    batched product with x and x's as one GEMM with w.
+    gathered projections. The backward scatters g onto those projections,
+    then takes w's gradient as one batched product with x and x's as one
+    product with w. Where no window column reads a row of x twice (layer 2
+    of the encoder), every projection takes at most one term and the
+    scatter is one assignment; otherwise it is one bincount per output
+    channel, in window order. Either way each projection's gradient is
+    0.0 plus its terms in window order, the same bits. x's gradient covers
+    x.grad_rows alone when x declares them (one small product, 0 on every
+    other row), else every row (one GEMM).
     """
     windows = np.asarray(windows, dtype=np.intp)
     if x.data.ndim != 2 or w.data.ndim != 3 or b.data.ndim != 1 or windows.ndim != 2:
@@ -349,20 +368,33 @@ def window_conv(x: Tensor, w: Tensor, b: Tensor, windows) -> Tensor:
     out_data = np.take(proj.reshape(-1, d_out), flat, axis=0).sum(axis=0) + b.data
 
     def backward(g):
-        # one bincount per output channel adds g onto the projections in
-        # window order, with no width x n x d_out index or copy of g
         rows = flat.ravel()
-        weights = np.empty(flat.shape)                       # row k holds g[:, c]
-        dproj = np.empty((width * (m + 1), d_out))
-        for c in range(d_out):
-            weights[...] = g[:, c]
-            dproj[:, c] = np.bincount(rows, weights=weights.ravel(),
-                                      minlength=width * (m + 1))
+        # the pad row m may repeat, but its projections are dropped
+        repeats = np.bincount(rows, minlength=width * (m + 1)).reshape(width, m + 1)[:, :m]
+        if repeats.max(initial=0) <= 1:
+            # one term per projection: 0.0 + g, the bits a bincount gives
+            dproj = np.zeros((width * (m + 1), d_out))
+            dproj[flat] = np.add(g, 0.0)
+        else:
+            # one bincount per output channel adds g onto the projections in
+            # window order, with no width x n x d_out index or copy of g
+            weights = np.empty(flat.shape)                   # row k holds g[:, c]
+            dproj = np.empty((width * (m + 1), d_out))
+            for c in range(d_out):
+                weights[...] = g[:, c]
+                dproj[:, c] = np.bincount(rows, weights=weights.ravel(),
+                                          minlength=width * (m + 1))
         dproj = dproj.reshape(width, m + 1, d_out)[:, :m]
         w.accumulate(x.data.T @ dproj)
         b.accumulate(g.sum(axis=0))
-        x.accumulate(dproj.transpose(1, 0, 2).reshape(m, width * d_out)
-                     @ w.data.transpose(0, 2, 1).reshape(width * d_out, d_in))
+        w_t = w.data.transpose(0, 2, 1).reshape(width * d_out, d_in)
+        if x.grad_rows is None:
+            x.accumulate(dproj.transpose(1, 0, 2).reshape(m, width * d_out) @ w_t)
+            return
+        dx = np.zeros((m, d_in))
+        dx[x.grad_rows] = (dproj[:, x.grad_rows].transpose(1, 0, 2)
+                           .reshape(len(x.grad_rows), width * d_out) @ w_t)
+        x.accumulate(dx)
 
     return node(out_data, (x, w, b), backward)
 

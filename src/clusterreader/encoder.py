@@ -11,8 +11,9 @@ compute.window_conv over an index of every token's same-padded window.
 Layer 1 reads the cluster's u distinct embedding rows, so its projection
 costs u x e x width1 x d1 multiply-adds rather than n x e x width1 x d1 and
 no n x width1 x e window tensor is copied; gradients reach w1, b1 and,
-through the one mask row, the mask vector. Layer 2 reads the n rectified
-layer-1 rows.
+through the one mask row, the mask vector (layer 1's backward takes the
+input gradient of that row alone). Layer 2 reads the n rectified layer-1
+rows.
 """
 
 from __future__ import annotations

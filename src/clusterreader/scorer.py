@@ -32,19 +32,17 @@ def score_tokens(R: C.Tensor, pis: list) -> C.Tensor:
     """S x n raw scores as one graph node; row s is u^s = R pi_s.
 
     Each row is its own matrix-vector product (one S x r product would round
-    differently), and the backward adds R's per-slot outer products in slot
-    order before R accumulates them once.
+    differently). The backward is two products: the slots' gradients are
+    the rows of g R, and R's is g^T Pi, Pi the S x r stack of the slots.
     """
     for pi_s in pis:
         if R.shape[1] != pi_s.shape[0]:
             raise C.ComputeError(f"representation dim {R.shape[1]} != slot dim {pi_s.shape[0]}")
 
     def backward(g):
-        dR = np.zeros_like(R.data)
-        for g_s, pi_s in zip(g, pis):
-            dR += g_s[:, None] * pi_s.data
-            pi_s.accumulate(R.data.T @ g_s)
-        R.accumulate(dR)
+        for pi_s, d_pi in zip(pis, g @ R.data):
+            pi_s.accumulate(d_pi)
+        R.accumulate(g.T @ np.stack([pi_s.data for pi_s in pis]))
 
     return C.node(np.stack([R.data @ pi_s.data for pi_s in pis]), (R, *pis), backward)
 

@@ -951,6 +951,18 @@ def test_bp_trace_bad_iterations_exits_3(pipeline, tmp_path, capsys, bad):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command,flag", [("predict", "--bp"), ("bp-trace", "--iterations")])
+@pytest.mark.parametrize("raw", ["\u00b2", "\u0663"])   # superscript two, Arabic-Indic three
+def test_non_ascii_digit_round_counts_exit_3(pipeline, tmp_path, capsys, command, flag, raw):
+    # str.isdigit accepts both; one used to exit 3 naming no flag, the other to run 3 rounds
+    out = tmp_path / "out"
+    code = cli.run([command, "--checkpoint", pipeline["ckpt"], "--corpus", pipeline["test"],
+                    "--out", str(out), flag, raw])
+    assert code == 3
+    assert f"{flag} expects" in capsys.readouterr().err.strip().splitlines()[-1]
+    assert not out.exists()
+
+
 def test_bp_trace_unknown_cluster_exits_3(pipeline, tmp_path):
     code = cli.run(["bp-trace", "--checkpoint", pipeline["ckpt"], "--corpus",
                     pipeline["test"], "--cluster-id", "ghost",

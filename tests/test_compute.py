@@ -500,6 +500,65 @@ def test_window_conv_backward_is_bit_equal_to_add_at(n, width, m, d_in, d_out, s
         assert got.tobytes() == (np.full(want.shape, -0.0) + want).tobytes()
 
 
+@settings(max_examples=80, deadline=None)
+@given(lengths=st.lists(st.integers(0, 12), min_size=1, max_size=5),
+       width=st.integers(1, 10), d_in=st.integers(1, 4), d_out=st.integers(1, 4),
+       layer1=st.booleans(), spare=st.integers(0, 3), seed=st.integers(0, 2**16))
+@example(lengths=[0, 0], width=3, d_in=2, d_out=2, layer1=False, spare=0, seed=0)  # no tokens
+@example(lengths=[2, 0, 1, 3], width=10, d_in=2, d_out=1, layer1=False, spare=0, seed=1)
+@example(lengths=[5, 4], width=4, d_in=3, d_out=2, layer1=False, spare=0, seed=2)  # even width
+@example(lengths=[3, 0, 2], width=5, d_in=2, d_out=3, layer1=True, spare=2, seed=3)
+def test_window_conv_backward_without_repeats_is_bit_equal_to_add_at(lengths, width, d_in, d_out,
+                                                                     layer1, spare, seed):
+    # no window column reads a row twice, so the scatter is one assignment:
+    # layer 2's index (token t reads row t, pads between documents), or a
+    # layer-1 index whose tokens happen to read distinct rows. The same bits
+    # as add_at, signs of zeros too (set up as in the test above)
+    rng = np.random.default_rng(seed)
+    n = sum(lengths)
+    m = n + spare if layer1 else n
+    rows = rng.permutation(m)[:n] if layer1 else np.arange(n)
+    windows = reference_windows(lengths, width, rows, m)
+    for column in windows.T:
+        read = column[column < m]
+        assert np.unique(read).size == read.size
+    x0, w0 = rng.normal(size=(m, d_in)), rng.normal(size=(width, d_in, d_out))
+    g = rng.normal(size=(n, d_out))
+    g[rng.random(g.shape) < 0.3] = -0.0
+    x, w, b = C.Tensor(x0), C.Tensor(w0), C.Tensor(rng.normal(size=d_out))
+    out = C.window_conv(x, w, b, windows)
+    for t in (x, w, b):
+        t.grad = np.full(t.data.shape, -0.0)
+    out._backward(g)
+    for got, want in zip((x.grad, w.grad, b.grad), add_at_window_conv_grads(x0, w0, windows, g)):
+        assert got.tobytes() == (np.full(want.shape, -0.0) + want).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(lengths=st.lists(st.integers(0, 12), min_size=1, max_size=5),
+       width=st.integers(1, 10), m=st.integers(1, 8), d_in=st.integers(1, 4),
+       d_out=st.integers(1, 4), declared=st.integers(0, 8), seed=st.integers(0, 2**16))
+def test_window_conv_x_grad_covers_the_declared_rows_only(lengths, width, m, d_in, d_out,
+                                                          declared, seed):
+    # an x that declares grad_rows gets those rows of the full product's
+    # gradient, up to rounding, and 0 on every other row; w's and b's
+    # gradients do not depend on it
+    rows, x0, w0, b0, g = _window_case(lengths, width, m, d_in, d_out, seed)
+    windows = reference_windows(lengths, width, rows, m)
+    grad_rows = np.sort(np.random.default_rng(seed).permutation(m)[:declared])
+    grads = []
+    for declare in (False, True):
+        x, w, b = (C.Tensor(v) for v in (x0, w0, b0))
+        if declare:
+            x.grad_rows = grad_rows
+        C.window_conv(x, w, b, windows)._backward(g)
+        grads.append((x.grad, w.grad, b.grad))
+    (full, w_full, b_full), (part, w_part, b_part) = grads
+    assert_close(part[grad_rows], full[grad_rows])
+    assert np.array_equal(np.delete(part, grad_rows, axis=0), np.zeros((m - grad_rows.size, d_in)))
+    assert w_part.tobytes() == w_full.tobytes() and b_part.tobytes() == b_full.tobytes()
+
+
 @settings(max_examples=30, deadline=None)
 @given(lengths=st.lists(st.integers(0, 7), min_size=1, max_size=3).filter(sum),
        width=st.integers(1, 10), m=st.integers(1, 4), seed=st.integers(0, 2**16))
@@ -682,6 +741,32 @@ def test_compose_embedding_routes_grad_to_mask_rows():
     weights = np.arange(12.0).reshape(4, 3)
     C.backward(tsum(C.scale(table, weights)))
     assert_allclose(mv.grad, weights[1] + weights[3])
+
+
+def test_compose_embedding_declares_the_mask_rows_its_backward_reads():
+    table = C.compose_embedding(np.zeros((4, 3)), C.Tensor(np.ones(3)), [1, 3])
+    assert table.grad_rows.tolist() == [1, 3]
+    assert C.Tensor(np.zeros((4, 3))).grad_rows is None
+
+
+def test_accumulate_stores_a_first_contribution_as_zero_plus_g():
+    # the bits np.zeros_like(data) + g holds: a -0.0 turns into 0.0, a
+    # scalar g fills the tensor's shape, and later contributions add on
+    t = C.Tensor(np.ones((2, 3)))
+    g = np.array([[-0.0, 1.5, -2.0], [0.0, -0.0, 3.0]])
+    t.accumulate(g)
+    assert t.grad.tobytes() == (np.zeros((2, 3)) + g).tobytes()
+    assert not np.signbit(t.grad[t.grad == 0]).any()
+    g[0, 1] = 7.0
+    assert t.grad[0, 1] == 1.5                      # a copy of g, not g
+    s = C.Tensor(np.ones((2, 3)))
+    s.accumulate(np.array(-0.5))
+    assert s.grad.shape == (2, 3) and (s.grad == -0.5).all()
+    s.accumulate(2.0)
+    assert (s.grad == 1.5).all()
+    z = C.Tensor(np.ones(3))
+    z.accumulate(-0.0)
+    assert z.grad.tobytes() == np.zeros(3).tobytes()
 
 
 def test_backward_accumulates_through_shared_node():

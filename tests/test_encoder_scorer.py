@@ -425,6 +425,24 @@ def test_score_tokens_is_the_per_slot_products_with_their_gradients():
         S.score_tokens(R, [pis[0], C.Tensor(np.ones(4))])
 
 
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(0, 30), r=st.integers(1, 12), slots=st.integers(1, 9),
+       seed=st.integers(0, 2**16))
+def test_score_tokens_backward_equals_the_per_slot_loop(n, r, slots, seed):
+    # the two products g R and g^T Pi give each slot R^T g_s and R the sum
+    # of the slots' outer products g_s pi_s, up to rounding
+    rng = np.random.default_rng(seed)
+    R = C.Tensor(rng.normal(size=(n, r)))
+    pis = [C.Tensor(rng.normal(size=r)) for _ in range(slots)]
+    g = rng.normal(size=(slots, n))
+    S.score_tokens(R, pis)._backward(g)
+    dR = np.zeros((n, r))
+    for g_s, pi_s in zip(g, pis):
+        dR += np.outer(g_s, pi_s.data)
+        assert_close(pi_s.grad, R.data.T @ g_s)
+    assert_close(R.grad, dR)
+
+
 def test_score_tokens_zero_and_duplicate_rows():
     rng = np.random.default_rng(50)
     R = C.Tensor(rng.normal(size=(4, 6)))

@@ -1056,6 +1056,24 @@ def _keeping(models: list):
     return init_and_keep
 
 
+@pytest.mark.parametrize("mode,loss_mode", [("sum", "value_level"), ("max", "value_level"),
+                                            ("per-doc", "value_level"),
+                                            ("sum", "mention_level")])
+def test_mask_vector_and_slot_grads_match_central_differences(monkeypatch, mode, loss_mode):
+    # layer 1's backward computes x's gradient for the mask row alone and the
+    # scorer's as two products; what reaches the mask vector and the slots
+    # still matches central differences, and is not 0
+    models = []
+    monkeypatch.setattr(T, "init_model", _keeping(models))
+    hp = tiny_hp(aggregation=AggregationConfig(mode=mode), loss_mode=loss_mode)
+    report = T.gradient_check(hp, crash_cluster())
+    checked = ["mask_vector", *(k for k in report if k.startswith("slot."))]
+    assert len(checked) > 1
+    for name in checked:
+        assert report[name] < 1e-4, name
+        assert np.abs(models[0].params()[name].grad).max() > 0, name
+
+
 def test_gradient_check_keeps_flat_views(monkeypatch):
     models = []
     monkeypatch.setattr(T, "init_model", _keeping(models))
